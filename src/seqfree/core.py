@@ -437,6 +437,33 @@ def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
     return int(np.count_nonzero(text.ids[:length] == word.ids[role - 1]))
 
 
+def role_prefix_counts(
+    text: Text, word: Word, weights: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """Per role, the total weight of its symbol within every text prefix.
+
+    Entry j of a row covers the first j positions, so entry 0 is the
+    empty prefix. Without `weights` each position counts one; otherwise
+    rows take the dtype of `weights`. A repeated symbol's row is built
+    once and kept only until its last role.
+    """
+    dtype = np.int64 if weights is None else weights.dtype
+    last_role = {int(sym): i for i, sym in enumerate(word.ids)}
+    cache: dict[int, np.ndarray] = {}
+    for i, sym in enumerate(word.ids):
+        sym = int(sym)
+        row = cache.pop(sym, None)
+        if row is None:
+            hits = text.ids == sym
+            if weights is not None:
+                hits = np.where(hits, weights, 0)
+            row = np.zeros(text.n + 1, dtype=dtype)
+            np.cumsum(hits, out=row[1:])
+        if last_role[sym] > i:
+            cache[sym] = row
+        yield row
+
+
 def role_match(text: Text, word: Word, role: int, position: int) -> bool:
     """True when the text symbol at `position` can play `role`."""
     return text.symbol(position) == word.symbol(role)

@@ -29,6 +29,7 @@ from .core import (
     Text,
     Word,
     as_fraction,
+    role_prefix_counts,
     subseed,
 )
 from .exact import interleave_sentinel, quantize_weights
@@ -518,6 +519,47 @@ class DistFreeEstimate:
     production: bool
 
 
+def _estimate(
+    oracle: Sampler,
+    word: Word,
+    accuracy,
+    seed: int,
+    constants: EstimatorConstants,
+    separator: bool,
+) -> DistFreeEstimate:
+    """Both distribution-free estimators: two sampling phases, then the
+    copy measure of the phase-two tallies, through the separator rewrite
+    when `separator` is set."""
+    resolution = interval_resolution(word.k, accuracy, constants)
+    first = first_sample_size(resolution, constants)
+    sample1 = oracle.draw(first, subseed(seed, 1))
+    partition = IntervalPartition.from_sample(sample1, resolution)
+    second = second_sample_size(resolution, word.k, partition.count, constants)
+    sample2 = oracle.draw(second, subseed(seed, 2))
+    density = symbol_density_estimate(sample2, partition, word)
+    if separator:
+        sentinel = interleave_partition(partition)
+        tallies = assemble_sentinel_density(density, partition, sentinel).numerators
+        merged = sentinel.count
+    else:
+        tallies, merged = density.role_tallies, None
+    measure = copies_from_counts(tallies)
+    # With the separator: 2 * measure(numerators / (2 * second)) = measure / second.
+    raw = Fraction(int(measure), second)
+    clamped = min(max(raw, Fraction(0)), Fraction(1))
+    return DistFreeEstimate(
+        estimate=float(clamped),
+        raw=raw,
+        resolution=resolution,
+        first_size=first,
+        second_size=second,
+        intervals=partition.count,
+        merged_intervals=merged,
+        seed=seed,
+        production=constants.is_production,
+    )
+
+
 def estimate_distance(
     oracle: Sampler,
     word: Word,
@@ -534,30 +576,7 @@ def estimate_distance(
     computed without float rounding. Guarantee: within `accuracy` of the
     true distance with probability at least 2/3.
     """
-    resolution = interval_resolution(word.k, accuracy, constants)
-    first = first_sample_size(resolution, constants)
-    sample1 = oracle.draw(first, subseed(seed, 1))
-    partition = IntervalPartition.from_sample(sample1, resolution)
-    second = second_sample_size(resolution, word.k, partition.count, constants)
-    sample2 = oracle.draw(second, subseed(seed, 2))
-    density = symbol_density_estimate(sample2, partition, word)
-    sentinel = interleave_partition(partition)
-    assembled = assemble_sentinel_density(density, partition, sentinel)
-    measure = copies_from_counts(assembled.numerators)
-    # Output = 2 * measure(numerators / (2 * second)) = measure / second.
-    raw = Fraction(int(measure), second)
-    clamped = min(max(raw, Fraction(0)), Fraction(1))
-    return DistFreeEstimate(
-        estimate=float(clamped),
-        raw=raw,
-        resolution=resolution,
-        first_size=first,
-        second_size=second,
-        intervals=partition.count,
-        merged_intervals=sentinel.count,
-        seed=seed,
-        production=constants.is_production,
-    )
+    return _estimate(oracle, word, accuracy, seed, constants, separator=True)
 
 
 def estimate_distance_repeat_free(
@@ -577,27 +596,7 @@ def estimate_distance_repeat_free(
             "this estimator needs a word without adjacent equal symbols; "
             "use estimate_distance for the general case"
         )
-    resolution = interval_resolution(word.k, accuracy, constants)
-    first = first_sample_size(resolution, constants)
-    sample1 = oracle.draw(first, subseed(seed, 1))
-    partition = IntervalPartition.from_sample(sample1, resolution)
-    second = second_sample_size(resolution, word.k, partition.count, constants)
-    sample2 = oracle.draw(second, subseed(seed, 2))
-    density = symbol_density_estimate(sample2, partition, word)
-    measure = copies_from_counts(density.role_tallies)
-    raw = Fraction(int(measure), second)
-    clamped = min(max(raw, Fraction(0)), Fraction(1))
-    return DistFreeEstimate(
-        estimate=float(clamped),
-        raw=raw,
-        resolution=resolution,
-        first_size=first,
-        second_size=second,
-        intervals=partition.count,
-        merged_intervals=None,
-        seed=seed,
-        production=constants.is_production,
-    )
+    return _estimate(oracle, word, accuracy, seed, constants, separator=False)
 
 
 def exact_sentinel_reference(
@@ -617,24 +616,11 @@ def exact_sentinel_reference(
     boundaries. Returns integer numerators over the expansion length.
     Diagnostic only.
     """
-    n = text.n
-    step = quantization_step(n, resolution, constants)
+    step = quantization_step(text.n, resolution, constants)
     quant = quantize_weights(dist, step)
-    mult = np.array(
-        [int(w / step) for w in quant.rounded], dtype=np.int64
-    )
+    mult = np.array([int(w / step) for w in quant.rounded], dtype=np.int64)
     sep_text, sep_word, _ = interleave_sentinel(text, word)
-    sep_mult = np.repeat(mult, 2)
-    expanded_length = int(sep_mult.sum())
-    cum_all = np.concatenate(([0], np.cumsum(sep_mult)))
     ends = sentinel.boundaries[1:]
-    numerators = np.zeros((sep_word.k, sentinel.count), dtype=np.int64)
-    cache: dict[int, np.ndarray] = {}
-    for i, sym in enumerate(sep_word.ids):
-        sym = int(sym)
-        if sym not in cache:
-            masked = np.where(sep_text.ids == sym, sep_mult, 0)
-            cache[sym] = np.concatenate(([0], np.cumsum(masked)))
-        numerators[i] = cache[sym][ends]
-    assert int(cum_all[-1]) == expanded_length
-    return numerators, expanded_length
+    counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
+    numerators = np.array([row[ends] for row in counts])
+    return numerators, 2 * int(mult.sum())

@@ -1,6 +1,7 @@
 """Ground-truth distances: greedy copy packing, the prefix recursion,
 brute-force minimum-modification search, and the exact weighted pipeline
-(zero-weight dropping, separator interleaving, multiplicity expansion).
+(zero-weight dropping, separator interleaving, and the copy recursion on
+weighted prefix counts, in O(nk) time whatever the common denominator).
 
 Everything here is exact. Rational arithmetic is used wherever a weight
 appears; the only floats are in callers that choose to convert.
@@ -12,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -23,10 +24,11 @@ from .core import (
     Word,
     contains_word,
     drop_zero_weight,
+    role_prefix_counts,
 )
 
-# Exhaustive search explodes past this length; the weighted expansion is
-# capped separately by max_expanded below.
+# Exhaustive search explodes past this length. expand_text materializes
+# its expansion, so it refuses expansions longer than EXPANSION_LIMIT.
 BRUTEFORCE_LIMIT = 22
 EXPANSION_LIMIT = 10_000_000
 
@@ -95,58 +97,52 @@ def greedy_copies(text: Text, word: Word) -> CopySet:
     return CopySet(positions, word)
 
 
-def _prefix_count_rows(text: Text, word: Word) -> list[np.ndarray]:
-    """Per role, cumulative occurrence counts indexed by prefix length."""
-    cache: dict[int, np.ndarray] = {}
-    rows = []
-    for sym in word.ids:
-        sym = int(sym)
-        if sym not in cache:
-            counts = np.concatenate(
-                ([0], np.cumsum(text.ids == sym, dtype=np.int64))
-            )
-            cache[sym] = counts
-        rows.append(cache[sym])
-    return rows
+def running_maximum(
+    count_rows: Iterable[np.ndarray], offset: int
+) -> Iterator[np.ndarray]:
+    """The copy recursion over per-role count rows, one row at a time.
+
+    Row one is taken as-is. Every later row subtracts from its counts the
+    worst running shortfall against the previous measure:
+    counts[j] - max(0, max of counts[t] - measure[t - offset], offset <= t <= j).
+    Offset 1 runs on full prefix counts with a leading empty-prefix
+    column and is exact for every word; offset 0 compares columns in
+    place, exact for words without adjacent equal symbols. Yields each
+    measure row.
+    """
+    measure: Optional[np.ndarray] = None
+    for counts in count_rows:
+        if measure is None:
+            measure = counts
+        else:
+            row = np.empty(counts.size, dtype=np.result_type(counts, measure))
+            row[:offset] = counts[:offset]
+            shortfall = row[offset:]
+            np.subtract(counts[offset:], measure[: counts.size - offset], out=shortfall)
+            if shortfall.size:
+                # Clamping the first entry clamps the whole running maximum.
+                shortfall[0] = max(shortfall[0], 0)
+                np.maximum.accumulate(shortfall, out=shortfall)
+            np.subtract(counts[offset:], shortfall, out=shortfall)
+            measure = row
+        yield measure
 
 
 def copy_count_table(text: Text, word: Word) -> np.ndarray:
     """Maximum copies of each word prefix within each text prefix.
 
     Entry [i-1, j] is the copy count of the first i roles within the
-    first j positions; the recursion subtracts, from the occurrence
-    count of role i, the worst shortfall any earlier cut would leave.
+    first j positions.
     """
-    n = text.n
-    table = np.zeros((word.k, n + 1), dtype=np.int64)
-    prev: Optional[np.ndarray] = None
-    for i, counts in enumerate(_prefix_count_rows(text, word)):
-        if i == 0:
-            row = counts.copy()
-        else:
-            row = np.zeros(n + 1, dtype=np.int64)
-            if n >= 1:
-                deficit = np.maximum.accumulate(counts[1:] - prev[:-1])
-                row[1:] = counts[1:] - deficit
-        table[i] = row
-        prev = row
-    return table
+    rows = running_maximum(role_prefix_counts(text, word), offset=1)
+    return np.array(list(rows), dtype=np.int64)
 
 
 def copy_count(text: Text, word: Word) -> int:
     """Maximum number of role-disjoint copies, O(nk) time, O(n) memory."""
-    n = text.n
-    prev: Optional[np.ndarray] = None
-    for i, counts in enumerate(_prefix_count_rows(text, word)):
-        if i == 0:
-            row = counts
-        else:
-            row = np.zeros(n + 1, dtype=np.int64)
-            if n >= 1:
-                deficit = np.maximum.accumulate(counts[1:] - prev[:-1])
-                row[1:] = counts[1:] - deficit
-        prev = row
-    return int(prev[n])
+    for measure in running_maximum(role_prefix_counts(text, word), offset=1):
+        pass
+    return int(measure[-1])
 
 
 def uniform_distance(text: Text, word: Word) -> Fraction:
@@ -345,7 +341,8 @@ def expand_text(text: Text, dist: Distribution, base_weight) -> TextExpansion:
     Requires every weight to be a positive integer multiple of
     `base_weight`; the expansion then has length 1/base_weight and makes
     the weighted distance of the source equal the uniform distance of the
-    expansion (for words without adjacent equal symbols).
+    expansion (for words without adjacent equal symbols). The expansion
+    is materialized, so its length must stay within EXPANSION_LIMIT.
     """
     base = Fraction(base_weight) if not isinstance(base_weight, Fraction) else base_weight
     if base <= 0:
@@ -360,22 +357,26 @@ def expand_text(text: Text, dist: Distribution, base_weight) -> TextExpansion:
                 f"weight at position {j} is not a positive multiple of the base"
             )
         mult.append(int(ratio))
+    if sum(mult) > EXPANSION_LIMIT:
+        raise ValueError(
+            f"an expansion of {sum(mult)} positions is above the cap of "
+            f"{EXPANSION_LIMIT}"
+        )
     return TextExpansion(text, np.array(mult, dtype=np.int64))
 
 
-def exact_weighted_distance(
-    text: Text,
-    word: Word,
-    dist: Distribution,
-    max_expanded: int = EXPANSION_LIMIT,
-) -> Fraction:
+def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fraction:
     """Exact distance to word-freeness under arbitrary rational weights.
 
     Pipeline: drop zero-weight positions, interleave the separator (which
     makes the word free of adjacent repeats, at the cost of halving), and
-    expand by the common denominator so the greedy copy count applies.
-    The expansion is materialized, so the common denominator D must keep
-    2D within `max_expanded`.
+    scale the weights to integer multiplicities over their common
+    denominator D. The weighted prefix counts of the interleaved text at
+    every position are those of its multiplicity expansion (length 2D) at
+    run ends, where the recursion of a repeat-free word takes its
+    maxima, so the recursion runs on them directly without the expansion.
+    O(nk) time whatever D is; counts are int64, or Python integers when
+    D does not fit.
     """
     if text.n < 1:
         raise ValueError("distance is undefined for an empty text")
@@ -385,14 +386,14 @@ def exact_weighted_distance(
         raise ValueError("exact distance needs rational weights")
     kept_text, kept = drop_zero_weight(text, dist)
     denom = kept.common_denominator()
-    if 2 * denom > max_expanded:
-        raise ValueError(
-            f"common denominator {denom} needs an expansion of {2 * denom} "
-            f"positions, above the cap of {max_expanded}; use weights with a "
-            "smaller common denominator"
-        )
-    sep_text, sep_word, sep_dist = interleave_sentinel(kept_text, word, kept)
-    expansion = expand_text(sep_text, sep_dist, Fraction(1, 2 * denom))
-    assert expansion.expanded_length == 2 * denom
-    copies = copy_count(expansion.expanded, sep_word)
-    return Fraction(2 * copies, expansion.expanded_length)
+    dtype = np.int64 if denom <= np.iinfo(np.int64).max else object
+    mult = np.array(
+        [w.numerator * (denom // w.denominator) for w in kept.fractions], dtype=dtype
+    )
+    sep_text, sep_word, _ = interleave_sentinel(kept_text, word)
+    counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
+    for measure in running_maximum(counts, offset=0):
+        pass
+    # The separator halves the distance of the length-2D expansion:
+    # distance = 2 * copies / (2D).
+    return Fraction(int(measure[-1]), denom)

@@ -198,8 +198,7 @@ def estimator_sweep(
     """Success-rate sweep of one estimator over an accuracy grid.
 
     Truth comes from the exact oracles. Float weights have no exact
-    truth; their rows carry estimates only. Exact weights whose common
-    denominator is too large to expand are rejected with advice.
+    truth; their rows carry estimates only.
     """
     if kind not in ("uniform", "df"):
         raise ValueError("estimator kind must be 'uniform' or 'df'")
@@ -217,13 +216,7 @@ def estimator_sweep(
             dist = Distribution.uniform(text.n)
         oracle = WeightedSampler(text, dist)
         if dist.is_exact:
-            try:
-                truth = exact_weighted_distance(text, word, dist)
-            except ValueError as err:
-                raise ValueError(
-                    f"no exact truth for this ensemble ({err}); use rational "
-                    "weights with a bounded common denominator"
-                ) from None
+            truth = exact_weighted_distance(text, word, dist)
             weights_kind = "exact"
         else:
             truth = None

@@ -16,7 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import SampleSet, Sampler, Text, Word, as_fraction
+from .core import SampleSet, Sampler, Text, Word, as_fraction, role_prefix_counts
+from .exact import running_maximum
 
 Number = Union[int, float]
 
@@ -121,13 +122,7 @@ def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> CountMatrix:
     """True occurrence counts at the grid columns."""
     if grid.n != text.n:
         raise ValueError("grid and text disagree on length")
-    rows = np.zeros((word.k, grid.size), dtype=np.int64)
-    cache: dict[int, np.ndarray] = {}
-    for i, sym in enumerate(word.ids):
-        sym = int(sym)
-        if sym not in cache:
-            cache[sym] = np.cumsum(text.ids == sym, dtype=np.int64)
-        rows[i] = cache[sym][grid.columns - 1]
+    rows = np.array([row[grid.columns] for row in role_prefix_counts(text, word)])
     return CountMatrix(rows, text.n, estimated=False)
 
 
@@ -162,22 +157,18 @@ def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> Coun
 def copies_from_counts(matrix) -> Number:
     """Copy measure of a count matrix over an increasing prefix grid.
 
-    Row one is taken as-is; every later row subtracts the worst running
-    shortfall between its own counts and the previous row's measure, the
-    empty prefix counting as a zero column. With exact counts on the full
-    grid this equals the copy count for words without adjacent equal
-    symbols; on coarse grids it stays within (k-1) times the largest gap.
+    The offset-0 `running_maximum`, the empty prefix counting as a zero
+    column. With exact counts on the full grid this equals the copy count
+    for words without adjacent equal symbols; on coarse grids it stays
+    within (k-1) times the largest gap.
     The measure scales linearly: doubling every entry doubles the result,
     which lets callers run it on raw integer tallies.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("count matrix must be two-dimensional and non-empty")
-    measure = arr[0].copy()
-    for row in arr[1:]:
-        shortfall = np.maximum.accumulate(row - measure)
-        np.maximum(shortfall, 0, out=shortfall)
-        measure = row - shortfall
+    for measure in running_maximum(arr, offset=0):
+        pass
     value = measure[-1]
     if np.issubdtype(arr.dtype, np.integer):
         return int(value)

@@ -8,7 +8,9 @@ import pytest
 
 from seqfree.core import Text, UniformSampler, Word
 from seqfree.harness.cli import main
-from seqfree.harness.experiments import concentration_experiment
+from seqfree.exact import bruteforce_distance
+from seqfree.harness.experiments import concentration_experiment, fraction_str
+from seqfree.harness.fileio import load_text, load_weights, load_word
 from seqfree.uniform import estimate_distance_uniform
 
 
@@ -25,6 +27,26 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_tiny_weight_instance(tmp_path):
+    """Four positions, one of weight 1e-400: the common denominator has
+    about 400 digits."""
+    text = tmp_path / "tiny_text.txt"
+    text.write_text("a b a b\n")
+    word = tmp_path / "tiny_word.txt"
+    word.write_text("a b\n")
+    weights = tmp_path / "tiny_weights.txt"
+    weights.write_text("1e-400\n0.5\n0.25\n0.25\n")
+    return str(text), str(word), str(weights)
+
+
+def tiny_weight_truth(text_path, word_path, weights_path) -> str:
+    """Exhaustive-search distance of the instance, as the CLI prints it."""
+    text = load_text(text_path)
+    word = load_word(word_path, text.alphabet)
+    truth = bruteforce_distance(text, word, load_weights(weights_path, text.n))
+    return fraction_str(truth)
 
 
 class TestExactCommand:
@@ -54,6 +76,15 @@ class TestExactCommand:
         assert payload["weights"] == "file"
         assert payload["distance"] == "1/2"
         assert "copies" not in payload
+
+    def test_tiny_weight_is_exact(self, tmp_path, capsys):
+        text, word, weights = write_tiny_weight_instance(tmp_path)
+        code, out, err = run_cli(
+            ["exact", "--text", text, "--word", word, "--weights", weights],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["distance"] == tiny_weight_truth(text, word, weights)
 
 
 class TestDeterminism:
@@ -214,6 +245,16 @@ class TestSweepCommand:
         assert len(lines) == 6
         assert {line["accuracy"] for line in lines} == {0.4, 0.5}
         assert all("estimate" in line for line in lines)
+
+    def test_sweep_df_tiny_weight_has_exact_truth(self, tmp_path, capsys):
+        text, word, weights = write_tiny_weight_instance(tmp_path)
+        code, out, err = run_cli(
+            ["sweep", "--text", text, "--word", word, "--weights", weights,
+             "--estimator", "df", "--deltas", "0.5", "--trials", "1"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["truth"] == tiny_weight_truth(text, word, weights)
 
     def test_sweep_zero_trials(self, instance, capsys):
         code, out, _ = run_cli(

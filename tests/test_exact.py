@@ -22,7 +22,7 @@ from seqfree import (
     uniform_distance,
 )
 from seqfree.core import SENTINEL, prefix_count
-from seqfree.exact import BRUTEFORCE_LIMIT, TextExpansion, expand_text
+from seqfree.exact import BRUTEFORCE_LIMIT, EXPANSION_LIMIT, TextExpansion, expand_text
 
 from conftest import (
     branching_distance,
@@ -285,6 +285,13 @@ class TestExpansion:
         with pytest.raises(ValueError, match="position 1"):
             expand_text(t, d, Fraction(1, 4))
 
+    def test_expansion_cap(self):
+        t = text_of("ab")
+        base = Fraction(1, EXPANSION_LIMIT + 1)
+        d = Distribution.from_fractions([base, 1 - base])
+        with pytest.raises(ValueError, match="cap"):
+            expand_text(t, d, base)
+
     def test_origin_map(self):
         t = text_of("ab")
         e = TextExpansion(t, np.array([1, 3]))
@@ -346,13 +353,27 @@ class TestExactWeightedDistance:
         assert exact_weighted_distance(t, word_of("ab", t), d) == 0
 
     def test_matches_bruteforce(self, rng):
+        # 2**64 + 1 pushes the common denominator past int64, so the
+        # recursion runs on Python integers.
+        huge = 2**64 + 1
         for _ in range(60):
             n = int(rng.integers(1, 9))
             t = random_text_ids(rng, n, 2)
             w = random_word_ids(rng, int(rng.integers(1, 4)), 2)
             weights = positive_rational_weights(rng, n, n + 10)
-            d = Distribution.from_fractions(weights)
-            assert exact_weighted_distance(t, w, d) == bruteforce_distance(t, w, d)
+            variants = [weights]
+            zeroed = [0 if z else x for x, z in zip(weights, rng.random(n) < 0.4)]
+            if sum(zeroed) > 0:
+                variants.append([x / sum(zeroed) for x in zeroed])
+            if n >= 2:
+                shifted = list(weights)
+                shifted[0] += Fraction(1, huge)
+                shifted[-1] -= Fraction(1, huge)
+                assert Distribution.from_fractions(shifted).common_denominator() >= 2**63
+                variants.append(shifted)
+            for variant in variants:
+                d = Distribution.from_fractions(variant)
+                assert exact_weighted_distance(t, w, d) == bruteforce_distance(t, w, d)
 
     def test_zero_weights_are_free(self):
         t = text_of("aabab")
@@ -360,14 +381,14 @@ class TestExactWeightedDistance:
         d = Distribution.from_fractions([0, Fraction(1, 2), Fraction(1, 2), 0, 0])
         assert exact_weighted_distance(t, w, d) == bruteforce_distance(t, w, d)
 
-    def test_denominator_cap(self):
+    def test_huge_denominator_is_exact(self):
         t = text_of("ab")
         w = word_of("ab", t)
         big = Distribution.from_fractions(
             [Fraction(1, 9999991), Fraction(9999990, 9999991)]
         )
-        with pytest.raises(ValueError, match="smaller common denominator"):
-            exact_weighted_distance(t, w, big)
+        assert exact_weighted_distance(t, w, big) == Fraction(1, 9999991)
+        assert exact_weighted_distance(t, w, big) == bruteforce_distance(t, w, big)
 
     def test_words_with_repeats_supported(self):
         t = text_of("aaa")

@@ -8,7 +8,7 @@ import pytest
 
 from seqfree.core import Distribution, Text
 from seqfree.distfree import DEFAULT_CONSTANTS
-from seqfree.exact import copy_count, greedy_copies, uniform_distance
+from seqfree.exact import bruteforce_distance, copy_count, greedy_copies, uniform_distance
 from seqfree.harness.experiments import (
     concentration_experiment,
     estimator_sweep,
@@ -212,15 +212,17 @@ class TestEstimatorSweep:
         assert "successes" not in report["rows"][0]
         assert all(r["within"] is None for r in report["rows"][0]["results"])
 
-    def test_df_huge_denominator_rejected_with_advice(self):
+    def test_df_huge_denominator_has_exact_truth(self):
         t = periodic_text(2, 2)
         w = identity_word(2)
         prime = 10_000_019
         d = Distribution.from_fractions(
             [Fraction(1, prime), Fraction(prime - 1, prime)]
         )
-        with pytest.raises(ValueError, match="rational"):
-            estimator_sweep("df", t, w, [Fraction(1, 2)], 1, 0, dist=d)
+        report = estimator_sweep("df", t, w, [Fraction(1, 2)], 1, 0, dist=d)
+        assert report["weights"] == "exact"
+        assert report["truth"] == fraction_str(bruteforce_distance(t, w, d))
+        assert report["rows"][0]["results"][0]["truth"] == report["truth"]
 
     def test_relaxed_constants_flagged(self):
         t = periodic_text(20, 2)
