@@ -165,16 +165,25 @@ class Distribution:
     Exact construction keeps a tuple of Fractions next to the float view;
     float construction normalizes away accumulation error when the total
     is within 1e-6 of one and rejects anything further off.
+
+    Exact weights also have a lazily cached integer form that every exact
+    reference reads: numerators over the common denominator D and their
+    prefix sums, int64 when D fits and Python integers otherwise.
     """
 
-    __slots__ = ("_floats", "_exact", "_float_prefix", "_exact_prefix")
+    __slots__ = (
+        "_floats", "_exact", "_float_prefix", "_denominator", "_numerators",
+        "_numerator_prefix",
+    )
 
     def __init__(self, floats: np.ndarray, exact: Optional[tuple] = None) -> None:
         self._floats = floats
         self._floats.flags.writeable = False
         self._exact = exact
         self._float_prefix: Optional[np.ndarray] = None
-        self._exact_prefix: Optional[list] = None
+        self._denominator: Optional[int] = None
+        self._numerators: Optional[np.ndarray] = None
+        self._numerator_prefix: Optional[np.ndarray] = None
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -248,20 +257,33 @@ class Distribution:
         return float(self._float_prefix[length])
 
     def exact_prefix(self, length: int) -> Fraction:
-        if self._exact is None:
-            raise ValueError("exact prefix weights need exact weights")
-        if self._exact_prefix is None:
-            acc = [Fraction(0)]
-            for w in self._exact:
-                acc.append(acc[-1] + w)
-            self._exact_prefix = acc
-        return self._exact_prefix[length]
+        return Fraction(int(self.numerator_prefix()[length]), self.common_denominator())
 
     def common_denominator(self) -> int:
-        denom = 1
-        for w in self.fractions:
-            denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        return denom
+        if self._denominator is None:
+            denom = 1
+            for w in self.fractions:
+                denom = denom * w.denominator // math.gcd(denom, w.denominator)
+            self._denominator = denom
+        return self._denominator
+
+    def numerators(self) -> np.ndarray:
+        """The exact weights as integers over `common_denominator()`."""
+        if self._numerators is None:
+            denom = self.common_denominator()
+            dtype = np.int64 if denom <= np.iinfo(np.int64).max else object
+            self._numerators = np.array(
+                [w.numerator * (denom // w.denominator) for w in self.fractions],
+                dtype=dtype,
+            )
+        return self._numerators
+
+    def numerator_prefix(self) -> np.ndarray:
+        """Prefix sums of `numerators()`; entry j covers the first j
+        positions, so entry 0 is the empty prefix."""
+        if self._numerator_prefix is None:
+            self._numerator_prefix = np.concatenate(([0], np.cumsum(self.numerators())))
+        return self._numerator_prefix
 
     def _check_range(self, lo: int, hi: int) -> None:
         if not 1 <= lo or not hi <= self.n or lo > hi + 1:
@@ -357,12 +379,15 @@ class SampleSet:
         out[self.positions - 1] = self.multiplicities
         return out
 
-    def symbol_counts(self, symbol: int) -> np.ndarray:
-        """Dense draw counts restricted to positions carrying `symbol`."""
-        out = np.zeros(self.n, dtype=np.int64)
-        mask = self.symbols == symbol
-        out[self.positions[mask] - 1] = self.multiplicities[mask]
-        return out
+    def counts_up_to(self, ends: np.ndarray, symbol: Optional[int] = None) -> np.ndarray:
+        """Draws within each prefix of length `ends[j]`, only at positions
+        carrying `symbol` when one is given. Touches drawn positions only."""
+        positions, multiplicities = self.positions, self.multiplicities
+        if symbol is not None:
+            mask = self.symbols == symbol
+            positions, multiplicities = positions[mask], multiplicities[mask]
+        cumulative = np.concatenate(([0], np.cumsum(multiplicities)))
+        return cumulative[np.searchsorted(positions, ends, side="right")]
 
     def count_between(self, lo: int, hi: int) -> int:
         if not 1 <= lo or not hi <= self.n or lo > hi + 1:

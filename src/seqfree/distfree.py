@@ -11,6 +11,9 @@ requested accuracy with probability at least 2/3.
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
 exist for the statistical test harness, not for the estimator itself.
+They compare integer numerators (exact weights over their common
+denominator, draw counts over the sample size) by cross-multiplying on
+Python integers, without floats or per-entry Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .core import (
     role_prefix_counts,
     subseed,
 )
-from .exact import interleave_sentinel, quantize_weights
+from .exact import interleave_sentinel
 from .uniform import copies_from_counts
 
 
@@ -131,22 +134,20 @@ def sample_parameters(
 
 
 @dataclass
-class IntervalPartition:
-    """Consecutive intervals covering [1, n], built from sampled weights.
+class _IntervalCover:
+    """Consecutive intervals covering [1, n].
 
     `boundaries` starts at 0 and ends at n; interval u spans
-    boundaries[u-1]+1 .. boundaries[u]. An interval is heavy exactly when
-    it is a single position whose empirical weight exceeds 1/resolution;
-    every other interval is light with empirical weight at most that.
+    boundaries[u-1]+1 .. boundaries[u]. Subclasses attach one tag per
+    interval.
     """
 
     n: int
     boundaries: np.ndarray  # int64, leading 0, strictly increasing, last n
-    heavy: np.ndarray  # bool, one flag per interval
 
     @property
     def count(self) -> int:
-        return int(self.heavy.size)
+        return int(self.boundaries.size) - 1
 
     def lower(self, u: int) -> int:
         return int(self.boundaries[u - 1]) + 1
@@ -154,9 +155,26 @@ class IntervalPartition:
     def upper(self, u: int) -> int:
         return int(self.boundaries[u])
 
-    def intervals(self) -> Iterator[tuple[int, int, bool]]:
-        for u in range(1, self.count + 1):
-            yield self.lower(u), self.upper(u), bool(self.heavy[u - 1])
+    def intervals(self) -> Iterator[tuple]:
+        """(lower, upper, tag) for every interval, left to right; subclasses
+        supply the tags."""
+        for u, tag in enumerate(self._tags(), start=1):
+            yield self.lower(u), self.upper(u), tag
+
+
+@dataclass
+class IntervalPartition(_IntervalCover):
+    """Intervals built from sampled weights; the tag is the heavy flag.
+
+    An interval is heavy exactly when it is a single position whose
+    empirical weight exceeds 1/resolution; every other interval is light
+    with empirical weight at most that.
+    """
+
+    heavy: np.ndarray  # bool, one flag per interval
+
+    def _tags(self) -> Sequence:
+        return self.heavy.tolist()
 
     @classmethod
     def from_sample(cls, sample: SampleSet, resolution: Fraction) -> "IntervalPartition":
@@ -211,8 +229,9 @@ _CLASS_SMALL = "small"
 
 
 @dataclass
-class ReferencePartition:
-    """Diagnostic partition built from the true weights.
+class ReferencePartition(_IntervalCover):
+    """Diagnostic partition built from the true weights; the tag is the
+    class label.
 
     Intervals chase a per-interval weight near 1/(4*resolution) subject
     to a per-position cap of 1/(8*resolution); positions over the cap
@@ -220,23 +239,10 @@ class ReferencePartition:
     intervals with weight in [1/(8 res), 1/(4 res)], `small` below that.
     """
 
-    n: int
-    boundaries: np.ndarray
     labels: tuple
 
-    @property
-    def count(self) -> int:
-        return len(self.labels)
-
-    def lower(self, u: int) -> int:
-        return int(self.boundaries[u - 1]) + 1
-
-    def upper(self, u: int) -> int:
-        return int(self.boundaries[u])
-
-    def intervals(self) -> Iterator[tuple[int, int, str]]:
-        for u in range(1, self.count + 1):
-            yield self.lower(u), self.upper(u), self.labels[u - 1]
+    def _tags(self) -> Sequence:
+        return self.labels
 
     def class_counts(self) -> dict:
         out = {_CLASS_SINGLE: 0, _CLASS_MEDIUM: 0, _CLASS_SMALL: 0}
@@ -246,16 +252,19 @@ class ReferencePartition:
 
     @classmethod
     def from_weights(cls, dist: Distribution, resolution: Fraction) -> "ReferencePartition":
-        weights = dist.fractions
+        weights = dist.numerators().tolist()
         n = dist.n
-        cap_single = Fraction(1) / (8 * resolution)
-        cap_run = Fraction(1) / (4 * resolution)
+        # With weights as numerators over D and res = p/q, a weight w
+        # exceeds 1/(8 res) iff 8 p w > q D, and 1/(4 res) iff 4 p w > q D.
+        unit = resolution.denominator * dist.common_denominator()
+        single = 8 * resolution.numerator
+        run = 4 * resolution.numerator
         bounds = [0]
         labels = []
         start = 1
         while start <= n:
             w = weights[start - 1]
-            if w > cap_single:
+            if single * w > unit:
                 bounds.append(start)
                 labels.append(_CLASS_SINGLE)
                 start += 1
@@ -267,12 +276,12 @@ class ReferencePartition:
             total = w
             while end + 1 <= n:
                 nxt = weights[end]
-                if nxt > cap_single or total + nxt > cap_run:
+                if single * nxt > unit or run * (total + nxt) > unit:
                     break
                 total += nxt
                 end += 1
             bounds.append(end)
-            labels.append(_CLASS_SMALL if total < cap_single else _CLASS_MEDIUM)
+            labels.append(_CLASS_SMALL if single * total < unit else _CLASS_MEDIUM)
             start = end + 1
         return cls(n, np.array(bounds, dtype=np.int64), tuple(labels))
 
@@ -286,19 +295,22 @@ def weights_well_estimated(
     """First good-sample event: the phase-one draw sees representative
     weights. Singles and mediums must be estimated within a factor of
     [1/2, 3/2]; smalls must stay under 1/(2*resolution) empirically."""
+    if sample.size == 0:
+        raise ValueError("empty sample has no weights")
     if reference is None:
         reference = ReferencePartition.from_weights(dist, resolution)
-    small_cap = Fraction(1) / (2 * resolution)
-    for lo, hi, label in reference.intervals():
-        estimated = sample.interval_weight(lo, hi)
-        if label == _CLASS_SMALL:
-            if estimated > small_cap:
-                return False
-        else:
-            true = dist.interval_weight(lo, hi)
-            if not Fraction(1, 2) * true <= estimated <= Fraction(3, 2) * true:
-                return False
-    return True
+    bounds = reference.boundaries
+    drawn = np.diff(sample.counts_up_to(bounds)).astype(object)
+    true = np.diff(dist.numerator_prefix()[bounds]).astype(object)
+    size, denom = sample.size, dist.common_denominator()
+    # Cross-multiplied, for an estimate drawn/size, a true weight true/D
+    # and res = p/q: drawn/size <= 1/(2 res) iff 2 p drawn <= q size, and
+    # true/2 <= drawn/size <= 3 true/2 iff true size <= 2 D drawn <= 3 true size.
+    small_ok = 2 * resolution.numerator * drawn <= resolution.denominator * size
+    scaled = 2 * denom * drawn
+    other_ok = (true * size <= scaled) & (scaled <= 3 * size * true)
+    small = np.array(reference.labels) == _CLASS_SMALL
+    return bool(np.all(np.where(small, small_ok, other_ok)))
 
 
 @dataclass
@@ -335,47 +347,34 @@ def symbol_density_estimate(
     if sample.n != partition.n:
         raise ValueError("sample and partition disagree on length")
     ends = partition.boundaries[1:]
-    role_tallies = np.zeros((word.k, partition.count), dtype=np.int64)
-    cache: dict[int, np.ndarray] = {}
-    for i, sym in enumerate(word.ids):
-        sym = int(sym)
-        if sym not in cache:
-            cache[sym] = np.cumsum(sample.symbol_counts(sym))
-        role_tallies[i] = cache[sym][ends - 1]
-    prefix_tallies = np.cumsum(sample.dense_counts())[ends - 1]
-    return DensityEstimate(role_tallies, prefix_tallies.astype(np.int64), sample.size)
+    role_tallies = np.array([sample.counts_up_to(ends, int(sym)) for sym in word.ids])
+    return DensityEstimate(role_tallies, sample.counts_up_to(ends), sample.size)
 
 
 def exact_symbol_density(
     text: Text, dist: Distribution, word: Word, partition: IntervalPartition
-) -> tuple[list, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """True cumulative weights matching `symbol_density_estimate`.
 
-    Returns (per-role rows, prefix weights), all exact Fractions.
+    Returns (per-role rows (k, U), prefix weights (U,)) as numerators
+    over `dist.common_denominator()`, in the dtype of `dist.numerators()`.
     Diagnostic only: requires the text and the true weights.
     """
     if text.n != partition.n or dist.n != partition.n:
         raise ValueError("text, weights and partition disagree on length")
-    ends = [int(b) for b in partition.boundaries[1:]]
-    weights = dist.fractions
-    rows = []
-    cache: dict[int, list] = {}
-    for sym in word.ids:
-        sym = int(sym)
-        if sym not in cache:
-            acc = Fraction(0)
-            at_ends = []
-            pos = 0
-            for end in ends:
-                while pos < end:
-                    if int(text.ids[pos]) == sym:
-                        acc += weights[pos]
-                    pos += 1
-                at_ends.append(acc)
-            cache[sym] = at_ends
-        rows.append(cache[sym])
-    prefix = [dist.exact_prefix(end) for end in ends]
-    return rows, prefix
+    ends = partition.boundaries[1:]
+    rows = role_prefix_counts(text, word, dist.numerators())
+    return np.array([row[ends] for row in rows]), dist.numerator_prefix()[ends]
+
+
+def exactly_within(
+    got: np.ndarray, got_denom: int, want: np.ndarray, want_denom: int, bound: Fraction
+) -> np.ndarray:
+    """Entrywise |got/got_denom - want/want_denom| <= bound for integer
+    arrays over Python-int denominators, cross-multiplied on Python
+    integers: the products can exceed int64 even when every input fits."""
+    gap = np.abs(got.astype(object) * want_denom - want.astype(object) * got_denom)
+    return gap * bound.denominator <= bound.numerator * got_denom * want_denom
 
 
 def densities_well_estimated(
@@ -394,16 +393,11 @@ def densities_well_estimated(
     exact_rows, exact_prefix = exact
     estimate = symbol_density_estimate(sample, partition, word)
     bound = Fraction(1) / resolution
-    for i in range(word.k):
-        for u in range(partition.count):
-            got = Fraction(int(estimate.role_tallies[i, u]), estimate.sample_size)
-            if abs(got - exact_rows[i][u]) > bound:
-                return False
-    for u in range(partition.count):
-        got = Fraction(int(estimate.prefix_tallies[u]), estimate.sample_size)
-        if abs(got - exact_prefix[u]) > bound:
-            return False
-    return True
+    size, denom = estimate.sample_size, dist.common_denominator()
+    return bool(
+        np.all(exactly_within(estimate.role_tallies, size, exact_rows, denom, bound))
+        and np.all(exactly_within(estimate.prefix_tallies, size, exact_prefix, denom, bound))
+    )
 
 
 @dataclass
@@ -610,15 +604,17 @@ def exact_sentinel_reference(
 ) -> tuple[np.ndarray, int]:
     """Exact counterpart of the assembled density matrix.
 
-    Quantizes the true weights, carries them through the separator
-    rewrite, and evaluates the cumulative per-role weights of the
-    (never materialized) multiplicity expansion at the merged interval
-    boundaries. Returns integer numerators over the expansion length.
-    Diagnostic only.
+    Rounds the true weights up to the quantization grid as
+    `quantize_weights` does, by integer ceiling division of their
+    numerators, carries them through the separator rewrite, and evaluates
+    the cumulative per-role weights of the (never materialized)
+    multiplicity expansion at the merged interval boundaries. Returns
+    integer numerators over the expansion length. Diagnostic only.
     """
     step = quantization_step(text.n, resolution, constants)
-    quant = quantize_weights(dist, step)
-    mult = np.array([int(w / step) for w in quant.rounded], dtype=np.int64)
+    # w / step = num * b / (D * a) for w = num / D and step = a / b.
+    scaled = dist.numerators().astype(object) * step.denominator
+    mult = (-(-scaled // (dist.common_denominator() * step.numerator))).astype(np.int64)
     sep_text, sep_word, _ = interleave_sentinel(text, word)
     ends = sentinel.boundaries[1:]
     counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))

@@ -23,7 +23,6 @@ from .core import (
     Text,
     Word,
     contains_word,
-    drop_zero_weight,
     role_prefix_counts,
 )
 
@@ -370,11 +369,12 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
 
     Pipeline: drop zero-weight positions, interleave the separator (which
     makes the word free of adjacent repeats, at the cost of halving), and
-    scale the weights to integer multiplicities over their common
-    denominator D. The weighted prefix counts of the interleaved text at
-    every position are those of its multiplicity expansion (length 2D) at
-    run ends, where the recursion of a repeat-free word takes its
-    maxima, so the recursion runs on them directly without the expansion.
+    take as multiplicities the weights' numerators over their common
+    denominator D (`Distribution.numerators`). The weighted prefix counts
+    of the interleaved text at every position are those of its
+    multiplicity expansion (length 2D) at run ends, where the recursion
+    of a repeat-free word takes its maxima, so the recursion runs on them
+    directly without the expansion.
     O(nk) time whatever D is; counts are int64, or Python integers when
     D does not fit.
     """
@@ -384,16 +384,13 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
         raise ValueError("weights and text disagree on length")
     if not dist.is_exact:
         raise ValueError("exact distance needs rational weights")
-    kept_text, kept = drop_zero_weight(text, dist)
-    denom = kept.common_denominator()
-    dtype = np.int64 if denom <= np.iinfo(np.int64).max else object
-    mult = np.array(
-        [w.numerator * (denom // w.denominator) for w in kept.fractions], dtype=dtype
-    )
-    sep_text, sep_word, _ = interleave_sentinel(kept_text, word)
-    counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
+    # Zero weights are zero numerators, and dropping them leaves D as is.
+    nums = dist.numerators()
+    keep = np.flatnonzero(nums)
+    sep_text, sep_word, _ = interleave_sentinel(Text(text.ids[keep], text.alphabet), word)
+    counts = role_prefix_counts(sep_text, sep_word, np.repeat(nums[keep], 2))
     for measure in running_maximum(counts, offset=0):
         pass
     # The separator halves the distance of the length-2D expansion:
     # distance = 2 * copies / (2D).
-    return Fraction(int(measure[-1]), denom)
+    return Fraction(int(measure[-1]), dist.common_denominator())

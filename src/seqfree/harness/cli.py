@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
     common.add_argument("--out", metavar="FILE", help="also write the report here")
-    common.add_argument(
+    # Only the commands that run the distribution-free estimator read it.
+    relaxed = argparse.ArgumentParser(add_help=False)
+    relaxed.add_argument(
         "--relaxed-constants",
         type=float,
         default=1.0,
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="median of this many independent runs")
     p.set_defaults(handler=cmd_estimate_uniform)
 
-    p = sub.add_parser("estimate-df", parents=[common],
+    p = sub.add_parser("estimate-df", parents=[common, relaxed],
                        help="sampling estimator, arbitrary position weights")
     instance_flags(p)
     p.add_argument("--delta", required=True, help="additive accuracy in (0,1)")
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="median of this many independent runs")
     p.set_defaults(handler=cmd_estimate_df)
 
-    p = sub.add_parser("estimate-df-wc", parents=[common],
+    p = sub.add_parser("estimate-df-wc", parents=[common, relaxed],
                        help="same estimator, specialized to words without "
                        "adjacent equal symbols")
     instance_flags(p)
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="median of this many independent runs")
     p.set_defaults(handler=cmd_estimate_df_wc)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, relaxed],
                        help="success-rate sweep over an accuracy grid")
     instance_flags(p)
     p.add_argument("--estimator", required=True, choices=["uniform", "df"])
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.set_defaults(handler=cmd_lowerbound)
 
-    p = sub.add_parser("diagnose-events", parents=[common],
+    p = sub.add_parser("diagnose-events", parents=[common, relaxed],
                        help="frequencies of the estimator's good-sample "
                        "events, with their implied bounds checked exactly")
     instance_flags(p)

@@ -10,8 +10,7 @@ of them so that reports are byte-reproducible.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -34,9 +33,8 @@ from ..distfree import (
     assemble_sentinel_density,
     densities_well_estimated,
     estimate_distance,
-    estimate_distance_repeat_free,
     exact_sentinel_reference,
-    exact_symbol_density,
+    exactly_within,
     first_sample_size,
     interleave_partition,
     interval_resolution,
@@ -88,11 +86,7 @@ def median_low(values: list) -> object:
 
 @dataclass
 class TrialOutcome:
-    """One estimator run against a known truth.
-
-    Wall time is kept for interactive inspection but never serialized;
-    reports must not depend on machine speed.
-    """
+    """One estimator run against a known truth."""
 
     trial: int
     seed: int
@@ -102,11 +96,9 @@ class TrialOutcome:
     error: Optional[float]
     within: Optional[bool]
     samples: dict
-    events: Optional[dict] = None
-    wall_time: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "trial": self.trial,
             "seed": self.seed,
             "estimate": self.estimate,
@@ -116,9 +108,6 @@ class TrialOutcome:
             "within": self.within,
             "samples": self.samples,
         }
-        if self.events is not None:
-            out["events"] = self.events
-        return out
 
 
 def _clamped(raw: Fraction) -> Fraction:
@@ -133,11 +122,9 @@ def run_uniform_trial(
     trial: int,
     truth: Optional[Fraction],
 ) -> TrialOutcome:
-    start = time.perf_counter()
     result = estimate_distance_uniform(oracle, word, accuracy, seed)
-    elapsed = time.perf_counter() - start
     return _outcome_from(result.raw, result.estimate, truth, accuracy, trial, seed,
-                         {"draws": result.sample_size}, elapsed)
+                         {"draws": result.sample_size})
 
 
 def run_distfree_trial(
@@ -148,12 +135,8 @@ def run_distfree_trial(
     trial: int,
     truth: Optional[Fraction],
     constants: EstimatorConstants = DEFAULT_CONSTANTS,
-    repeat_free: bool = False,
 ) -> TrialOutcome:
-    start = time.perf_counter()
-    runner = estimate_distance_repeat_free if repeat_free else estimate_distance
-    result = runner(oracle, word, accuracy, seed, constants)
-    elapsed = time.perf_counter() - start
+    result = estimate_distance(oracle, word, accuracy, seed, constants)
     samples = {
         "first": result.first_size,
         "second": result.second_size,
@@ -161,10 +144,10 @@ def run_distfree_trial(
         "intervals": result.intervals,
     }
     return _outcome_from(result.raw, result.estimate, truth, accuracy, trial, seed,
-                         samples, elapsed)
+                         samples)
 
 
-def _outcome_from(raw, estimate, truth, accuracy, trial, seed, samples, elapsed):
+def _outcome_from(raw, estimate, truth, accuracy, trial, seed, samples):
     if truth is None:
         error = None
         within = None
@@ -181,7 +164,6 @@ def _outcome_from(raw, estimate, truth, accuracy, trial, seed, samples, elapsed)
         error=error,
         within=within,
         samples=samples,
-        wall_time=elapsed,
     )
 
 
@@ -208,6 +190,8 @@ def estimator_sweep(
     if kind == "uniform":
         if dist is not None:
             raise ValueError("the uniform estimator takes no weights")
+        if not constants.is_production:
+            raise ValueError("the uniform estimator takes no estimator constants")
         oracle = UniformSampler(text)
         truth = uniform_distance(text, word)
         weights_kind = "uniform"
@@ -349,7 +333,9 @@ def event_diagnostics(
     first = first_sample_size(resolution, constants)
     reference = ReferencePartition.from_weights(dist, resolution)
     oracle = WeightedSampler(text, dist)
-    light_cap = Fraction(6) / resolution
+    # A light interval of true weight w/D breaks its bound when
+    # w/D >= 6/res, that is p w >= 6 q D for res = p/q.
+    light_floor = 6 * resolution.denominator * dist.common_denominator()
     density_cap = constants.step_factor / resolution + Fraction(1, 2) / resolution
     first_event_hits = 0
     second_event_hits = 0
@@ -363,15 +349,14 @@ def event_diagnostics(
         partition = IntervalPartition.from_sample(sample1, resolution)
         if first_event:
             first_event_hits += 1
-            for lo, hi, is_heavy in partition.intervals():
-                if not is_heavy and dist.interval_weight(lo, hi) >= light_cap:
-                    light_violations += 1
+            weights = np.diff(dist.numerator_prefix()[partition.boundaries])
+            too_heavy = resolution.numerator * weights.astype(object) >= light_floor
+            light_violations += int(np.count_nonzero(too_heavy & ~partition.heavy))
         second = second_sample_size(resolution, word.k, partition.count, constants)
         second_sizes.append(second)
         sample2 = oracle.draw(second, subseed(tseed, 2))
-        exact = exact_symbol_density(text, dist, word, partition)
         second_event = densities_well_estimated(
-            text, dist, word, sample2, partition, resolution, exact
+            text, dist, word, sample2, partition, resolution
         )
         if second_event:
             second_event_hits += 1
@@ -381,15 +366,11 @@ def event_diagnostics(
             ref_nums, ref_denom = exact_sentinel_reference(
                 text, dist, word, partition, sentinel, resolution, constants
             )
-            rows, cols = assembled.numerators.shape
-            for i in range(rows):
-                for u in range(cols):
-                    got = Fraction(
-                        int(assembled.numerators[i, u]), assembled.denominator
-                    )
-                    want = Fraction(int(ref_nums[i, u]), ref_denom)
-                    if abs(got - want) > density_cap:
-                        density_violations += 1
+            within = exactly_within(
+                assembled.numerators, assembled.denominator, ref_nums, ref_denom,
+                density_cap,
+            )
+            density_violations += int(np.count_nonzero(~within))
     report = {
         "experiment": "event-diagnostics",
         "n": text.n,

@@ -137,13 +137,7 @@ def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> Coun
         raise ValueError("cannot estimate from an empty sample")
     if grid.n != sample.n:
         raise ValueError("grid and sample disagree on length")
-    tallies = np.zeros((word.k, grid.size), dtype=np.int64)
-    cache: dict[int, np.ndarray] = {}
-    for i, sym in enumerate(word.ids):
-        sym = int(sym)
-        if sym not in cache:
-            cache[sym] = np.cumsum(sample.symbol_counts(sym))
-        tallies[i] = cache[sym][grid.columns - 1]
+    tallies = np.array([sample.counts_up_to(grid.columns, int(sym)) for sym in word.ids])
     scale = sample.n / sample.size
     return CountMatrix(
         tallies * scale,

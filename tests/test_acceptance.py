@@ -248,6 +248,7 @@ def test_criterion_06_distribution_free_success_rate(capsys):
 def test_criterion_07_good_event_frequencies(capsys):
     """Both good-sample events hold often enough at production sample
     sizes, and every bound they imply holds exactly whenever they do."""
+    start = time.perf_counter()
     report = event_diagnostics(
         periodic_text(1000, 2),
         identity_word(2),
@@ -256,6 +257,7 @@ def test_criterion_07_good_event_frequencies(capsys):
         200,
         700,
     )
+    elapsed = time.perf_counter() - start
     first_ok = report["first_event_hits"] >= 160
     second_ok = report["second_event_hits"] >= 180
     bounds_ok = (
@@ -270,7 +272,7 @@ def test_criterion_07_good_event_frequencies(capsys):
         f"second event {report['second_event_hits']}/200 (need 180), "
         f"violations {report['light_weight_violations']}+"
         f"{report['density_bound_violations']} (need 0), "
-        f"first-phase draws {report['first_sample']}",
+        f"first-phase draws {report['first_sample']} ({elapsed:.1f}s)",
     )
     assert passed
 

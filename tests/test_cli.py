@@ -119,6 +119,21 @@ class TestExitCodes:
         code, _, _ = run_cli(["exact", "--nonsense"], capsys)
         assert code == 2
 
+    def test_relaxed_constants_only_where_read(self, instance, capsys):
+        # exact, estimate-uniform and lowerbound never read the estimator
+        # constants, nor does the uniform sweep
+        files = ["--text", instance["text"], "--word", instance["word"]]
+        for argv in (
+            ["exact"] + files,
+            ["estimate-uniform", "--delta", "0.5"] + files,
+            ["lowerbound", "--kd", "2", "--delta", "0.01", "--n", "4000",
+             "--trials", "1"],
+            ["sweep", "--estimator", "uniform", "--deltas", "0.5",
+             "--trials", "1"] + files,
+        ):
+            code, out, err = run_cli(argv + ["--relaxed-constants", "10"], capsys)
+            assert code == 2 and out == "" and err, argv[0]
+
     def test_help_is_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
 

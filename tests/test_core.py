@@ -226,8 +226,11 @@ class TestSampleSet:
     def test_dense_and_symbol_counts(self):
         s = SampleSet.from_pairs(3, [(1, 2), (3, 1), (3, 1)])
         assert s.dense_counts().tolist() == [1, 0, 2]
-        assert s.symbol_counts(1).tolist() == [0, 0, 2]
-        assert s.symbol_counts(2).tolist() == [1, 0, 0]
+        ends = np.arange(4)
+        assert s.counts_up_to(ends).tolist() == [0, 1, 1, 3]
+        assert s.counts_up_to(ends, 1).tolist() == [0, 0, 0, 2]
+        assert s.counts_up_to(ends, 2).tolist() == [0, 1, 1, 1]
+        assert s.counts_up_to(ends, 5).tolist() == [0, 0, 0, 0]
 
     def test_pairs_round_trip(self):
         raw = [(1, 1), (2, 2), (2, 2)]

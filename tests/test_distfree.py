@@ -66,6 +66,28 @@ def census(dist: Distribution, text: Text) -> SampleSet:
     return SampleSet.from_counts(counts, text)
 
 
+# Common denominators on either side of the int64 limit. Just below it
+# the numerators are int64 but their cross products overflow; above it
+# they are Python integers, and no census fits an int64 sample.
+NEAR_INT64 = 2**62 + 1
+PAST_INT64 = 2**64 + 1
+
+
+def over_denominator(denom: int, n: int) -> Distribution:
+    """n weights with common denominator exactly `denom`: 1/denom first,
+    the rest of the mass split as evenly as integers allow."""
+    share, extra = divmod(denom - 1, n - 1)
+    nums = [1] + [share + (j < extra) for j in range(n - 1)]
+    return Distribution.from_fractions([Fraction(m, denom) for m in nums])
+
+
+def near_census(dist: Distribution, text: Text, size: int = 2**40) -> SampleSet:
+    """Sample whose empirical weights are the true weights rounded down
+    to multiples of 1/size, then renormalized."""
+    counts = np.array([int(w * size) for w in dist.fractions], dtype=np.int64)
+    return SampleSet.from_counts(counts, text)
+
+
 class TestParameters:
     def test_resolution_frozen(self):
         assert interval_resolution(2, 0.5) == 400
@@ -236,9 +258,34 @@ class TestReferencePartition:
 
 class TestWeightsWellEstimated:
     def test_census_passes(self):
-        d = Distribution.uniform(8)
         t = text_of("abababab")
-        assert weights_well_estimated(d, census(d, t), Fraction(1))
+        for d in (Distribution.uniform(8), over_denominator(NEAR_INT64, 8)):
+            assert weights_well_estimated(d, census(d, t), Fraction(1))
+        d = over_denominator(PAST_INT64, 8)
+        assert weights_well_estimated(d, near_census(d, t), Fraction(1))
+
+    def test_factor_bounds_are_inclusive(self):
+        # two singles of true weight 1/4 and 3/4, eight draws: the first
+        # may take 1 to 3 of them
+        d = Distribution.from_fractions([Fraction(1, 4), Fraction(3, 4)])
+        t = text_of("ab")
+        ref = ReferencePartition.from_weights(d, Fraction(1))
+        assert ref.labels == ("single", "single")
+        for counts, ok in (([1, 7], True), ([0, 8], False),
+                           ([3, 5], True), ([4, 4], False)):
+            s = SampleSet.from_counts(np.array(counts), t)
+            assert weights_well_estimated(d, s, Fraction(1), ref) is ok, counts
+
+    def test_small_cap_is_inclusive(self):
+        # a small interval may carry empirical weight up to 1/(2 res);
+        # the single after it stays within its factor either way
+        d = Distribution.from_fractions([Fraction(1, 16), Fraction(15, 16)])
+        t = text_of("ab")
+        ref = ReferencePartition.from_weights(d, Fraction(1))
+        assert ref.labels == ("small", "single")
+        for counts, ok in (([16, 16], True), ([17, 15], False)):
+            s = SampleSet.from_counts(np.array(counts), t)
+            assert weights_well_estimated(d, s, Fraction(1), ref) is ok, counts
 
     def test_collapsed_sample_fails(self):
         d = Distribution.uniform(8)
@@ -277,15 +324,28 @@ class TestSymbolDensityEstimate:
             [Fraction(x, 12) for x in (1, 2, 3, 1, 4, 1)]
         )
         w = word_of("ab", t)
-        s = census(d, t)
-        part = IntervalPartition.from_sample(s, Fraction(3))
-        est = symbol_density_estimate(s, part, w)
-        rows, prefix = exact_symbol_density(t, d, w, part)
-        for i in range(w.k):
+        for d in (d, over_denominator(NEAR_INT64, t.n)):
+            s = census(d, t)
+            part = IntervalPartition.from_sample(s, Fraction(3))
+            est = symbol_density_estimate(s, part, w)
+            rows, prefix = exact_symbol_density(t, d, w, part)
+            denom = d.common_denominator()
+            for i in range(w.k):
+                for u in range(part.count):
+                    got = est.density_fraction(i + 1, u + 1)
+                    assert got == Fraction(int(rows[i][u]), denom)
             for u in range(part.count):
-                assert est.density_fraction(i + 1, u + 1) == rows[i][u]
-        for u in range(part.count):
-            assert est.prefix_fraction(u + 1) == prefix[u]
+                assert est.prefix_fraction(u + 1) == Fraction(int(prefix[u]), denom)
+        # Past int64 no census fits; compare with summed Fractions.
+        d = over_denominator(PAST_INT64, t.n)
+        part = IntervalPartition(t.n, np.array([0, 2, 3, 6]),
+                                 np.array([False, True, False]))
+        rows, prefix = exact_symbol_density(t, d, w, part)
+        for u, end in enumerate(part.boundaries[1:]):
+            for i in range(w.k):
+                want = sum(f for f, sym in zip(d.fractions[:end], t.ids) if sym == w.ids[i])
+                assert Fraction(int(rows[i][u]), PAST_INT64) == want
+            assert Fraction(int(prefix[u]), PAST_INT64) == sum(d.fractions[:end])
 
     def test_absent_symbol_row_zero(self):
         t = text_of("aaaa")
@@ -307,27 +367,42 @@ class TestSymbolDensityEstimate:
 
 
 class TestDensitiesWellEstimated:
-    def _setup(self):
+    def _setups(self):
         t = text_of("abab")
-        d = Distribution.uniform(4)
         w = word_of("ab", t)
-        s = census(d, t)
-        part = IntervalPartition.from_sample(s, Fraction(2))
-        return t, d, w, s, part
+        for d, s in (
+            (Distribution.uniform(4), None),
+            (over_denominator(NEAR_INT64, 4), None),
+            (over_denominator(PAST_INT64, 4), near_census),
+        ):
+            s = (s or census)(d, t)
+            part = IntervalPartition.from_sample(s, Fraction(2))
+            yield t, d, w, s, part
 
     def test_census_passes(self):
-        t, d, w, s, part = self._setup()
-        assert densities_well_estimated(t, d, w, s, part, Fraction(2))
+        for t, d, w, s, part in self._setups():
+            assert densities_well_estimated(t, d, w, s, part, Fraction(2))
 
     def test_collapsed_sample_fails(self):
-        t, d, w, s, part = self._setup()
-        bad = SampleSet.from_counts(np.array([4, 0, 0, 0]), t)
-        assert not densities_well_estimated(t, d, w, bad, part, Fraction(2))
+        for t, d, w, s, part in self._setups():
+            bad = SampleSet.from_counts(np.array([4, 0, 0, 0]), t)
+            assert not densities_well_estimated(t, d, w, bad, part, Fraction(2))
 
     def test_precomputed_exact_path(self):
-        t, d, w, s, part = self._setup()
-        exact = exact_symbol_density(t, d, w, part)
-        assert densities_well_estimated(t, d, w, s, part, Fraction(2), exact)
+        for t, d, w, s, part in self._setups():
+            exact = exact_symbol_density(t, d, w, part)
+            assert densities_well_estimated(t, d, w, s, part, Fraction(2), exact)
+
+    def test_bound_is_inclusive(self):
+        # true role and prefix weights 1/2 at the first end; six of eight
+        # draws there are off by exactly 1/res = 1/4, seven are not
+        t = text_of("ab")
+        w = word_of("ab", t)
+        d = Distribution.uniform(2)
+        part = IntervalPartition(2, np.array([0, 1, 2]), np.array([False, False]))
+        for counts, ok in (([6, 2], True), ([7, 1], False)):
+            s = SampleSet.from_counts(np.array(counts), t)
+            assert densities_well_estimated(t, d, w, s, part, Fraction(4)) is ok, counts
 
 
 class TestInterleavePartition:
@@ -439,10 +514,11 @@ class TestAssembleSentinelDensity:
                 np.zeros(sp.count, dtype=bool),
             )
             rows, _ = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
+            denom = sep_dist.common_denominator()
             for i in range(sep_word.k):
                 for u in range(sp.count):
                     got = Fraction(int(out.numerators[i, u]), out.denominator)
-                    assert got == rows[i][u], (trial, i, u)
+                    assert got == Fraction(int(rows[i][u]), denom), (trial, i, u)
 
 
 class TestExactSentinelReference:
@@ -472,9 +548,11 @@ class TestExactSentinelReference:
                 2 * n, sp.boundaries.copy(), np.zeros(sp.count, dtype=bool)
             )
             rows, _ = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
+            denom = sep_dist.common_denominator()
             for i in range(sep_word.k):
                 for u in range(sp.count):
-                    assert Fraction(int(nums[i, u]), expanded) == rows[i][u]
+                    want = Fraction(int(rows[i][u]), denom)
+                    assert Fraction(int(nums[i, u]), expanded) == want
 
 
 class TestEstimateDistance:

@@ -242,6 +242,11 @@ class TestEstimatorSweep:
             estimator_sweep("uniform", t, w, [Fraction(1, 2)], -1, 0)
         with pytest.raises(ValueError):
             estimator_sweep("uniform", t, w, [Fraction(3, 2)], 1, 0)
+        with pytest.raises(ValueError):
+            estimator_sweep(
+                "uniform", t, w, [Fraction(1, 2)], 1, 0,
+                constants=DEFAULT_CONSTANTS.relaxed(10),
+            )
 
     def test_deterministic(self):
         t = periodic_text(200, 2)
