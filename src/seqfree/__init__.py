@@ -9,7 +9,6 @@ harness exercising their guarantees.
 from .core import (
     Alphabet,
     Distribution,
-    SamplePair,
     Sampler,
     SampleSet,
     Text,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "Distribution",
-    "SamplePair",
     "Sampler",
     "SampleSet",
     "Text",

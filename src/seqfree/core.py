@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +45,24 @@ def as_fraction(value: WeightLike) -> Fraction:
 def subseed(seed: int, stream: int) -> np.random.SeedSequence:
     """Derive an independent child seed for one stage of a pipeline."""
     return np.random.SeedSequence(entropy=(int(seed), int(stream)))
+
+
+# The most draws one `Sampler.draw` takes: numpy counts draws in int64.
+MAX_DRAWS = int(np.iinfo(np.int64).max)
+
+
+def draw_count(planned: float) -> int:
+    """A planned sample size rounded up to whole draws.
+
+    Raises ValueError when the plan is not finite or exceeds `MAX_DRAWS`,
+    as it does for accuracies so small that the size formula overflows.
+    """
+    if not math.isfinite(planned) or planned > MAX_DRAWS:
+        raise ValueError(
+            f"a sample of {planned:.3g} draws is not possible; "
+            f"at most {MAX_DRAWS} draws fit (accuracy too small)"
+        )
+    return math.ceil(planned)
 
 
 class Alphabet:
@@ -317,11 +335,6 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
     return Text(text.ids[keep], text.alphabet), Distribution(dist.floats[keep], None)
 
 
-class SamplePair(NamedTuple):
-    position: int
-    symbol: int
-
-
 class SampleSet:
     """Multiset of (position, symbol) draws, stored as count vectors.
 
@@ -374,11 +387,6 @@ class SampleSet:
             np.array([bag[p] for p in order], dtype=np.int64),
         )
 
-    def dense_counts(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.int64)
-        out[self.positions - 1] = self.multiplicities
-        return out
-
     def counts_up_to(self, ends: np.ndarray, symbol: Optional[int] = None) -> np.ndarray:
         """Draws within each prefix of length `ends[j]`, only at positions
         carrying `symbol` when one is given. Touches drawn positions only."""
@@ -401,11 +409,6 @@ class SampleSet:
         if self.size == 0:
             raise ValueError("empty sample has no weights")
         return Fraction(self.count_between(lo, hi), self.size)
-
-    def pairs(self) -> Iterator[SamplePair]:
-        for pos, sym, mult in zip(self.positions, self.symbols, self.multiplicities):
-            for _ in range(int(mult)):
-                yield SamplePair(int(pos), int(sym))
 
     def __repr__(self) -> str:
         return f"SampleSet(n={self.n}, size={self.size})"
@@ -435,6 +438,8 @@ class Sampler:
     def draw(self, size: int, seed) -> SampleSet:
         if size < 0:
             raise ValueError("sample size must be non-negative")
+        if size > MAX_DRAWS:
+            raise ValueError(f"sample size must be at most {MAX_DRAWS}")
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(size, self._pvals)
         return SampleSet.from_counts(counts, self._text)

@@ -1,12 +1,14 @@
 """Distance estimation when the position weights are arbitrary and unknown.
 
 The estimator works in two sampling phases over the same unknown weights
-that define the distance. Phase one partitions positions into intervals
-of small empirical weight (heavy single positions stay alone). Phase two
-estimates, per word role, the cumulative weight of matching positions up
-to every interval boundary. A separator-aware reassembly then feeds the
-copy measure, whose doubled value estimates the distance within the
-requested accuracy with probability at least 2/3.
+that define the distance, both drawn by `sample_phases`, the one place
+that sizes and seeds a run. Phase one partitions positions into intervals
+of small empirical weight (heavy single positions stay alone), walking
+only the drawn positions. Phase two estimates, per word role, the
+cumulative weight of matching positions up to every interval boundary.
+A separator-aware reassembly, array code over the interval boundaries,
+then feeds the copy measure, whose doubled value estimates the distance
+within the requested accuracy with probability at least 2/3.
 
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
@@ -19,6 +21,7 @@ Python integers, without floats or per-entry Fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -32,6 +35,7 @@ from .core import (
     Text,
     Word,
     as_fraction,
+    draw_count,
     role_prefix_counts,
     subseed,
 )
@@ -83,10 +87,16 @@ def interval_resolution(
     return res
 
 
+def _as_float(value: Fraction) -> float:
+    """`value` as a float; infinite past the float range, so that a size
+    formula built on it fails `draw_count` instead of overflowing."""
+    return float(value) if value <= sys.float_info.max else math.inf
+
+
 def first_sample_size(resolution: Fraction, constants: EstimatorConstants = DEFAULT_CONSTANTS) -> int:
     """Draws for the partition phase."""
-    r = float(resolution)
-    return math.ceil(constants.first_sample_factor * r * math.log(constants.first_sample_log * r))
+    r = _as_float(resolution)
+    return draw_count(constants.first_sample_factor * r * math.log(constants.first_sample_log * r))
 
 
 def second_sample_size(
@@ -95,8 +105,8 @@ def second_sample_size(
     """Draws for the density phase; needs the realized interval count."""
     if intervals < 1:
         raise ValueError("interval count must be at least 1")
-    r = float(resolution)
-    return math.ceil(r * r * math.log(constants.second_sample_log * k * intervals))
+    r = _as_float(resolution)
+    return draw_count(r * r * math.log(constants.second_sample_log * k * intervals))
 
 
 def quantization_step(n: int, resolution: Fraction, constants: EstimatorConstants = DEFAULT_CONSTANTS) -> Fraction:
@@ -104,33 +114,6 @@ def quantization_step(n: int, resolution: Fraction, constants: EstimatorConstant
     if n < 1:
         raise ValueError("step needs n >= 1")
     return constants.step_factor / (n * resolution)
-
-
-@dataclass(frozen=True)
-class SampleParameters:
-    """All derived sampling parameters for one estimator run."""
-
-    resolution: Fraction
-    step: Fraction
-    first_size: int
-    second_size: Optional[int]
-
-
-def sample_parameters(
-    k: int,
-    accuracy,
-    n: int,
-    intervals: Optional[int] = None,
-    constants: EstimatorConstants = DEFAULT_CONSTANTS,
-) -> SampleParameters:
-    res = interval_resolution(k, accuracy, constants)
-    second = None if intervals is None else second_sample_size(res, k, intervals, constants)
-    return SampleParameters(
-        resolution=res,
-        step=quantization_step(n, res, constants),
-        first_size=first_sample_size(res, constants),
-        second_size=second,
-    )
 
 
 @dataclass
@@ -178,12 +161,16 @@ class IntervalPartition(_IntervalCover):
 
     @classmethod
     def from_sample(cls, sample: SampleSet, resolution: Fraction) -> "IntervalPartition":
-        """Greedy left-to-right construction.
+        """Greedy left-to-right construction over the drawn positions.
 
         A position whose empirical weight exceeds 1/resolution becomes a
         heavy singleton; otherwise the interval extends to the largest
-        endpoint keeping empirical weight at most 1/resolution. Unsampled
-        suffixes cost nothing and fold into the final light interval.
+        endpoint keeping empirical weight at most 1/resolution, that is,
+        to just before the first draw that would push it past, or to n.
+        Unsampled positions cost nothing, so an unsampled suffix folds
+        into the final light interval. Only the m drawn positions are
+        read: each light interval is one `searchsorted` over their
+        cumulative draw counts, and no length-n array is built.
         """
         if sample.size < 1:
             raise ValueError("partition needs a non-empty sample")
@@ -191,23 +178,29 @@ class IntervalPartition(_IntervalCover):
         # Comparisons against count/size <= 1/res stay in integers:
         # weight > 1/res iff count > floor(size/res).
         limit = math.floor(Fraction(sample.size) / resolution)
-        prefix = np.concatenate(([0], np.cumsum(sample.dense_counts())))
+        positions, multiplicities = sample.positions, sample.multiplicities
+        drawn = positions.size
+        cumulative = np.concatenate(([0], np.cumsum(multiplicities)))
         bounds = [0]
         heavy = []
         start = 1
+        next_drawn = 0  # index of the first drawn position at or after `start`
         while start <= n:
-            head = int(prefix[start] - prefix[start - 1])
-            if head > limit:
+            drawn_here = next_drawn < drawn and positions[next_drawn] == start
+            if drawn_here and multiplicities[next_drawn] > limit:
                 bounds.append(start)
                 heavy.append(True)
                 start += 1
+                next_drawn += 1
                 continue
-            target = prefix[start - 1] + limit
-            end = int(np.searchsorted(prefix, target, side="right")) - 1
-            end = min(end, n)
+            # Drawn position `stop - 1` is the first whose draws push the
+            # interval past the limit; the interval ends just before it.
+            stop = int(np.searchsorted(cumulative, cumulative[next_drawn] + limit, side="right"))
+            end = n if stop > drawn else int(positions[stop - 1]) - 1
             bounds.append(end)
             heavy.append(False)
             start = end + 1
+            next_drawn = stop - 1
         return cls(n, np.array(bounds, dtype=np.int64), np.array(heavy, dtype=bool))
 
     def validate(self, sample: SampleSet, resolution: Fraction) -> None:
@@ -221,6 +214,28 @@ class IntervalPartition(_IntervalCover):
                 assert weight > cap
             else:
                 assert weight <= cap
+
+
+def sample_phases(
+    oracle: Sampler,
+    word: Word,
+    resolution: Fraction,
+    seed: int,
+    constants: EstimatorConstants,
+) -> tuple[SampleSet, IntervalPartition, SampleSet]:
+    """The two sampling phases of one distribution-free run.
+
+    Phase one draws `first_sample_size` positions on stream 1 of `seed`
+    and partitions them; phase two draws `second_sample_size` positions,
+    sized by that partition, on stream 2. Both estimators and the event
+    diagnostics draw through here, so one seed gives all of them the same
+    samples. Returns (phase-one sample, partition, phase-two sample).
+    """
+    sample1 = oracle.draw(first_sample_size(resolution, constants), subseed(seed, 1))
+    partition = IntervalPartition.from_sample(sample1, resolution)
+    second = second_sample_size(resolution, word.k, partition.count, constants)
+    sample2 = oracle.draw(second, subseed(seed, 2))
+    return sample1, partition, sample2
 
 
 _CLASS_SINGLE = "single"
@@ -323,20 +338,6 @@ class DensityEstimate:
     prefix_tallies: np.ndarray  # int64, (U,)
     sample_size: int
 
-    @property
-    def densities(self) -> np.ndarray:
-        return self.role_tallies / self.sample_size
-
-    @property
-    def prefix_weights(self) -> np.ndarray:
-        return self.prefix_tallies / self.sample_size
-
-    def density_fraction(self, role: int, u: int) -> Fraction:
-        return Fraction(int(self.role_tallies[role - 1, u - 1]), self.sample_size)
-
-    def prefix_fraction(self, u: int) -> Fraction:
-        return Fraction(int(self.prefix_tallies[u - 1]), self.sample_size)
-
 
 def symbol_density_estimate(
     sample: SampleSet, partition: IntervalPartition, word: Word
@@ -411,7 +412,6 @@ class SentinelPartition:
     to its source interval.
     """
 
-    base: IntervalPartition
     boundaries: np.ndarray  # int64, leading 0, within [0, 2n]
     source: np.ndarray  # int64, 1-based source interval per merged interval
 
@@ -421,23 +421,13 @@ class SentinelPartition:
 
 
 def interleave_partition(partition: IntervalPartition) -> SentinelPartition:
-    bounds = [0]
-    source = []
-    for u in range(1, partition.count + 1):
-        end = partition.upper(u)
-        if partition.heavy[u - 1]:
-            bounds.append(2 * end - 1)
-            source.append(u)
-            bounds.append(2 * end)
-            source.append(u)
-        else:
-            bounds.append(2 * end)
-            source.append(u)
-    return SentinelPartition(
-        partition,
-        np.array(bounds, dtype=np.int64),
-        np.array(source, dtype=np.int64),
-    )
+    copies = 1 + partition.heavy  # merged intervals per source interval
+    source = np.repeat(np.arange(1, partition.count + 1, dtype=np.int64), copies)
+    ends = 2 * np.repeat(partition.boundaries[1:], copies)
+    # The first merged interval of a heavy pair ends on the position itself.
+    first_of_each = np.cumsum(copies) - copies
+    ends[first_of_each[partition.heavy]] -= 1
+    return SentinelPartition(np.concatenate(([0], ends)), source)
 
 
 @dataclass
@@ -448,10 +438,6 @@ class SentinelDensity:
 
     numerators: np.ndarray  # int64, (2k, U')
     denominator: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.numerators / self.denominator
 
 
 def assemble_sentinel_density(
@@ -472,29 +458,15 @@ def assemble_sentinel_density(
     k, intervals = density.role_tallies.shape
     if intervals != partition.count:
         raise ValueError("density and partition disagree on interval count")
-    merged = sentinel.count
-    prefix_with_zero = np.concatenate(([0], density.prefix_tallies))
     source = sentinel.source
-    ends = sentinel.boundaries[1:]
-    separator_row = np.empty(merged, dtype=np.int64)
-    for idx in range(merged):
-        src = int(source[idx])
-        odd_boundary = int(ends[idx]) % 2 == 1
-        if partition.heavy[src - 1] and odd_boundary:
-            # First half of a heavy pair: the covered separators are
-            # those of the source prefix one interval earlier. Heavy
-            # intervals are singletons, so that prefix is src - 1.
-            if __debug__:
-                if idx > 0:
-                    assert int(source[idx - 1]) == src - 1
-                else:
-                    assert src == 1
-            separator_row[idx] = prefix_with_zero[src - 1]
-        else:
-            separator_row[idx] = prefix_with_zero[src]
-    numerators = np.empty((2 * k, merged), dtype=np.int64)
+    # First half of a heavy pair: the covered separators are those of the
+    # source prefix one interval earlier. Heavy intervals are singletons,
+    # so that prefix is source - 1.
+    first_half = partition.heavy[source - 1] & (sentinel.boundaries[1:] % 2 == 1)
+    prefix_with_zero = np.concatenate(([0], density.prefix_tallies))
+    numerators = np.empty((2 * k, sentinel.count), dtype=np.int64)
     numerators[0::2] = density.role_tallies[:, source - 1]
-    numerators[1::2] = separator_row
+    numerators[1::2] = prefix_with_zero[source - first_half]
     return SentinelDensity(numerators, 2 * density.sample_size)
 
 
@@ -525,11 +497,7 @@ def _estimate(
     copy measure of the phase-two tallies, through the separator rewrite
     when `separator` is set."""
     resolution = interval_resolution(word.k, accuracy, constants)
-    first = first_sample_size(resolution, constants)
-    sample1 = oracle.draw(first, subseed(seed, 1))
-    partition = IntervalPartition.from_sample(sample1, resolution)
-    second = second_sample_size(resolution, word.k, partition.count, constants)
-    sample2 = oracle.draw(second, subseed(seed, 2))
+    sample1, partition, sample2 = sample_phases(oracle, word, resolution, seed, constants)
     density = symbol_density_estimate(sample2, partition, word)
     if separator:
         sentinel = interleave_partition(partition)
@@ -539,14 +507,14 @@ def _estimate(
         tallies, merged = density.role_tallies, None
     measure = copies_from_counts(tallies)
     # With the separator: 2 * measure(numerators / (2 * second)) = measure / second.
-    raw = Fraction(int(measure), second)
+    raw = Fraction(int(measure), sample2.size)
     clamped = min(max(raw, Fraction(0)), Fraction(1))
     return DistFreeEstimate(
         estimate=float(clamped),
         raw=raw,
         resolution=resolution,
-        first_size=first,
-        second_size=second,
+        first_size=sample1.size,
+        second_size=sample2.size,
         intervals=partition.count,
         merged_intervals=merged,
         seed=seed,

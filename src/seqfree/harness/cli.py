@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, help="additive accuracy in (0,1)")
     p.add_argument("--repeats", type=int, default=1,
                    help="median of this many independent runs")
-    p.set_defaults(handler=cmd_estimate_df_wc)
+    p.set_defaults(handler=cmd_estimate_df)
 
     p = sub.add_parser("sweep", parents=[common, relaxed],
                        help="success-rate sweep over an accuracy grid")
@@ -179,106 +179,85 @@ def cmd_exact(args) -> dict:
     return payload
 
 
-def _median_runs(run_one, seed: int, repeats: int) -> tuple[dict, list[dict]]:
-    """Run the estimator `repeats` times and aggregate by lower median.
+def _estimate_report(args, text, word, run, fields, samples_of) -> dict:
+    """Report of an estimate command: `run(seed)` is one estimator run,
+    `fields(result)` its command-specific report fields, and
+    `samples_of(result)` its number of draws.
 
-    Each run succeeds independently with probability at least 2/3, so
-    the median of 2t+1 runs fails only when t+1 runs fail, which decays
-    exponentially in t. Returns the aggregate fields and the runs.
+    The runs are aggregated by lower median. Each run succeeds
+    independently with probability at least 2/3, so the median of 2t+1
+    runs fails only when t+1 runs fail, which decays exponentially in t.
+    A single run's fields go into the report itself; repeated runs are
+    listed, with their draws summed.
     """
-    seeds = spread_seeds(seed, repeats)
-    runs = [run_one(s) for s in seeds]
-    raws = [r.pop("_raw") for r in runs]
-    agg_raw = median_low(raws)
-    clamped = min(max(agg_raw, Fraction(0)), Fraction(1))
-    out = {
-        "estimate": float(clamped),
-        "raw": fraction_str(agg_raw),
-        "repeats": repeats,
+    seeds = spread_seeds(args.seed, args.repeats)
+    results = [run(s) for s in seeds]
+    median_raw = median_low([result.raw for result in results])
+    payload = {
+        "command": args.command,
+        "n": text.n,
+        "k": word.k,
+        "delta": float(as_fraction(args.delta)),
+        "seed": args.seed,
+        "estimate": float(min(max(median_raw, Fraction(0)), Fraction(1))),
+        "raw": fraction_str(median_raw),
+        "repeats": args.repeats,
     }
-    return out, runs
+    if args.repeats == 1:
+        payload.update(fields(results[0]))
+    else:
+        payload["runs"] = [
+            {"seed": s, "estimate": result.estimate, "raw": fraction_str(result.raw),
+             **fields(result)}
+            for s, result in zip(seeds, results)
+        ]
+        payload["samples_total"] = sum(samples_of(result) for result in results)
+    return payload
 
 
 def cmd_estimate_uniform(args) -> dict:
     text, word, _ = _load_instance(args, weights=False)
     oracle = UniformSampler(text)
     accuracy = as_fraction(args.delta)
-
-    def run_one(s: int) -> dict:
-        result = estimate_distance_uniform(oracle, word, accuracy, s)
-        return {
-            "seed": s,
-            "estimate": result.estimate,
-            "raw": fraction_str(result.raw),
-            "samples": result.sample_size,
-            "_raw": result.raw,
-        }
-
-    payload = {
-        "command": "estimate-uniform",
-        "n": text.n,
-        "k": word.k,
-        "delta": float(accuracy),
-        "seed": args.seed,
-    }
-    aggregate, runs = _median_runs(run_one, args.seed, args.repeats)
-    payload.update(aggregate)
-    if args.repeats == 1:
-        payload["samples"] = runs[0]["samples"]
-    else:
-        payload["runs"] = runs
-        payload["samples_total"] = sum(r["samples"] for r in runs)
-    return payload
+    return _estimate_report(
+        args, text, word,
+        lambda s: estimate_distance_uniform(oracle, word, accuracy, s),
+        lambda result: {"samples": result.sample_size},
+        lambda result: result.sample_size,
+    )
 
 
-def _cmd_estimate_df(args, repeat_free: bool) -> dict:
+def cmd_estimate_df(args) -> dict:
+    """`estimate-df` and, without the separator rewrite, `estimate-df-wc`."""
     text, word, dist = _load_instance(args)
     oracle = WeightedSampler(text, dist) if dist is not None else UniformSampler(text)
     accuracy = as_fraction(args.delta)
     constants = _constants(args)
+    repeat_free = args.command == "estimate-df-wc"
     runner = estimate_distance_repeat_free if repeat_free else estimate_distance
 
-    def run_one(s: int) -> dict:
-        result = runner(oracle, word, accuracy, s, constants)
+    def samples(result) -> int:
+        return result.first_size + result.second_size
+
+    def fields(result) -> dict:
         return {
-            "seed": s,
-            "estimate": result.estimate,
-            "raw": fraction_str(result.raw),
             "samples": {
                 "first": result.first_size,
                 "second": result.second_size,
-                "total": result.first_size + result.second_size,
+                "total": samples(result),
             },
             "intervals": result.intervals,
-            "_raw": result.raw,
         }
 
-    payload = {
-        "command": "estimate-df-wc" if repeat_free else "estimate-df",
-        "n": text.n,
-        "k": word.k,
-        "delta": float(accuracy),
-        "seed": args.seed,
-        "weights": "file" if dist is not None else "uniform",
-    }
-    aggregate, runs = _median_runs(run_one, args.seed, args.repeats)
-    payload.update(aggregate)
-    if args.repeats == 1:
-        payload["samples"] = runs[0]["samples"]
-        payload["intervals"] = runs[0]["intervals"]
-    else:
-        payload["runs"] = runs
-        payload["samples_total"] = sum(r["samples"]["total"] for r in runs)
+    payload = _estimate_report(
+        args, text, word,
+        lambda s: runner(oracle, word, accuracy, s, constants),
+        fields,
+        samples,
+    )
+    payload["weights"] = "file" if dist is not None else "uniform"
     _echo_relaxation(args, payload)
     return payload
-
-
-def cmd_estimate_df(args) -> dict:
-    return _cmd_estimate_df(args, repeat_free=False)
-
-
-def cmd_estimate_df_wc(args) -> dict:
-    return _cmd_estimate_df(args, repeat_free=True)
 
 
 def cmd_sweep(args) -> dict:

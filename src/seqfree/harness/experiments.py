@@ -28,7 +28,6 @@ from ..core import (
 from ..distfree import (
     DEFAULT_CONSTANTS,
     EstimatorConstants,
-    IntervalPartition,
     ReferencePartition,
     assemble_sentinel_density,
     densities_well_estimated,
@@ -38,7 +37,7 @@ from ..distfree import (
     first_sample_size,
     interleave_partition,
     interval_resolution,
-    second_sample_size,
+    sample_phases,
     symbol_density_estimate,
     weights_well_estimated,
 )
@@ -343,18 +342,15 @@ def event_diagnostics(
     density_violations = 0
     second_sizes = []
     for t in range(trials):
-        tseed = seed ^ t
-        sample1 = oracle.draw(first, subseed(tseed, 1))
-        first_event = weights_well_estimated(dist, sample1, resolution, reference)
-        partition = IntervalPartition.from_sample(sample1, resolution)
-        if first_event:
+        sample1, partition, sample2 = sample_phases(
+            oracle, word, resolution, seed ^ t, constants
+        )
+        second_sizes.append(sample2.size)
+        if weights_well_estimated(dist, sample1, resolution, reference):
             first_event_hits += 1
             weights = np.diff(dist.numerator_prefix()[partition.boundaries])
             too_heavy = resolution.numerator * weights.astype(object) >= light_floor
             light_violations += int(np.count_nonzero(too_heavy & ~partition.heavy))
-        second = second_sample_size(resolution, word.k, partition.count, constants)
-        second_sizes.append(second)
-        sample2 = oracle.draw(second, subseed(tseed, 2))
         second_event = densities_well_estimated(
             text, dist, word, sample2, partition, resolution
         )

@@ -16,18 +16,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import SampleSet, Sampler, Text, Word, as_fraction, role_prefix_counts
+from .core import SampleSet, Sampler, Text, Word, as_fraction, draw_count, role_prefix_counts
 from .exact import running_maximum
 
 Number = Union[int, float]
-
-
-def additive_chernoff_size(deviation: float, failure: float) -> int:
-    """Draws needed so an empirical mean strays past `deviation` with
-    probability at most `failure` (one-sided exponential tail)."""
-    if not 0 < deviation or not 0 < failure < 1:
-        raise ValueError("need deviation > 0 and failure in (0, 1)")
-    return math.ceil(math.log(1.0 / failure) / (2.0 * deviation**2))
 
 
 @dataclass(frozen=True)
@@ -55,9 +47,9 @@ def uniform_plan(k: int, accuracy) -> EstimatorPlan:
         raise ValueError("accuracy must lie in (0, 1)")
     spacing = acc / (3 * k)
     grid_size = math.ceil(1 / spacing)
-    sample_size = math.ceil(
-        math.log(6 * k * grid_size) / (2 * float(spacing) ** 2)
-    )
+    # A spacing whose square underflows would need unboundedly many draws.
+    spread = 2 * float(spacing) ** 2
+    sample_size = draw_count(math.log(6 * k * grid_size) / spread if spread else math.inf)
     return EstimatorPlan(spacing, grid_size, sample_size)
 
 
@@ -86,6 +78,9 @@ def prefix_grid(n: int, spacing) -> PrefixGrid:
     sp = as_fraction(spacing)
     if sp <= 0:
         raise ValueError("spacing must be positive")
+    if sp * n <= 1:
+        # Consecutive columns then differ by at most one: every length.
+        return PrefixGrid(n, sp, np.arange(1, n + 1, dtype=np.int64))
     columns: list[int] = []
     r = 1
     while True:
@@ -113,9 +108,6 @@ class CountMatrix:
     estimated: bool
     sample_size: Optional[int] = None
     tallies: Optional[np.ndarray] = None
-
-    def normalized(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.float64) / self.n
 
 
 def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> CountMatrix:

@@ -134,6 +134,21 @@ class TestExitCodes:
             code, out, err = run_cli(argv + ["--relaxed-constants", "10"], capsys)
             assert code == 2 and out == "" and err, argv[0]
 
+    def test_unreachable_sample_size_is_two(self, instance, capsys):
+        # accuracies whose sample sizes overflow a float or int64
+        files = ["--text", instance["text"], "--word", instance["word"]]
+        for argv in (
+            ["estimate-uniform", "--delta", "1e-400"],
+            ["sweep", "--estimator", "uniform", "--deltas", "1e-400", "--trials", "1"],
+            ["estimate-df", "--delta", "1e-400"],
+            ["diagnose-events", "--delta", "1e-400", "--trials", "1"],
+            ["sweep", "--estimator", "df", "--deltas", "1e-400", "--trials", "1"],
+            ["estimate-df", "--delta", "1e-8"],
+            ["estimate-df", "--delta", "0.5", "--relaxed-constants", "1e-300"],
+        ):
+            code, out, err = run_cli(argv + files, capsys)
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+
     def test_help_is_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
 

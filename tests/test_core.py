@@ -225,7 +225,8 @@ class TestSampleSet:
 
     def test_dense_and_symbol_counts(self):
         s = SampleSet.from_pairs(3, [(1, 2), (3, 1), (3, 1)])
-        assert s.dense_counts().tolist() == [1, 0, 2]
+        assert s.positions.tolist() == [1, 3]
+        assert s.multiplicities.tolist() == [1, 2]
         ends = np.arange(4)
         assert s.counts_up_to(ends).tolist() == [0, 1, 1, 3]
         assert s.counts_up_to(ends, 1).tolist() == [0, 0, 0, 2]
@@ -235,7 +236,9 @@ class TestSampleSet:
     def test_pairs_round_trip(self):
         raw = [(1, 1), (2, 2), (2, 2)]
         s = SampleSet.from_pairs(2, raw)
-        assert sorted((p.position, p.symbol) for p in s.pairs()) == sorted(raw)
+        assert s.positions.tolist() == [1, 2]
+        assert s.symbols.tolist() == [1, 2]
+        assert s.multiplicities.tolist() == [1, 2]
 
     def test_from_counts(self):
         t = text_of("abc")
@@ -265,7 +268,9 @@ class TestSamplers:
     def test_single_support_point(self):
         t = text_of("a")
         s = UniformSampler(t).draw(5, 9)
-        assert list(s.pairs()) == [(1, 1)] * 5
+        assert s.positions.tolist() == [1]
+        assert s.symbols.tolist() == [1]
+        assert s.multiplicities.tolist() == [5]
 
     def test_sample_size_accounting(self):
         t = text_of("abab")
@@ -285,11 +290,16 @@ class TestSamplers:
         with pytest.raises(ValueError):
             UniformSampler(text_of("ab")).draw(-1, 0)
 
+    def test_size_past_int64_rejected(self):
+        with pytest.raises(ValueError):
+            UniformSampler(text_of("ab")).draw(2**63, 0)
+
     def test_subseed_streams_differ(self):
         t = text_of("abcdefgh")
         a = UniformSampler(t).draw(100, subseed(7, 1))
         b = UniformSampler(t).draw(100, subseed(7, 2))
-        assert a.dense_counts().tolist() != b.dense_counts().tolist()
+        assert (a.positions.tolist(), a.multiplicities.tolist()) != (
+            b.positions.tolist(), b.multiplicities.tolist())
 
     def test_empirical_weights_concentrate(self):
         # wt_S of a fixed interval is within 0.01 of the true weight in

@@ -15,7 +15,6 @@ from seqfree.core import (
     UniformSampler,
     WeightedSampler,
     Word,
-    subseed,
 )
 from seqfree.distfree import (
     DEFAULT_CONSTANTS,
@@ -33,7 +32,7 @@ from seqfree.distfree import (
     interleave_partition,
     interval_resolution,
     quantization_step,
-    sample_parameters,
+    sample_phases,
     second_sample_size,
     symbol_density_estimate,
     weights_well_estimated,
@@ -88,6 +87,87 @@ def near_census(dist: Distribution, text: Text, size: int = 2**40) -> SampleSet:
     return SampleSet.from_counts(counts, text)
 
 
+def dense_partition_reference(sample: SampleSet, resolution: Fraction) -> tuple:
+    """(boundaries, heavy) of the greedy partition, walked over a dense
+    length-n prefix sum of the draw counts, one position or interval at a
+    time: the construction `IntervalPartition.from_sample` replaces."""
+    n = sample.n
+    limit = math.floor(Fraction(sample.size) / resolution)
+    dense = np.zeros(n, dtype=np.int64)
+    dense[sample.positions - 1] = sample.multiplicities
+    prefix = np.concatenate(([0], np.cumsum(dense)))
+    bounds, heavy = [0], []
+    start = 1
+    while start <= n:
+        if prefix[start] - prefix[start - 1] > limit:
+            bounds.append(start)
+            heavy.append(True)
+            start += 1
+            continue
+        end = min(int(np.searchsorted(prefix, prefix[start - 1] + limit, side="right")) - 1, n)
+        bounds.append(end)
+        heavy.append(False)
+        start = end + 1
+    return bounds, heavy
+
+
+def loop_sentinel_reference(partition: IntervalPartition, density: DensityEstimate) -> tuple:
+    """(merged boundaries, source, assembled numerators) of the separator
+    split and assembly, built one interval at a time."""
+    bounds, source = [0], []
+    for u in range(1, partition.count + 1):
+        end = partition.upper(u)
+        if partition.heavy[u - 1]:
+            bounds += [2 * end - 1, 2 * end]
+            source += [u, u]
+        else:
+            bounds.append(2 * end)
+            source.append(u)
+    prefix_with_zero = [0] + density.prefix_tallies.tolist()
+    rows = []
+    for role_row in density.role_tallies.tolist():
+        rows.append([role_row[src - 1] for src in source])
+        rows.append([
+            prefix_with_zero[src - 1] if partition.heavy[src - 1] and end % 2 == 1
+            else prefix_with_zero[src]
+            for src, end in zip(source, bounds[1:])
+        ])
+    return bounds, source, rows
+
+
+def edge_case_samples(rng, count: int):
+    """Random (text, sample, resolution) triples that cycle through the
+    awkward shapes of a phase-one sample: fewer draws than the resolution
+    (limit 0), heavy positions at 1 and at n, an unsampled suffix, every
+    position drawn heavily, and multiplicities exactly at the limit."""
+    for trial in range(count):
+        n = int(rng.integers(1, 50))
+        t = random_text_ids(rng, n, 3)
+        res = Fraction(int(rng.integers(2, 30)), int(rng.integers(1, 3)))
+        mode = trial % 5
+        if mode == 0:  # limit 0: every drawn position is heavy
+            counts = np.zeros(n, dtype=np.int64)
+            counts[rng.integers(0, n, size=int(rng.integers(1, 4)))] = 1
+            res = Fraction(int(counts.sum()) + int(rng.integers(1, 5)))
+        elif mode == 1:  # heavy positions at 1 and at n
+            counts = rng.integers(0, 2, size=n)
+            counts[[0, -1]] += 25
+        elif mode == 2:  # an unsampled suffix after `cut`
+            counts = np.zeros(n, dtype=np.int64)
+            cut = int(rng.integers(1, n + 1))
+            counts[:cut] = rng.integers(0, 5, size=cut)
+            counts[0] += 1
+        elif mode == 3:  # limit one below the smallest multiplicity
+            counts = rng.integers(2, 9, size=n)
+            res = Fraction(int(counts.sum()), int(counts.min()) - 1)
+        else:  # limit exactly reached by some multiplicities
+            limit = int(rng.integers(1, 6))
+            counts = rng.integers(0, limit + 1, size=n)
+            counts[rng.integers(0, n, size=2)] = limit
+            res = Fraction(int(counts.sum()), limit)
+        yield t, SampleSet.from_counts(counts.astype(np.int64), t), res
+
+
 class TestParameters:
     def test_resolution_frozen(self):
         assert interval_resolution(2, 0.5) == 400
@@ -109,6 +189,15 @@ class TestParameters:
         assert got == math.ceil(160_000 * math.log(8000))
         assert got == ceil_scaled_log(Fraction(160_000), Fraction(8000))
 
+    def test_unreachable_sample_sizes_rejected(self):
+        # past int64 draws, past the float range, and both at once
+        for res in (Fraction(10**17), Fraction(10**305), Fraction(10**400)):
+            with pytest.raises(ValueError):
+                first_sample_size(res)
+        for res in (Fraction(10**10), Fraction(10**400)):
+            with pytest.raises(ValueError):
+                second_sample_size(res, 2, 100)
+
     def test_second_sample_size_needs_intervals(self):
         with pytest.raises(ValueError):
             second_sample_size(Fraction(400), 2, 0)
@@ -117,14 +206,6 @@ class TestParameters:
         assert quantization_step(1000, Fraction(400)) == Fraction(1, 6_400_000)
         with pytest.raises(ValueError):
             quantization_step(0, Fraction(400))
-
-    def test_sample_parameters_two_phase(self):
-        p = sample_parameters(2, 0.5, 1000)
-        assert p.second_size is None
-        assert p.first_size == 550_661
-        assert p.step == Fraction(1, 6_400_000)
-        q = sample_parameters(2, 0.5, 1000, intervals=100)
-        assert q.second_size == second_sample_size(Fraction(400), 2, 100)
 
     def test_relaxed_constants(self):
         relaxed = DEFAULT_CONSTANTS.relaxed(50)
@@ -198,6 +279,23 @@ class TestIntervalPartition:
             p = IntervalPartition.from_sample(s, res)
             p.validate(s, res)
             assert p.count == p.heavy.size == p.boundaries.size - 1
+
+    def test_matches_dense_reference(self, rng):
+        seen = {"limit 0": 0, "heavy at 1": 0, "heavy at n": 0,
+                "unsampled suffix": 0, "all heavy": 0, "at limit": 0}
+        for t, s, res in edge_case_samples(rng, 400):
+            p = IntervalPartition.from_sample(s, res)
+            bounds, heavy = dense_partition_reference(s, res)
+            assert p.boundaries.tolist() == bounds
+            assert p.heavy.tolist() == heavy
+            limit = math.floor(Fraction(s.size) / res)
+            seen["limit 0"] += limit == 0
+            seen["heavy at 1"] += heavy[0]
+            seen["heavy at n"] += heavy[-1] and bounds[-2] == t.n - 1
+            seen["unsampled suffix"] += s.positions[-1] < t.n
+            seen["all heavy"] += all(heavy) and t.n > 1
+            seen["at limit"] += bool(np.any(s.multiplicities == limit))
+        assert all(seen.values()), seen
 
     def test_accessors(self):
         p = IntervalPartition(4, np.array([0, 1, 4]), np.array([True, False]))
@@ -313,10 +411,10 @@ class TestSymbolDensityEstimate:
         s = SampleSet.from_counts(np.array([1, 3]), t)
         part = IntervalPartition(2, np.array([0, 1, 2]), np.array([False, True]))
         est = symbol_density_estimate(s, part, w)
-        assert est.densities.tolist() == [[0.25, 0.25], [0.0, 0.75]]
-        assert est.prefix_weights.tolist() == [0.25, 1.0]
-        assert est.density_fraction(1, 1) == Fraction(1, 4)
-        assert est.prefix_fraction(2) == 1
+        # densities [[1/4, 1/4], [0, 3/4]] and prefix weights [1/4, 1]
+        assert est.sample_size == 4
+        assert est.role_tallies.tolist() == [[1, 1], [0, 3]]
+        assert est.prefix_tallies.tolist() == [1, 4]
 
     def test_census_matches_exact(self):
         t = text_of("abcaba")
@@ -332,10 +430,11 @@ class TestSymbolDensityEstimate:
             denom = d.common_denominator()
             for i in range(w.k):
                 for u in range(part.count):
-                    got = est.density_fraction(i + 1, u + 1)
+                    got = Fraction(int(est.role_tallies[i, u]), est.sample_size)
                     assert got == Fraction(int(rows[i][u]), denom)
             for u in range(part.count):
-                assert est.prefix_fraction(u + 1) == Fraction(int(prefix[u]), denom)
+                got = Fraction(int(est.prefix_tallies[u]), est.sample_size)
+                assert got == Fraction(int(prefix[u]), denom)
         # Past int64 no census fits; compare with summed Fractions.
         d = over_denominator(PAST_INT64, t.n)
         part = IntervalPartition(t.n, np.array([0, 2, 3, 6]),
@@ -449,6 +548,23 @@ class TestInterleavePartition:
             # source is non-decreasing and covers every interval
             assert np.all(np.diff(sp.source) >= 0)
             assert set(sp.source.tolist()) == set(range(1, part.count + 1))
+
+
+class TestSentinelLayerAgainstLoops:
+    def test_split_and_assembly_match_loops(self, rng):
+        for t, s, res in edge_case_samples(rng, 400):
+            part = IntervalPartition.from_sample(s, res)
+            w = Word(rng.integers(1, 4, size=int(rng.integers(1, 4))).astype(np.int32))
+            counts = rng.integers(0, 5, size=t.n)
+            counts[0] += 1
+            density = symbol_density_estimate(SampleSet.from_counts(counts, t), part, w)
+            sp = interleave_partition(part)
+            out = assemble_sentinel_density(density, part, sp)
+            bounds, source, rows = loop_sentinel_reference(part, density)
+            assert sp.boundaries.tolist() == bounds
+            assert sp.source.tolist() == source
+            assert out.numerators.tolist() == rows
+            assert out.numerators.dtype == np.int64
 
 
 class TestAssembleSentinelDensity:
@@ -566,6 +682,23 @@ class TestEstimateDistance:
         assert a.first_size == 550_661
         assert a.production
 
+    def test_sizes_are_those_of_sample_phases(self):
+        t = Text(np.tile(np.array([1, 2, 2], dtype=np.int32), 50))
+        w = Word(np.array([1, 2]))
+        d = Distribution.from_fractions([Fraction(1, 2)] + [Fraction(1, 298)] * 149)
+        o = WeightedSampler(t, d)
+        consts = DEFAULT_CONSTANTS.relaxed(10)
+        res = interval_resolution(w.k, 0.5, consts)
+        for seed in (0, 5):
+            sample1, part, sample2 = sample_phases(o, w, res, seed, consts)
+            assert sample1.size == first_sample_size(res, consts)
+            assert sample2.size == second_sample_size(res, w.k, part.count, consts)
+            assert part.heavy[0]
+            for run in (estimate_distance, estimate_distance_repeat_free):
+                r = run(o, w, 0.5, seed, consts)
+                assert (r.first_size, r.second_size, r.intervals) == (
+                    sample1.size, sample2.size, part.count)
+
     def test_raw_denominator_divides_phase_two_size(self):
         t = Text(np.tile(np.array([1, 2], dtype=np.int32), 500))
         w = Word(np.array([1, 2]))
@@ -640,18 +773,14 @@ class TestGoodEventFrequencies:
         d = Distribution.uniform(n)
         o = UniformSampler(t)
         res = interval_resolution(w.k, 0.5)
-        s1 = first_sample_size(res)
         ref = ReferencePartition.from_weights(d, res)
         first_hits = 0
         second_hits = 0
         trials = 20
         for seed in range(trials):
-            sample1 = o.draw(s1, subseed(seed, 1))
+            sample1, part, sample2 = sample_phases(o, w, res, seed, DEFAULT_CONSTANTS)
             if weights_well_estimated(d, sample1, res, ref):
                 first_hits += 1
-            part = IntervalPartition.from_sample(sample1, res)
-            s2 = second_sample_size(res, w.k, part.count)
-            sample2 = o.draw(s2, subseed(seed, 2))
             if densities_well_estimated(t, d, w, sample2, part, res):
                 second_hits += 1
         assert first_hits >= 16

@@ -24,7 +24,7 @@ from seqfree import (
     uniform_plan,
 )
 from seqfree.core import SampleSet
-from seqfree.uniform import additive_chernoff_size, tally_prefix_counts
+from seqfree.uniform import tally_prefix_counts
 
 from conftest import (
     ceil_scaled_log,
@@ -63,6 +63,12 @@ class TestPrefixGrid:
                 assert cols[-1] == n
                 assert np.all(np.diff(cols) > 0)
                 assert g.max_gap <= math.ceil(spacing * n)
+
+    def test_fine_spacing_takes_every_length(self):
+        # with spacing * n <= 1 every prefix length is a column, however
+        # many grid steps the spacing would take
+        for spacing in (Fraction(1, 4), Fraction(1, 9), Fraction(1, 10**12)):
+            assert prefix_grid(4, spacing).columns.tolist() == [1, 2, 3, 4]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -107,10 +113,11 @@ class TestUniformPlan:
         with pytest.raises(ValueError):
             uniform_plan(0, 0.5)
 
-    def test_chernoff_helper(self):
-        assert additive_chernoff_size(0.1, 0.05) == math.ceil(math.log(20) / 0.02)
-        with pytest.raises(ValueError):
-            additive_chernoff_size(0, 0.5)
+    def test_unreachable_sample_size_rejected(self):
+        # past int64 draws, and a spacing whose square underflows
+        for acc in (Fraction(1, 10**9), Fraction(1, 10**400)):
+            with pytest.raises(ValueError):
+                uniform_plan(2, acc)
 
 
 class TestExactCountMatrix:
