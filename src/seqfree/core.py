@@ -5,8 +5,9 @@ always intern to ids >= 1; id 0 is reserved for the internal separator
 symbol used by the repeat-free rewrite and is guaranteed absent from any
 ingested input. Positions are 1-based in every public interface.
 
-Weights over positions come in two representations: exact rationals for
-the ground-truth oracles and 64-bit floats for the estimator path.
+Weights over positions always have a 64-bit float view for the estimator
+path; exact weights also store integer numerators over their least common
+denominator, which the ground-truth oracles read.
 Estimators never touch a text directly; they see it only through a
 sampling oracle returning (position, symbol) pairs.
 """
@@ -14,6 +15,7 @@ sampling oracle returning (position, symbol) pairs.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -33,10 +35,10 @@ def as_fraction(value: WeightLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
     if isinstance(value, float):
-        return Fraction(repr(value))
+        return Fraction(repr(float(value)))
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact number")
@@ -180,63 +182,84 @@ class Word:
 class Distribution:
     """Non-negative position weights of length n, summing to one.
 
-    Exact construction keeps a tuple of Fractions next to the float view;
-    float construction normalizes away accumulation error when the total
-    is within 1e-6 of one and rejects anything further off.
-
-    Exact weights also have a lazily cached integer form that every exact
-    reference reads: numerators over the common denominator D and their
-    prefix sums, int64 when D fits and Python integers otherwise.
+    Every distribution has a float view for sampling. Exact ones store
+    integer numerators over their least common denominator D (int64 when
+    D fits, Python integers otherwise) and build Fractions on demand.
+    Fraction and float totals within 1e-6 of one are normalized; anything
+    further off is rejected.
     """
 
     __slots__ = (
-        "_floats", "_exact", "_float_prefix", "_denominator", "_numerators",
-        "_numerator_prefix",
+        "_floats", "_float_prefix", "_denominator", "_numerators", "_numerator_prefix",
     )
 
-    def __init__(self, floats: np.ndarray, exact: Optional[tuple] = None) -> None:
+    def __init__(self, floats: np.ndarray) -> None:
         self._floats = floats
         self._floats.flags.writeable = False
-        self._exact = exact
         self._float_prefix: Optional[np.ndarray] = None
         self._denominator: Optional[int] = None
         self._numerators: Optional[np.ndarray] = None
         self._numerator_prefix: Optional[np.ndarray] = None
 
     @classmethod
+    def from_numerators(cls, counts) -> "Distribution":
+        """Exact weights counts[j] / sum(counts) from non-negative integers,
+        stored as the counts over their gcd g, with D = sum / g; each float
+        is the correctly rounded quotient of a numerator and D."""
+        int64_max = int(np.iinfo(np.int64).max)
+        if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
+            counts = np.array([operator.index(c) for c in counts], dtype=object)
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError("weights must be non-empty")
+        if np.any(counts < 0):
+            raise ValueError("weights must be non-negative")
+        if counts.dtype == np.int64 and int(counts.max()) > int64_max // counts.size:
+            counts = counts.astype(object)  # the sum may not fit
+        total = int(counts.sum())
+        if total <= 0:
+            raise ValueError("weights must have positive total")
+        common = int(np.gcd.reduce(counts))
+        denom = total // common
+        nums = (counts // common).astype(np.int64 if denom <= int64_max else object, copy=False)
+        nums.flags.writeable = False
+        if denom < 2**53:
+            floats = nums / float(denom)
+        else:
+            floats = np.array([p / denom for p in nums.tolist()])
+        dist = cls(floats)
+        dist._numerators, dist._denominator = nums, denom
+        return dist
+
+    @classmethod
     def uniform(cls, n: int) -> "Distribution":
         if n < 1:
             raise ValueError("uniform weights need n >= 1")
-        share = Fraction(1, n)
-        return cls(np.full(n, 1.0 / n), (share,) * n)
+        return cls.from_numerators(np.ones(n, dtype=np.int64))
 
     @classmethod
     def from_fractions(cls, weights: Sequence[WeightLike]) -> "Distribution":
-        exact = tuple(as_fraction(w) for w in weights)
-        if not exact:
-            raise ValueError("weights must be non-empty")
-        if any(w < 0 for w in exact):
-            raise ValueError("weights must be non-negative")
-        total = sum(exact)
-        if total <= 0:
-            raise ValueError("weights must have positive total")
-        if total != 1:
-            if abs(total - 1) > Fraction(1, 10**6):
-                raise ValueError(f"weights sum to {float(total):.8f}, too far from 1")
-            exact = tuple(w / total for w in exact)
-        return cls(np.array([float(w) for w in exact]), exact)
+        exact = [as_fraction(w) for w in weights]
+        denom = math.lcm(*{w.denominator for w in exact})
+        counts = [w.numerator * (denom // w.denominator) for w in exact]
+        dist = cls.from_numerators(counts)
+        total = sum(counts)
+        if abs(total - denom) * 10**6 > denom:
+            raise ValueError(f"weights sum to {total / denom:.8f}, too far from 1")
+        return dist
 
     @classmethod
     def from_floats(cls, weights: Sequence[float]) -> "Distribution":
         arr = np.asarray(weights, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a non-empty vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("weights must be finite")
         if np.any(arr < 0):
             raise ValueError("weights must be non-negative")
         total = float(arr.sum())
         if total <= 0 or abs(total - 1.0) > 1e-6:
             raise ValueError(f"weights sum to {total:.8f}, too far from 1")
-        return cls(arr / total, None)
+        return cls(arr / total)
 
     @property
     def n(self) -> int:
@@ -244,7 +267,7 @@ class Distribution:
 
     @property
     def is_exact(self) -> bool:
-        return self._exact is not None
+        return self._numerators is not None
 
     @property
     def floats(self) -> np.ndarray:
@@ -252,20 +275,20 @@ class Distribution:
 
     @property
     def fractions(self) -> tuple:
-        if self._exact is None:
-            raise ValueError("this distribution has no exact representation")
-        return self._exact
+        """The exact weights as Fractions, built on every call."""
+        nums, denom = self._exact()
+        return tuple(Fraction(p, denom) for p in nums.tolist())
 
     def weight(self, position: int) -> Fraction:
         self._check_range(position, position)
-        if self._exact is not None:
-            return self._exact[position - 1]
+        if self.is_exact:
+            return Fraction(int(self._numerators[position - 1]), self._denominator)
         return Fraction(float(self._floats[position - 1]))
 
     def interval_weight(self, lo: int, hi: int):
         """Total weight of positions lo..hi inclusive; exact when possible."""
         self._check_range(lo, hi)
-        if self._exact is not None:
+        if self.is_exact:
             return self.exact_prefix(hi) - self.exact_prefix(lo - 1)
         return self.prefix_weight(hi) - self.prefix_weight(lo - 1)
 
@@ -278,23 +301,12 @@ class Distribution:
         return Fraction(int(self.numerator_prefix()[length]), self.common_denominator())
 
     def common_denominator(self) -> int:
-        if self._denominator is None:
-            denom = 1
-            for w in self.fractions:
-                denom = denom * w.denominator // math.gcd(denom, w.denominator)
-            self._denominator = denom
-        return self._denominator
+        """The least common denominator D of the exact weights."""
+        return self._exact()[1]
 
     def numerators(self) -> np.ndarray:
         """The exact weights as integers over `common_denominator()`."""
-        if self._numerators is None:
-            denom = self.common_denominator()
-            dtype = np.int64 if denom <= np.iinfo(np.int64).max else object
-            self._numerators = np.array(
-                [w.numerator * (denom // w.denominator) for w in self.fractions],
-                dtype=dtype,
-            )
-        return self._numerators
+        return self._exact()[0]
 
     def numerator_prefix(self) -> np.ndarray:
         """Prefix sums of `numerators()`; entry j covers the first j
@@ -302,6 +314,11 @@ class Distribution:
         if self._numerator_prefix is None:
             self._numerator_prefix = np.concatenate(([0], np.cumsum(self.numerators())))
         return self._numerator_prefix
+
+    def _exact(self) -> tuple[np.ndarray, int]:
+        if self._numerators is None:
+            raise ValueError("this distribution has no exact representation")
+        return self._numerators, self._denominator
 
     def _check_range(self, lo: int, hi: int) -> None:
         if not 1 <= lo or not hi <= self.n or lo > hi + 1:
@@ -321,18 +338,15 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
     """
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
-    if dist.is_exact:
-        keep = [i for i, w in enumerate(dist.fractions) if w > 0]
-        if len(keep) == dist.n:
-            return text, dist
-        kept = tuple(dist.fractions[i] for i in keep)
-        return Text(text.ids[keep], text.alphabet), Distribution(
-            np.array([float(w) for w in kept]), kept
-        )
-    keep = np.flatnonzero(dist.floats > 0)
+    weights = dist.numerators() if dist.is_exact else dist.floats
+    keep = np.flatnonzero(weights)
     if keep.size == dist.n:
         return text, dist
-    return Text(text.ids[keep], text.alphabet), Distribution(dist.floats[keep], None)
+    if dist.is_exact:
+        kept = Distribution.from_numerators(weights[keep])
+    else:
+        kept = Distribution(weights[keep])
+    return Text(text.ids[keep], text.alphabet), kept
 
 
 class SampleSet:

@@ -3,8 +3,8 @@ brute-force minimum-modification search, and the exact weighted pipeline
 (zero-weight dropping, separator interleaving, and the copy recursion on
 weighted prefix counts, in O(nk) time whatever the common denominator).
 
-Everything here is exact. Rational arithmetic is used wherever a weight
-appears; the only floats are in callers that choose to convert.
+Everything here is exact: the weighted pipeline reads integer numerators
+over the common denominator; the reference oracles use Fractions.
 """
 
 from __future__ import annotations
@@ -246,9 +246,7 @@ def quantize_weights(dist: Distribution, step) -> QuantizedWeights:
         step=step,
         rounded=rounded,
         scale=scale,
-        normalized=Distribution(
-            np.array([float(w) for w in normalized]), normalized
-        ),
+        normalized=Distribution.from_fractions(normalized),
         l1_error=l1,
     )
 
@@ -277,16 +275,8 @@ def interleave_sentinel(
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
     if dist.is_exact:
-        halves = []
-        for w in dist.fractions:
-            halves.append(w / 2)
-            halves.append(w / 2)
-        exact = tuple(halves)
-        return out_text, out_word, Distribution(
-            np.array([float(w) for w in exact]), exact
-        )
-    floats = np.repeat(dist.floats, 2) / 2.0
-    return out_text, out_word, Distribution(floats, None)
+        return out_text, out_word, Distribution.from_numerators(np.repeat(dist.numerators(), 2))
+    return out_text, out_word, Distribution(np.repeat(dist.floats, 2) / 2.0)
 
 
 class TextExpansion:

@@ -142,9 +142,7 @@ def random_rational_weights(
     rng = np.random.default_rng(seed)
     if kind == "spread":
         counts = rng.multinomial(denominator, np.full(n, 1.0 / n))
-        return Distribution.from_fractions(
-            [Fraction(int(c), denominator) for c in counts]
-        )
+        return Distribution.from_numerators(counts)
     if kind == "pointmass":
         if n < 2:
             raise ValueError("pointmass weights need n >= 2")
@@ -161,7 +159,5 @@ def random_rational_weights(
         for j in others[:extra]:
             counts[j] += 1
         counts[position - 1] = heavy_count
-        return Distribution.from_fractions(
-            [Fraction(int(c), denominator) for c in counts]
-        )
+        return Distribution.from_numerators(counts)
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -1,10 +1,17 @@
 """The benchmark under `perfbench/` imports names from `seqfree`; every
-one of them must still exist, so that removing a name from the library
+one of them must still exist, and its oracle workload's stored exact
+answers must still hold, so that a library change that breaks either
 shows up here rather than as a broken benchmark run."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+from seqfree import exact_weighted_distance
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,3 +38,25 @@ def test_every_benchmark_import_exists():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, missing
+
+
+def load_workloads():
+    """Import `perfbench/workloads.py` without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_oracle_pool_matches_golden():
+    workloads = load_workloads()
+    golden = json.loads((BENCH / "data" / "oracle_golden.json").read_text(encoding="utf-8"))
+    for seed in workloads.ORACLE_POOL_SEEDS:
+        inst = workloads.oracle_instance(seed)
+        distance = exact_weighted_distance(inst.text, inst.word, inst.dist)
+        assert distance == Fraction(golden["distances"][str(seed)]), seed

@@ -1,10 +1,11 @@
 """Texts, weights, samples, and the sampling oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqfree import (
@@ -21,6 +22,34 @@ from seqfree import (
     subseed,
 )
 from seqfree.core import drop_zero_weight, prefix_count, role_match
+from seqfree.exact import interleave_sentinel
+
+
+@st.composite
+def fraction_weights(draw) -> list:
+    """Rational weights normalized to sum one, then one of them shifted by
+    up to 2e-6: zeros, numerators and denominators past 2^63, and a
+    denominator of 10^400 all occur."""
+    numerator = st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 2**70))
+    denominator = st.one_of(st.integers(1, 12), st.integers(1, 2**70), st.just(10**400))
+    raw = draw(st.lists(st.builds(Fraction, numerator, denominator), min_size=1, max_size=10))
+    if sum(raw) == 0:
+        raw[0] = Fraction(1)
+    weights = [w / sum(raw) for w in raw]
+    shift = draw(st.fractions(Fraction(-2, 10**6), Fraction(2, 10**6)))
+    weights[-1] = max(weights[-1] + shift, Fraction(0))
+    return weights
+
+
+def reference_exact_form(weights: list) -> tuple:
+    """Per-entry Fraction formulas for an accepted weight vector: each
+    weight divided by the total, and the lcm of the reduced denominators."""
+    total = sum(weights)
+    exact = tuple(w / total for w in weights)
+    denom = 1
+    for w in exact:
+        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    return exact, denom
 
 
 def text_of(s: str) -> Text:
@@ -35,6 +64,8 @@ class TestAsFraction:
     def test_float_reads_decimal_literal(self):
         assert as_fraction(0.3) == Fraction(3, 10)
         assert as_fraction(0.1) == Fraction(1, 10)
+        assert as_fraction(np.float64(0.1)) == Fraction(1, 10)
+        assert Distribution.from_fractions(np.full(4, 0.25)).fractions == (Fraction(1, 4),) * 4
 
     def test_string_forms(self):
         assert as_fraction("0.25") == Fraction(1, 4)
@@ -42,6 +73,7 @@ class TestAsFraction:
 
     def test_int_and_fraction_pass_through(self):
         assert as_fraction(2) == 2
+        assert as_fraction(np.int64(3)) == 3
         assert as_fraction(Fraction(5, 9)) == Fraction(5, 9)
 
     def test_rejects_other_types(self):
@@ -147,12 +179,19 @@ class TestDistribution:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Distribution.from_fractions([Fraction(3, 2), Fraction(-1, 2)])
+        with pytest.raises(ValueError):
+            Distribution.from_numerators([3, -1])
+        for weights in ([float("nan"), 1.0], [float("inf"), 1.0]):
+            with pytest.raises(ValueError):
+                Distribution.from_floats(weights)
 
     def test_float_distribution_has_no_fractions(self):
         d = Distribution.from_floats([0.5, 0.5])
         assert not d.is_exact
         with pytest.raises(ValueError):
             d.fractions
+        with pytest.raises(ValueError):
+            d.numerators()
 
     def test_prefixes(self):
         d = Distribution.from_fractions([Fraction(1, 4), Fraction(3, 4)])
@@ -164,6 +203,39 @@ class TestDistribution:
     def test_common_denominator(self):
         d = Distribution.from_fractions([Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)])
         assert d.common_denominator() == 30
+
+    def test_from_numerators_divides_by_the_gcd(self):
+        d = Distribution.from_numerators(np.array([2, 0, 4, 6]))
+        assert d.numerators().tolist() == [1, 0, 2, 3]
+        assert d.common_denominator() == 6 and d.numerators().dtype == np.int64
+        big = Distribution.from_numerators([2**64, 2**64 + 2])
+        assert big.common_denominator() == 2**64 + 1 and big.numerators().dtype == object
+        with pytest.raises(TypeError):
+            Distribution.from_numerators([0.5, 0.5])
+
+    @given(fraction_weights())
+    @example([Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(0)])  # zero weights
+    @example([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**6)])  # near one
+    @example([Fraction(1, 2**64 + 13), Fraction(2**64 + 12, 2**64 + 13)])  # D > 2^63
+    @example([Fraction("1e-400"), Fraction(1, 2) - Fraction("1e-400"), Fraction(1, 2)])
+    def test_from_fractions_matches_fraction_reference(self, weights):
+        total = sum(weights)
+        if abs(total - 1) > Fraction(1, 10**6):
+            with pytest.raises(ValueError):
+                Distribution.from_fractions(weights)
+            return
+        exact, denom = reference_exact_form(weights)
+        d = Distribution.from_fractions(weights)
+        assert d.floats.tobytes() == np.array([float(w) for w in exact]).tobytes()
+        assert d.common_denominator() == denom
+        assert d.numerators().tolist() == [w.numerator * (denom // w.denominator) for w in exact]
+        assert d.numerators().dtype == (np.int64 if denom < 2**63 else object)
+        assert d.fractions == exact
+        t = Text(np.arange(1, d.n + 1))
+        assert drop_zero_weight(t, d)[1].fractions == tuple(w for w in exact if w > 0)
+        assert interleave_sentinel(t, Word([1]), d)[2].fractions == tuple(
+            h for w in exact for h in (w / 2, w / 2)
+        )
 
     def test_weight_accessor(self):
         d = Distribution.uniform(5)
