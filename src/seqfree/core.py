@@ -9,15 +9,15 @@ Weights over positions always have a 64-bit float view for the estimator
 path; exact weights also store integer numerators over their least common
 denominator, which the ground-truth oracles read.
 Estimators never touch a text directly; they see it only through a
-sampling oracle returning (position, symbol) pairs. A draw of s positions
-with s <= n / SPARSE_DRAW_RATIO allocates O(s) memory and reads only the
-drawn positions of the text (a weighted sampler builds its cumulative
-weight table once, on its first such draw); a larger draw takes one
-multinomial over all n positions.
+sampling oracle returning (position, symbol) pairs. A uniform draw of s
+positions with s <= n / SPARSE_DRAW_RATIO allocates O(s) memory and reads
+only the drawn positions of the text; a larger draw, and every weighted
+draw, takes one multinomial over all n positions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -56,10 +56,11 @@ def subseed(seed: int, stream: int) -> np.random.SeedSequence:
 # The most draws one `Sampler.draw` takes: numpy counts draws in int64.
 MAX_DRAWS = int(np.iinfo(np.int64).max)
 
-# `Sampler.draw` tallies `size` drawn positions when size * ratio <= n and
-# takes one multinomial over all n positions otherwise. Measured, the sparse
-# draw stays the faster one up to about size = n (weighted) or 3n (uniform);
-# the ratio leaves a margin.
+# `UniformSampler.draw` tallies `size` drawn positions when size * ratio <= n
+# and takes one multinomial over all n positions otherwise. The sparse draw
+# measured faster up to about size = 3n; the switch sits at n/4 so that the
+# larger draws keep the multinomial's random stream, and the runs on short
+# texts (the README example, the distribution-free tests) their outputs.
 SPARSE_DRAW_RATIO = 4
 
 
@@ -441,20 +442,19 @@ class SampleSet:
 class Sampler:
     """Draws positions i.i.d. from fixed position weights over a text.
 
-    Deterministic given (size, seed); both paths below give the law of
-    `size` independent draws tallied by position. A sparse draw, taken when
-    size * SPARSE_DRAW_RATIO <= n, makes `size` positions and tallies them
-    with `np.unique`, so it reads only the drawn positions of the text. A
-    larger draw takes one multinomial count vector over all n positions.
-    Subclasses supply the positions of a sparse draw and the normalized
-    weights of a dense one.
+    Deterministic given (size, seed). Returns a SampleSet built from one
+    multinomial count vector, which is distributed identically to size
+    independent draws tallied by position.
     """
 
-    def __init__(self, text: Text) -> None:
+    def __init__(self, text: Text, pvals: np.ndarray) -> None:
         if text.n < 1:
             raise ValueError("cannot sample from an empty text")
         self._text = text
-        self._pvals: Optional[np.ndarray] = None
+        total = float(pvals.sum())
+        if total <= 0:
+            raise ValueError("sampling weights must have positive total")
+        self._pvals = pvals / total
 
     @property
     def n(self) -> int:
@@ -466,61 +466,40 @@ class Sampler:
         if size > MAX_DRAWS:
             raise ValueError(f"sample size must be at most {MAX_DRAWS}")
         rng = np.random.default_rng(seed)
-        if size <= self.n // SPARSE_DRAW_RATIO:  # size * ratio <= n, without overflow
-            hit, counts = np.unique(self._sparse_positions(rng, size), return_counts=True)
-            return SampleSet(self.n, hit + 1, self._text.ids[hit], counts)
-        if self._pvals is None:
-            self._pvals = self._dense_pvals()
-        return SampleSet.from_counts(rng.multinomial(size, self._pvals), self._text)
-
-    def _sparse_positions(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` independent 0-based positions drawn by weight."""
-        raise NotImplementedError
-
-    def _dense_pvals(self) -> np.ndarray:
-        """The weights of all n positions, normalized for the multinomial."""
-        raise NotImplementedError
+        counts = rng.multinomial(size, self._pvals)
+        return SampleSet.from_counts(counts, self._text)
 
 
 class UniformSampler(Sampler):
-    def _sparse_positions(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.integers(0, self.n, size)
+    """A draw of size <= n / SPARSE_DRAW_RATIO tallies `size` uniform
+    positions with `np.unique` and reads only those of the text, which has
+    the same law as the multinomial. A larger draw takes the multinomial,
+    whose n weights are built on its first use."""
 
-    def _dense_pvals(self) -> np.ndarray:
+    def __init__(self, text: Text) -> None:
+        if text.n < 1:
+            raise ValueError("cannot sample from an empty text")
+        self._text = text
+
+    @functools.cached_property
+    def _pvals(self) -> np.ndarray:
         weights = np.full(self.n, 1.0 / self.n)
         return weights / float(weights.sum())
 
+    def draw(self, size: int, seed) -> SampleSet:
+        if not 0 <= size <= self.n // SPARSE_DRAW_RATIO:  # size * ratio > n, or invalid
+            return super().draw(size, seed)
+        positions = np.random.default_rng(seed).integers(0, self.n, size)
+        hit, counts = np.unique(positions, return_counts=True)
+        return SampleSet(self.n, hit + 1, self._text.ids[hit], counts)
+
 
 class WeightedSampler(Sampler):
-    """Sparse draws search sorted uniforms in a cumulative weight table,
-    built on the first such draw and kept."""
-
     def __init__(self, text: Text, dist: Distribution) -> None:
         if dist.n != text.n:
             raise ValueError("weights and text disagree on length")
-        super().__init__(text)
-        self._total = float(dist.floats.sum())
-        if self._total <= 0:
-            raise ValueError("sampling weights must have positive total")
+        super().__init__(text, dist.floats)
         self.dist = dist
-        self._cumulative: Optional[np.ndarray] = None
-        self._last_positive = 0
-
-    def _sparse_positions(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self._cumulative is None:
-            self._cumulative = np.cumsum(self.dist.floats)
-            # The first position at the full total is the last positive one.
-            self._last_positive = int(np.searchsorted(self._cumulative, self._cumulative[-1]))
-        # Sorted keys walk the table in order, which keeps the search in cache.
-        keys = np.sort(rng.random(size)) * self._cumulative[-1]
-        positions = np.searchsorted(self._cumulative, keys, side="right")
-        # A key rounded up to the total would land past the last positive
-        # weight, on a trailing zero or past the end; zero weights in front
-        # hold no key, since side="right" passes over them.
-        return np.minimum(positions, self._last_positive, out=positions)
-
-    def _dense_pvals(self) -> np.ndarray:
-        return self.dist.floats / self._total
 
 
 def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
