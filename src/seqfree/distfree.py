@@ -36,10 +36,10 @@ from .core import (
     Word,
     as_fraction,
     draw_count,
+    gather_columns,
     role_prefix_counts,
     subseed,
 )
-from .exact import interleave_sentinel
 from .uniform import copies_from_counts
 
 
@@ -181,13 +181,13 @@ class IntervalPartition(_IntervalCover):
         positions, multiplicities = sample.positions, sample.multiplicities
         drawn = positions.size
         cumulative = np.concatenate(([0], np.cumsum(multiplicities)))
+        heavy_drawn = set(np.flatnonzero(multiplicities > limit).tolist())
         bounds = [0]
         heavy = []
         start = 1
         next_drawn = 0  # index of the first drawn position at or after `start`
         while start <= n:
-            drawn_here = next_drawn < drawn and positions[next_drawn] == start
-            if drawn_here and multiplicities[next_drawn] > limit:
+            if next_drawn in heavy_drawn and positions[next_drawn] == start:
                 bounds.append(start)
                 heavy.append(True)
                 start += 1
@@ -195,7 +195,7 @@ class IntervalPartition(_IntervalCover):
                 continue
             # Drawn position `stop - 1` is the first whose draws push the
             # interval past the limit; the interval ends just before it.
-            stop = int(np.searchsorted(cumulative, cumulative[next_drawn] + limit, side="right"))
+            stop = int(cumulative.searchsorted(cumulative[next_drawn] + limit, side="right"))
             end = n if stop > drawn else int(positions[stop - 1]) - 1
             bounds.append(end)
             heavy.append(False)
@@ -364,8 +364,8 @@ def exact_symbol_density(
     if text.n != partition.n or dist.n != partition.n:
         raise ValueError("text, weights and partition disagree on length")
     ends = partition.boundaries[1:]
-    rows = role_prefix_counts(text, word, dist.numerators())
-    return np.array([row[ends] for row in rows]), dist.numerator_prefix()[ends]
+    rows = gather_columns(role_prefix_counts(text, word, dist.numerators()), ends)
+    return rows, dist.numerator_prefix()[ends]
 
 
 def exactly_within(
@@ -583,8 +583,5 @@ def exact_sentinel_reference(
     # w / step = num * b / (D * a) for w = num / D and step = a / b.
     scaled = dist.numerators().astype(object) * step.denominator
     mult = (-(-scaled // (dist.common_denominator() * step.numerator))).astype(np.int64)
-    sep_text, sep_word, _ = interleave_sentinel(text, word)
-    ends = sentinel.boundaries[1:]
-    counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
-    numerators = np.array([row[ends] for row in counts])
-    return numerators, 2 * int(mult.sum())
+    counts = role_prefix_counts(text, word, mult, separator=True)
+    return gather_columns(counts, sentinel.boundaries[1:]), 2 * int(mult.sum())

@@ -1,7 +1,12 @@
 """Ground-truth distances: greedy copy packing, the prefix recursion,
 brute-force minimum-modification search, and the exact weighted pipeline
-(zero-weight dropping, separator interleaving, and the copy recursion on
-weighted prefix counts, in O(nk) time whatever the common denominator).
+(separator interleaving and the copy recursion on weighted prefix counts,
+in O(nk) time whatever the common denominator).
+
+The copy recursion, `running_maximum`, walks the text in column blocks of
+`core.COPY_BLOCK` and carries a few values per role from one block to the
+next, so `copy_count` and `exact_weighted_distance` hold O(k * COPY_BLOCK)
+counts at a time, never a count row over the whole text.
 
 Everything here is exact: the weighted pipeline reads integer numerators
 over the common denominator; the reference oracles use Fractions.
@@ -18,11 +23,11 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
-    SENTINEL,
     Distribution,
     Text,
     Word,
     contains_word,
+    interleave,
     role_prefix_counts,
 )
 
@@ -97,34 +102,51 @@ def greedy_copies(text: Text, word: Word) -> CopySet:
 
 
 def running_maximum(
-    count_rows: Iterable[np.ndarray], offset: int
+    count_blocks: Iterable[np.ndarray], offset: int
 ) -> Iterator[np.ndarray]:
-    """The copy recursion over per-role count rows, one row at a time.
+    """The copy recursion over per-role counts, one column block at a time.
 
-    Row one is taken as-is. Every later row subtracts from its counts the
-    worst running shortfall against the previous measure:
-    counts[j] - max(0, max of counts[t] - measure[t - offset], offset <= t <= j).
-    Offset 1 runs on full prefix counts with a leading empty-prefix
-    column and is exact for every word; offset 0 compares columns in
-    place, exact for words without adjacent equal symbols. Yields each
-    measure row.
+    Each block holds one row of counts per role at consecutive prefix
+    lengths; the empty prefix before the first block counts zero. Row one
+    is taken as-is. Every later row subtracts from its counts the worst
+    running shortfall against the previous measure:
+    counts[j] - max(0, max of counts[t] - measure[t - offset], t <= j).
+    Offset 1 runs on full prefix counts and is exact for every word;
+    offset 0 compares columns in place, exact for words without adjacent
+    equal symbols. From block to block each role carries its last measure
+    value and its shortfall maximum. Yields the measure of each block.
     """
-    measure: Optional[np.ndarray] = None
-    for counts in count_rows:
-        if measure is None:
-            measure = counts
-        else:
-            row = np.empty(counts.size, dtype=np.result_type(counts, measure))
-            row[:offset] = counts[:offset]
-            shortfall = row[offset:]
-            np.subtract(counts[offset:], measure[: counts.size - offset], out=shortfall)
-            if shortfall.size:
-                # Clamping the first entry clamps the whole running maximum.
-                shortfall[0] = max(shortfall[0], 0)
-                np.maximum.accumulate(shortfall, out=shortfall)
-            np.subtract(counts[offset:], shortfall, out=shortfall)
-            measure = row
+    last = worst = None
+    for counts in count_blocks:
+        if last is None:
+            last = np.zeros(counts.shape[0], dtype=counts.dtype)
+            worst = np.zeros_like(last)
+        measure = np.empty_like(counts)
+        measure[0] = counts[0]
+        for i in range(1, counts.shape[0]):
+            shortfall = measure[i]
+            if offset:
+                np.subtract(counts[i, 1:], measure[i - 1, :-1], out=shortfall[1:])
+                shortfall[0] = counts[i, 0] - last[i - 1]
+            else:
+                np.subtract(counts[i], measure[i - 1], out=shortfall)
+            # The carried maximum is at least 0, which clamps the whole
+            # running maximum.
+            shortfall[0] = max(shortfall[0], worst[i])
+            np.maximum.accumulate(shortfall, out=shortfall)
+            worst[i] = shortfall[-1]
+            np.subtract(counts[i], shortfall, out=shortfall)
+        last = measure[:, -1].copy()
         yield measure
+
+
+def final_measure(count_blocks: Iterable[np.ndarray], offset: int):
+    """The last entry of the last role's measure, in the counts' dtype:
+    the copy measure of the whole text, 0 when there are no blocks."""
+    value = 0
+    for measure in running_maximum(count_blocks, offset):
+        value = measure[-1, -1]
+    return value
 
 
 def copy_count_table(text: Text, word: Word) -> np.ndarray:
@@ -133,15 +155,15 @@ def copy_count_table(text: Text, word: Word) -> np.ndarray:
     Entry [i-1, j] is the copy count of the first i roles within the
     first j positions.
     """
-    rows = running_maximum(role_prefix_counts(text, word), offset=1)
-    return np.array(list(rows), dtype=np.int64)
+    blocks = running_maximum(role_prefix_counts(text, word), offset=1)
+    empty = np.zeros((word.k, 1), dtype=np.int64)
+    return np.concatenate([empty, *blocks], axis=1, dtype=np.int64)
 
 
 def copy_count(text: Text, word: Word) -> int:
-    """Maximum number of role-disjoint copies, O(nk) time, O(n) memory."""
-    for measure in running_maximum(role_prefix_counts(text, word), offset=1):
-        pass
-    return int(measure[-1])
+    """Maximum number of role-disjoint copies, O(nk) time, O(k * COPY_BLOCK)
+    memory."""
+    return int(final_measure(role_prefix_counts(text, word), offset=1))
 
 
 def uniform_distance(text: Text, word: Word) -> Fraction:
@@ -262,14 +284,8 @@ def interleave_sentinel(
     given, are split evenly between each original position and its
     separator.
     """
-    if np.any(text.ids == SENTINEL) or np.any(word.ids == SENTINEL):
-        raise ValueError("separator id 0 must not occur in the input")
-    t2 = np.zeros(2 * text.n, dtype=np.int32)
-    t2[0::2] = text.ids
-    w2 = np.zeros(2 * word.k, dtype=np.int32)
-    w2[0::2] = word.ids
-    out_text = Text(t2, text.alphabet)
-    out_word = Word(w2, word.alphabet)
+    out_text = Text(interleave(text.ids), text.alphabet)
+    out_word = Word(interleave(word.ids), word.alphabet)
     if dist is None:
         return out_text, out_word, None
     if dist.n != text.n:
@@ -357,16 +373,19 @@ def expand_text(text: Text, dist: Distribution, base_weight) -> TextExpansion:
 def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fraction:
     """Exact distance to word-freeness under arbitrary rational weights.
 
-    Pipeline: drop zero-weight positions, interleave the separator (which
-    makes the word free of adjacent repeats, at the cost of halving), and
-    take as multiplicities the weights' numerators over their common
+    Reads the text with the separator after every position (which makes
+    the word free of adjacent repeats, at the cost of halving) and takes
+    as multiplicities the weights' numerators over their common
     denominator D (`Distribution.numerators`). The weighted prefix counts
     of the interleaved text at every position are those of its
     multiplicity expansion (length 2D) at run ends, where the recursion
     of a repeat-free word takes its maxima, so the recursion runs on them
-    directly without the expansion.
-    O(nk) time whatever D is; counts are int64, or Python integers when
-    D does not fit.
+    directly without the expansion. A zero weight repeats the previous
+    column of counts, which leaves the measure as it was, so zero-weight
+    positions need no dropping. O(nk) time whatever D is, and
+    O(k * COPY_BLOCK) memory besides the weights: the interleaved text and
+    its counts are built one block at a time. Counts are int64, or Python
+    integers when D does not fit.
     """
     if text.n < 1:
         raise ValueError("distance is undefined for an empty text")
@@ -374,13 +393,7 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
         raise ValueError("weights and text disagree on length")
     if not dist.is_exact:
         raise ValueError("exact distance needs rational weights")
-    # Zero weights are zero numerators, and dropping them leaves D as is.
-    nums = dist.numerators()
-    keep = np.flatnonzero(nums)
-    sep_text, sep_word, _ = interleave_sentinel(Text(text.ids[keep], text.alphabet), word)
-    counts = role_prefix_counts(sep_text, sep_word, np.repeat(nums[keep], 2))
-    for measure in running_maximum(counts, offset=0):
-        pass
+    counts = role_prefix_counts(text, word, dist.numerators(), separator=True)
     # The separator halves the distance of the length-2D expansion:
     # distance = 2 * copies / (2D).
-    return Fraction(int(measure[-1]), dist.common_denominator())
+    return Fraction(int(final_measure(counts, offset=0)), dist.common_denominator())

@@ -16,8 +16,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import SampleSet, Sampler, Text, Word, as_fraction, draw_count, role_prefix_counts
-from .exact import running_maximum
+from .core import (
+    SampleSet,
+    Sampler,
+    Text,
+    Word,
+    as_fraction,
+    draw_count,
+    gather_columns,
+    role_prefix_counts,
+)
+from .exact import final_measure
 
 Number = Union[int, float]
 
@@ -114,7 +123,7 @@ def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> CountMatrix:
     """True occurrence counts at the grid columns."""
     if grid.n != text.n:
         raise ValueError("grid and text disagree on length")
-    rows = np.array([row[grid.columns] for row in role_prefix_counts(text, word)])
+    rows = gather_columns(role_prefix_counts(text, word), grid.columns)
     return CountMatrix(rows, text.n, estimated=False)
 
 
@@ -153,9 +162,7 @@ def copies_from_counts(matrix) -> Number:
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("count matrix must be two-dimensional and non-empty")
-    for measure in running_maximum(arr, offset=0):
-        pass
-    value = measure[-1]
+    value = final_measure([arr], offset=0)
     if np.issubdtype(arr.dtype, np.integer):
         return int(value)
     if arr.dtype == object:

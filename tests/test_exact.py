@@ -1,11 +1,12 @@
 """Ground-truth oracles: greedy copies, the count-table recursion,
 brute force, and the weighted-to-uniform reduction pipeline."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqfree import (
@@ -21,7 +22,8 @@ from seqfree import (
     quantize_weights,
     uniform_distance,
 )
-from seqfree.core import SENTINEL, prefix_count
+from seqfree import core
+from seqfree.core import SENTINEL, drop_zero_weight, prefix_count
 from seqfree.exact import BRUTEFORCE_LIMIT, EXPANSION_LIMIT, TextExpansion, expand_text
 
 from conftest import (
@@ -30,6 +32,7 @@ from conftest import (
     random_text_ids,
     random_word_ids,
 )
+from test_bench_api import load_workloads
 
 
 def text_of(s: str) -> Text:
@@ -406,3 +409,91 @@ class TestExactWeightedDistance:
             exact_weighted_distance(
                 t, word_of("ab", t), Distribution.from_floats([0.5, 0.5])
             )
+
+
+def expansion_distance(text: Text, word: Word, dist: Distribution) -> Fraction:
+    """The weighted distance by the reduction `exact_weighted_distance`
+    skips: drop zero weights, interleave the separator, expand every
+    position by its numerator and count greedy copies in the expansion."""
+    kept_text, kept = drop_zero_weight(text, dist)
+    sep_text, sep_word, sep_dist = interleave_sentinel(kept_text, word, kept)
+    expansion = expand_text(sep_text, sep_dist, Fraction(1, sep_dist.common_denominator()))
+    copies = greedy_copies(expansion.expanded, sep_word).count
+    return Fraction(2 * copies, expansion.expanded_length)
+
+
+class TestBlockedRecursion:
+    """`role_prefix_counts` walks the text in blocks of `COPY_BLOCK`
+    columns (half as many positions under the separator); blocks of one
+    to five columns put a block seam at nearly every position of these
+    small instances."""
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=10),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.lists(st.integers(0, 5), min_size=10, max_size=10),
+        st.sampled_from([1, 2, 3, 4, 5]),
+    )
+    @example([1], [1], [0] * 10, 1)  # n = 1
+    @example([1, 1, 2, 1, 2, 2], [1, 1, 2], [3, 0, 1, 0, 2, 5, 0, 0, 0, 0], 2)
+    def test_small_blocks_match_oracles(self, ids, word_ids, numerators, block):
+        t, w = Text(ids), Word(word_ids)
+        numerators = numerators[: t.n]
+        if sum(numerators) == 0:
+            numerators[0] = 1
+        d = Distribution.from_numerators(numerators)
+        whole = copy_count_table(t, w)  # one block: n < COPY_BLOCK
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "COPY_BLOCK", block)
+            assert copy_count(t, w) == greedy_copies(t, w).count
+            assert np.array_equal(copy_count_table(t, w), whole)
+            assert exact_weighted_distance(t, w, d) == expansion_distance(t, w, d)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_object_counts_across_blocks(self, rng, block):
+        # D = 2**64 + 1 > 2**63: the counts are Python integers.
+        huge = 2**64 + 1
+        for _ in range(15):
+            n = int(rng.integers(5, 9))
+            t = random_text_ids(rng, n, 2)
+            w = random_word_ids(rng, int(rng.integers(1, 4)), 2)
+            numerators = rng.integers(0, 3, size=n).tolist()
+            numerators[0] += 1
+            numerators[-1] += huge - sum(numerators)
+            d = Distribution.from_numerators(numerators)
+            assert d.common_denominator() == huge and d.numerators().dtype == object
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "COPY_BLOCK", block)
+                assert exact_weighted_distance(t, w, d) == bruteforce_distance(t, w, d)
+
+    def test_allocation_is_independent_of_n(self):
+        # numpy reports its buffers to tracemalloc, so a count row over the
+        # text (8 MB in int64 at n = 1e6, 16 MB over the interleaved text)
+        # shows here, on any machine.
+        n = 10**6
+        rng = np.random.default_rng(7)
+        t = random_text_ids(rng, n, 4)
+        w = Word([1, 2, 2, 3])
+        d = Distribution.uniform(n)
+
+        def allocated(call) -> int:
+            """Peak bytes allocated by `call` beyond those held before it."""
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - held
+
+        tracemalloc.start()
+        try:
+            copies = allocated(lambda: copy_count(t, w))
+            weighted = allocated(lambda: exact_weighted_distance(t, w, d))
+            table = allocated(lambda: copy_count_table(t, w))
+        finally:
+            tracemalloc.stop()
+        assert copies < 10**6 and weighted < 4 * 10**6
+        assert table > 8 * n * w.k  # the full table: the guard sees numpy
+
+    def test_benchmark_text_keeps_its_distance(self):
+        # The value the whole-row kernel gave on the uniform-large text.
+        text, word = load_workloads().uniform_inputs(1)
+        assert uniform_distance(text, word) == Fraction(1248509, 5000000)

@@ -365,6 +365,24 @@ class TestFileIO:
             with pytest.raises(ValueError):
                 parse_weight(token)
 
+    def test_weight_tokens_read_as_fraction_reads_them(self):
+        tokens = [
+            "3", "+3", "-3", "0", "1_000", "٣", "1/4", "+1/2", "-1/2", "00/07", "1_0/3",
+            "1/2_0", "0.25", ".5", "5.", "1e-400", "1E5", "1/-2", "1/+2", "1/0", "0/0",
+            "1/2/3", "/3", "3/", "1/2_", "_1/2", "1__0", "²", "1/²", "0x10", "1.5/2",
+            "1/2.0", "nan", "NaN", "inf", "-inf", "Infinity", "1e", "+", "x",
+        ]
+        for token in tokens:
+            try:
+                want = Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(ValueError, match="cannot parse weight"):
+                    parse_weight(token)
+                continue
+            got = parse_weight(token)
+            assert got.denominator > 0, token
+            assert Fraction(got.numerator, got.denominator) == want, token
+
     def test_canonical_json_is_stable(self):
         payload = {"b": 1, "a": {"z": [1, 2], "y": None}}
         blob = canonical_json(payload)
