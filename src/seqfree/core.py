@@ -21,20 +21,13 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 SENTINEL = 0
 
 WeightLike = Union[int, float, str, Fraction]
-
-
-class Ratio(NamedTuple):
-    """A rational p/q as two integers, q > 0, not reduced."""
-
-    numerator: int
-    denominator: int
 
 
 def as_fraction(value: WeightLike) -> Fraction:
@@ -257,28 +250,15 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        """Weight 1/n at every position, built as `from_numerators` would
-        build it from n ones, without its checks and reductions."""
         if n < 1:
             raise ValueError("uniform weights need n >= 1")
-        nums = np.ones(n, dtype=np.int64)
-        nums.flags.writeable = False
-        dist = cls(nums / float(n))
-        dist._numerators, dist._denominator = nums, n
-        return dist
+        return cls.from_numerators(np.ones(n, dtype=np.int64))
 
     @classmethod
     def from_fractions(cls, weights: Sequence[WeightLike]) -> "Distribution":
-        return cls.from_ratios([as_fraction(w) for w in weights])
-
-    @classmethod
-    def from_ratios(cls, ratios: Sequence[Union[Fraction, Ratio]]) -> "Distribution":
-        """Exact weights from rationals with integer `numerator` and
-        positive `denominator`, reduced or not, built over the least common
-        multiple of the distinct denominators; their total must be within
-        1e-6 of one."""
-        denom = math.lcm(*{w.denominator for w in ratios})
-        counts = [w.numerator * (denom // w.denominator) for w in ratios]
+        exact = [as_fraction(w) for w in weights]
+        denom = math.lcm(*{w.denominator for w in exact})
+        counts = [w.numerator * (denom // w.denominator) for w in exact]
         dist = cls.from_numerators(counts)
         total = sum(counts)
         if abs(total - denom) * 10**6 > denom:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from ..core import Alphabet, Distribution, Ratio, Text, Word
+from ..core import Alphabet, Distribution, Text, Word
 
 
 def read_tokens(path: str) -> list[str]:
@@ -31,20 +31,9 @@ def load_word(path: str, alphabet: Alphabet) -> Word:
     return Word.from_tokens(tokens, alphabet)
 
 
-def parse_weight(token: str) -> Union[Ratio, Fraction]:
-    """A weight token as an exact rational.
-
-    Unsigned integer and `p/q` tokens are read with `int()` into a
-    `Ratio`, without the parse and reduction of a Fraction. Every other
-    token, such as "0.15", "1e-400" or a signed one, goes through
-    `Fraction()`, which reads the same values and rejects inf and nan
-    spellings and a zero denominator.
-    """
-    numerator, slash, denominator = token.partition("/")
-    if numerator.isdecimal() and (denominator.isdecimal() or not slash):
-        q = int(denominator) if slash else 1
-        if q:
-            return Ratio(int(numerator), q)
+def parse_weight(token: str) -> Fraction:
+    # Fraction() accepts both "3/7" and "0.15"; reject inf/nan spellings
+    # and anything else it cannot parse exactly.
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -57,7 +46,7 @@ def load_weights(path: str, n: int) -> Distribution:
         raise ValueError(
             f"weight file {path!r} has {len(tokens)} entries, text has {n}"
         )
-    return Distribution.from_ratios([parse_weight(t) for t in tokens])
+    return Distribution.from_fractions([parse_weight(t) for t in tokens])
 
 
 def canonical_json(payload: dict) -> str:

@@ -124,7 +124,7 @@ def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> CountMatrix:
     if grid.n != text.n:
         raise ValueError("grid and text disagree on length")
     rows = gather_columns(role_prefix_counts(text, word), grid.columns)
-    return CountMatrix(rows, text.n, estimated=False)
+    return CountMatrix(rows.astype(np.int64), text.n, estimated=False)
 
 
 def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> CountMatrix:

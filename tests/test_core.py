@@ -238,15 +238,6 @@ class TestDistribution:
             h for w in exact for h in (w / 2, w / 2)
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10**6])
-    def test_uniform_is_the_numerator_form_of_ones(self, n):
-        d = Distribution.uniform(n)
-        want = Distribution.from_numerators(np.ones(n, dtype=np.int64))
-        assert d.floats.tobytes() == want.floats.tobytes()
-        assert d.numerators().tobytes() == want.numerators().tobytes()
-        assert d.numerators().dtype == np.int64 and not d.numerators().flags.writeable
-        assert d.common_denominator() == want.common_denominator() == n
-
     def test_weight_accessor(self):
         d = Distribution.uniform(5)
         assert d.weight(3) == Fraction(1, 5)

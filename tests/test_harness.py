@@ -371,6 +371,7 @@ class TestFileIO:
             "1/2_0", "0.25", ".5", "5.", "1e-400", "1E5", "1/-2", "1/+2", "1/0", "0/0",
             "1/2/3", "/3", "3/", "1/2_", "_1/2", "1__0", "²", "1/²", "0x10", "1.5/2",
             "1/2.0", "nan", "NaN", "inf", "-inf", "Infinity", "1e", "+", "x",
+            "1" * 4301, "1/" + "1" * 4301,
         ]
         for token in tokens:
             try:

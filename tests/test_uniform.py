@@ -127,6 +127,7 @@ class TestExactCountMatrix:
         g = prefix_grid(4, Fraction(1, 2))
         m = exact_count_matrix(t, w, g)
         assert m.counts.tolist() == [[2, 2], [0, 2]]
+        assert m.counts.dtype == np.int64
         assert not m.estimated
 
     def test_rows_non_decreasing(self, rng):
