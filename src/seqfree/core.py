@@ -5,9 +5,9 @@ always intern to ids >= 1; id 0 is reserved for the internal separator
 symbol used by the repeat-free rewrite and is guaranteed absent from any
 ingested input. Positions are 1-based in every public interface.
 
-Weights over positions always have a 64-bit float view for the estimator
-path; exact weights also store integer numerators over their least common
-denominator, which the ground-truth oracles read.
+Weights over positions are always exact: integer numerators over their
+least common denominator, which the ground-truth oracles read, next to a
+64-bit float view for the estimator path.
 Estimators never touch a text directly; they see it only through a
 sampling oracle returning (position, symbol) pairs. A uniform draw of s
 positions with s <= n / SPARSE_DRAW_RATIO allocates O(s) memory and reads
@@ -33,18 +33,23 @@ WeightLike = Union[int, float, str, Fraction]
 def as_fraction(value: WeightLike) -> Fraction:
     """Convert a number to an exact Fraction.
 
-    Floats are read through repr, so a parameter written as 0.1 means
-    exactly 1/10 rather than the nearest binary double. Strings accept
-    decimals ("0.25") and ratios ("1/4").
+    Floats, numpy ones included, are read as the decimal they print as, so
+    a parameter written as 0.1 means exactly 1/10 rather than the nearest
+    binary double. Strings accept decimals ("0.25") and ratios ("1/4").
+    Raises ValueError for what has no exact value: NaN, infinities,
+    unparsable strings and a zero denominator.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
-    if isinstance(value, float):
-        return Fraction(repr(float(value)))
+    if isinstance(value, (float, np.floating)):
+        return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact number")
 
 
@@ -200,30 +205,34 @@ class Word:
 class Distribution:
     """Non-negative position weights of length n, summing to one.
 
-    Every distribution has a float view for sampling. Exact ones store
-    integer numerators over their least common denominator D (int64 when
-    D fits, Python integers otherwise) and build Fractions on demand.
-    Fraction and float totals within 1e-6 of one are normalized; anything
-    further off is rejected.
+    All weights are exact: integer numerators over their least common
+    denominator D (int64 when D fits, Python integers otherwise), next to
+    a float view for sampling. Fractions are built on demand. Fraction
+    and float totals within 1e-6 of one are normalized; anything further
+    off is rejected.
     """
 
-    __slots__ = (
-        "_floats", "_float_prefix", "_denominator", "_numerators", "_numerator_prefix",
-    )
+    __slots__ = ("_floats", "_denominator", "_numerators", "_numerator_prefix")
 
-    def __init__(self, floats: np.ndarray) -> None:
+    def __init__(self, numerators: np.ndarray, denominator: int) -> None:
+        """Weights numerators[j] / denominator, for numerators with gcd one
+        that sum to the denominator (`from_numerators` builds them); each
+        float is the correctly rounded quotient."""
+        numerators.flags.writeable = False
+        if denominator < 2**53:
+            floats = numerators / float(denominator)
+        else:
+            floats = np.array([p / denominator for p in numerators.tolist()])
+        floats.flags.writeable = False
         self._floats = floats
-        self._floats.flags.writeable = False
-        self._float_prefix: Optional[np.ndarray] = None
-        self._denominator: Optional[int] = None
-        self._numerators: Optional[np.ndarray] = None
+        self._numerators = numerators
+        self._denominator = denominator
         self._numerator_prefix: Optional[np.ndarray] = None
 
     @classmethod
     def from_numerators(cls, counts) -> "Distribution":
         """Exact weights counts[j] / sum(counts) from non-negative integers,
-        stored as the counts over their gcd g, with D = sum / g; each float
-        is the correctly rounded quotient of a numerator and D."""
+        stored as the counts over their gcd g, with D = sum / g."""
         int64_max = int(np.iinfo(np.int64).max)
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
             counts = np.array([operator.index(c) for c in counts], dtype=object)
@@ -239,14 +248,7 @@ class Distribution:
         common = int(np.gcd.reduce(counts))
         denom = total // common
         nums = (counts // common).astype(np.int64 if denom <= int64_max else object, copy=False)
-        nums.flags.writeable = False
-        if denom < 2**53:
-            floats = nums / float(denom)
-        else:
-            floats = np.array([p / denom for p in nums.tolist()])
-        dist = cls(floats)
-        dist._numerators, dist._denominator = nums, denom
-        return dist
+        return cls(nums, denom)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -265,27 +267,9 @@ class Distribution:
             raise ValueError(f"weights sum to {total / denom:.8f}, too far from 1")
         return dist
 
-    @classmethod
-    def from_floats(cls, weights: Sequence[float]) -> "Distribution":
-        arr = np.asarray(weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weights must be finite")
-        if np.any(arr < 0):
-            raise ValueError("weights must be non-negative")
-        total = float(arr.sum())
-        if total <= 0 or abs(total - 1.0) > 1e-6:
-            raise ValueError(f"weights sum to {total:.8f}, too far from 1")
-        return cls(arr / total)
-
     @property
     def n(self) -> int:
         return int(self._floats.size)
-
-    @property
-    def is_exact(self) -> bool:
-        return self._numerators is not None
 
     @property
     def floats(self) -> np.ndarray:
@@ -294,57 +278,41 @@ class Distribution:
     @property
     def fractions(self) -> tuple:
         """The exact weights as Fractions, built on every call."""
-        nums, denom = self._exact()
-        return tuple(Fraction(p, denom) for p in nums.tolist())
+        return tuple(Fraction(p, self._denominator) for p in self._numerators.tolist())
 
     def weight(self, position: int) -> Fraction:
         self._check_range(position, position)
-        if self.is_exact:
-            return Fraction(int(self._numerators[position - 1]), self._denominator)
-        return Fraction(float(self._floats[position - 1]))
+        return Fraction(int(self._numerators[position - 1]), self._denominator)
 
-    def interval_weight(self, lo: int, hi: int):
-        """Total weight of positions lo..hi inclusive; exact when possible."""
+    def interval_weight(self, lo: int, hi: int) -> Fraction:
+        """Total weight of positions lo..hi inclusive."""
         self._check_range(lo, hi)
-        if self.is_exact:
-            return self.exact_prefix(hi) - self.exact_prefix(lo - 1)
-        return self.prefix_weight(hi) - self.prefix_weight(lo - 1)
-
-    def prefix_weight(self, length: int) -> float:
-        if self._float_prefix is None:
-            self._float_prefix = np.concatenate(([0.0], np.cumsum(self._floats)))
-        return float(self._float_prefix[length])
+        return self.exact_prefix(hi) - self.exact_prefix(lo - 1)
 
     def exact_prefix(self, length: int) -> Fraction:
-        return Fraction(int(self.numerator_prefix()[length]), self.common_denominator())
+        return Fraction(int(self.numerator_prefix()[length]), self._denominator)
 
     def common_denominator(self) -> int:
-        """The least common denominator D of the exact weights."""
-        return self._exact()[1]
+        """The least common denominator D of the weights."""
+        return self._denominator
 
     def numerators(self) -> np.ndarray:
-        """The exact weights as integers over `common_denominator()`."""
-        return self._exact()[0]
+        """The weights as integers over `common_denominator()`."""
+        return self._numerators
 
     def numerator_prefix(self) -> np.ndarray:
         """Prefix sums of `numerators()`; entry j covers the first j
         positions, so entry 0 is the empty prefix."""
         if self._numerator_prefix is None:
-            self._numerator_prefix = np.concatenate(([0], np.cumsum(self.numerators())))
+            self._numerator_prefix = np.concatenate(([0], np.cumsum(self._numerators)))
         return self._numerator_prefix
-
-    def _exact(self) -> tuple[np.ndarray, int]:
-        if self._numerators is None:
-            raise ValueError("this distribution has no exact representation")
-        return self._numerators, self._denominator
 
     def _check_range(self, lo: int, hi: int) -> None:
         if not 1 <= lo or not hi <= self.n or lo > hi + 1:
             raise ValueError(f"interval [{lo}, {hi}] outside [1, {self.n}]")
 
     def __repr__(self) -> str:
-        kind = "exact" if self.is_exact else "float"
-        return f"Distribution(n={self.n}, {kind})"
+        return f"Distribution(n={self.n})"
 
 
 def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution]:
@@ -356,15 +324,11 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
     """
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
-    weights = dist.numerators() if dist.is_exact else dist.floats
+    weights = dist.numerators()
     keep = np.flatnonzero(weights)
     if keep.size == dist.n:
         return text, dist
-    if dist.is_exact:
-        kept = Distribution.from_numerators(weights[keep])
-    else:
-        kept = Distribution(weights[keep])
-    return Text(text.ids[keep], text.alphabet), kept
+    return Text(text.ids[keep], text.alphabet), Distribution.from_numerators(weights[keep])
 
 
 class SampleSet:

@@ -290,9 +290,7 @@ def interleave_sentinel(
         return out_text, out_word, None
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
-    if dist.is_exact:
-        return out_text, out_word, Distribution.from_numerators(np.repeat(dist.numerators(), 2))
-    return out_text, out_word, Distribution(np.repeat(dist.floats, 2) / 2.0)
+    return out_text, out_word, Distribution.from_numerators(np.repeat(dist.numerators(), 2))
 
 
 class TextExpansion:
@@ -391,8 +389,6 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
         raise ValueError("distance is undefined for an empty text")
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
-    if not dist.is_exact:
-        raise ValueError("exact distance needs rational weights")
     counts = role_prefix_counts(text, word, dist.numerators(), separator=True)
     # The separator halves the distance of the length-2D expansion:
     # distance = 2 * copies / (2D).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -91,9 +91,9 @@ class TrialOutcome:
     seed: int
     estimate: float
     raw: Fraction
-    truth: Optional[Fraction]
-    error: Optional[float]
-    within: Optional[bool]
+    truth: Fraction
+    error: float
+    within: bool
     samples: dict
 
     def to_json(self) -> dict:
@@ -102,7 +102,7 @@ class TrialOutcome:
             "seed": self.seed,
             "estimate": self.estimate,
             "raw": fraction_str(self.raw),
-            "truth": fraction_str(self.truth) if self.truth is not None else None,
+            "truth": fraction_str(self.truth),
             "error": self.error,
             "within": self.within,
             "samples": self.samples,
@@ -119,7 +119,7 @@ def run_uniform_trial(
     accuracy,
     seed: int,
     trial: int,
-    truth: Optional[Fraction],
+    truth: Fraction,
 ) -> TrialOutcome:
     result = estimate_distance_uniform(oracle, word, accuracy, seed)
     return _outcome_from(result.raw, result.estimate, truth, accuracy, trial, seed,
@@ -132,7 +132,7 @@ def run_distfree_trial(
     accuracy,
     seed: int,
     trial: int,
-    truth: Optional[Fraction],
+    truth: Fraction,
     constants: EstimatorConstants = DEFAULT_CONSTANTS,
 ) -> TrialOutcome:
     result = estimate_distance(oracle, word, accuracy, seed, constants)
@@ -147,21 +147,15 @@ def run_distfree_trial(
 
 
 def _outcome_from(raw, estimate, truth, accuracy, trial, seed, samples):
-    if truth is None:
-        error = None
-        within = None
-    else:
-        exact_error = abs(_clamped(raw) - truth)
-        error = float(exact_error)
-        within = bool(exact_error <= as_fraction(accuracy))
+    exact_error = abs(_clamped(raw) - truth)
     return TrialOutcome(
         trial=trial,
         seed=seed,
         estimate=estimate,
         raw=raw,
         truth=truth,
-        error=error,
-        within=within,
+        error=float(exact_error),
+        within=bool(exact_error <= as_fraction(accuracy)),
         samples=samples,
     )
 
@@ -178,14 +172,13 @@ def estimator_sweep(
 ) -> dict:
     """Success-rate sweep of one estimator over an accuracy grid.
 
-    Truth comes from the exact oracles. Float weights have no exact
-    truth; their rows carry estimates only.
+    Truth comes from the exact oracles, so every row carries success
+    counts and errors against it.
     """
     if kind not in ("uniform", "df"):
         raise ValueError("estimator kind must be 'uniform' or 'df'")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    truth: Optional[Fraction]
     if kind == "uniform":
         if dist is not None:
             raise ValueError("the uniform estimator takes no weights")
@@ -198,12 +191,8 @@ def estimator_sweep(
         if dist is None:
             dist = Distribution.uniform(text.n)
         oracle = WeightedSampler(text, dist)
-        if dist.is_exact:
-            truth = exact_weighted_distance(text, word, dist)
-            weights_kind = "exact"
-        else:
-            truth = None
-            weights_kind = "float"
+        truth = exact_weighted_distance(text, word, dist)
+        weights_kind = "exact"
     rows = []
     for accuracy in accuracies:
         acc = as_fraction(accuracy)
@@ -223,7 +212,7 @@ def estimator_sweep(
             "trials": trials,
             "results": [o.to_json() for o in outcomes],
         }
-        if truth is not None and trials > 0:
+        if trials > 0:
             successes = sum(1 for o in outcomes if o.within)
             row["successes"] = successes
             row["success_rate"] = successes / trials
@@ -236,7 +225,7 @@ def estimator_sweep(
         "n": text.n,
         "k": word.k,
         "weights": weights_kind,
-        "truth": fraction_str(truth) if truth is not None else None,
+        "truth": fraction_str(truth),
         "seed": seed,
         "rows": rows,
     }
@@ -324,8 +313,6 @@ def event_diagnostics(
     quantized reference entrywise within step_factor/resolution plus
     1/(2*resolution).
     """
-    if not dist.is_exact:
-        raise ValueError("event diagnostics need exact weights")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     resolution = interval_resolution(word.k, accuracy, constants)

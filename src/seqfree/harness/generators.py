@@ -6,9 +6,7 @@ every ensemble is reproducible from its parameters plus one integer.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 

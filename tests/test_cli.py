@@ -166,12 +166,20 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_bad_delta_is_two(self, instance, capsys):
-        code, _, err = run_cli(
-            ["estimate-uniform", "--text", instance["text"],
-             "--word", instance["word"], "--delta", "zero"],
-            capsys,
-        )
-        assert code == 2 and "error:" in err
+        files = ["--text", instance["text"], "--word", instance["word"]]
+        for delta in ("zero", "1/0"):
+            for argv in (
+                ["estimate-uniform", "--delta", delta] + files,
+                ["estimate-df", "--delta", delta] + files,
+                ["estimate-df-wc", "--delta", delta] + files,
+                ["diagnose-events", "--delta", delta, "--trials", "1"] + files,
+                ["sweep", "--estimator", "df", "--deltas", delta, "--trials", "1"]
+                + files,
+                ["lowerbound", "--kd", "2", "--delta", delta, "--n", "4000",
+                 "--trials", "1"],
+            ):
+                code, out, err = run_cli(argv, capsys)
+                assert code == 2 and out == "" and err.startswith("error:"), argv
 
     def test_missing_file_is_three(self, instance, capsys):
         code, _, err = run_cli(

@@ -66,6 +66,8 @@ class TestAsFraction:
         assert as_fraction(0.3) == Fraction(3, 10)
         assert as_fraction(0.1) == Fraction(1, 10)
         assert as_fraction(np.float64(0.1)) == Fraction(1, 10)
+        assert as_fraction(np.float32(0.1)) == Fraction(1, 10)
+        assert as_fraction(np.float32(0.5)) == Fraction(1, 2)
         assert Distribution.from_fractions(np.full(4, 0.25)).fractions == (Fraction(1, 4),) * 4
 
     def test_string_forms(self):
@@ -80,6 +82,11 @@ class TestAsFraction:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             as_fraction(None)
+
+    def test_values_without_exact_value_are_value_errors(self):
+        for value in ("1/0", "x", float("nan"), float("inf"), np.float32("nan")):
+            with pytest.raises(ValueError):
+                as_fraction(value)
 
 
 class TestAlphabet:
@@ -175,7 +182,7 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution.from_fractions([Fraction(1, 2), Fraction(1, 4)])
         with pytest.raises(ValueError):
-            Distribution.from_floats([0.5, 0.25])
+            Distribution.from_fractions([0.5, 0.25])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -184,22 +191,13 @@ class TestDistribution:
             Distribution.from_numerators([3, -1])
         for weights in ([float("nan"), 1.0], [float("inf"), 1.0]):
             with pytest.raises(ValueError):
-                Distribution.from_floats(weights)
-
-    def test_float_distribution_has_no_fractions(self):
-        d = Distribution.from_floats([0.5, 0.5])
-        assert not d.is_exact
-        with pytest.raises(ValueError):
-            d.fractions
-        with pytest.raises(ValueError):
-            d.numerators()
+                Distribution.from_fractions(weights)
 
     def test_prefixes(self):
         d = Distribution.from_fractions([Fraction(1, 4), Fraction(3, 4)])
         assert d.exact_prefix(0) == 0
         assert d.exact_prefix(1) == Fraction(1, 4)
         assert d.exact_prefix(2) == 1
-        assert d.prefix_weight(1) == pytest.approx(0.25)
 
     def test_common_denominator(self):
         d = Distribution.from_fractions([Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)])

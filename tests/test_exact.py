@@ -403,12 +403,28 @@ class TestExactWeightedDistance:
             t, w, list(d.fractions)
         )
 
-    def test_float_weights_rejected(self):
+    def test_float_weights_get_the_exact_answer(self):
+        # 0.1 is read as the decimal it prints as: exactly 1/10
         t = text_of("ab")
-        with pytest.raises(ValueError):
-            exact_weighted_distance(
-                t, word_of("ab", t), Distribution.from_floats([0.5, 0.5])
-            )
+        d = Distribution.from_fractions([0.1, 0.9])
+        assert exact_weighted_distance(t, word_of("ab", t), d) == Fraction(1, 10)
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=8),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.floats(0, 1), min_size=8, max_size=8),
+        st.sampled_from([np.float64, np.float32]),
+    )
+    @example([1, 2, 1, 2], [1, 2], [0.1, 0.2, 0.3, 0.4] + [0.0] * 4, np.float32)
+    @example([1, 1, 2], [1, 2], [1e-300, 0.5, 0.5] + [0.0] * 5, np.float64)
+    def test_random_float_weights_match_bruteforce(self, ids, word_ids, raw, dtype):
+        t, w = Text(ids), Word(word_ids)
+        raw = np.array(raw[: t.n])
+        if raw.sum() == 0:
+            raw[0] = 1.0
+        floats = (raw / raw.sum()).astype(dtype)
+        d = Distribution.from_fractions(floats)
+        assert exact_weighted_distance(t, w, d) == bruteforce_distance(t, w, d)
 
 
 def expansion_distance(text: Text, word: Word, dist: Distribution) -> Fraction:

@@ -202,15 +202,15 @@ class TestEstimatorSweep:
                 r["samples"]["first"] + r["samples"]["second"]
             )
 
-    def test_df_float_weights_have_no_truth(self):
+    def test_df_float_weights_get_exact_truth(self):
         t = periodic_text(12, 2)
         w = identity_word(2)
-        d = Distribution(np.full(12, 1.0 / 12))
+        d = Distribution.from_fractions(np.full(12, 1.0 / 12))
         report = estimator_sweep("df", t, w, [Fraction(1, 2)], 2, 1, dist=d)
-        assert report["weights"] == "float"
-        assert report["truth"] is None
-        assert "successes" not in report["rows"][0]
-        assert all(r["within"] is None for r in report["rows"][0]["results"])
+        assert report["weights"] == "exact"
+        assert report["truth"] == "1/2"
+        assert report["rows"][0]["successes"] == 2
+        assert all(r["truth"] == "1/2" for r in report["rows"][0]["results"])
 
     def test_df_huge_denominator_has_exact_truth(self):
         t = periodic_text(2, 2)
@@ -307,13 +307,6 @@ class TestEventDiagnostics:
         a = event_diagnostics(t, w, d, Fraction(1, 2), 2, 3, **kwargs)
         b = event_diagnostics(t, w, d, Fraction(1, 2), 2, 3, **kwargs)
         assert canonical_json(a) == canonical_json(b)
-
-    def test_rejects_float_weights(self):
-        t, w, _ = self._instance()
-        with pytest.raises(ValueError):
-            event_diagnostics(
-                t, w, Distribution(np.full(40, 0.025)), Fraction(1, 2), 1, 0
-            )
 
     def test_zero_trials(self):
         t, w, d = self._instance()
