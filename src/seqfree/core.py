@@ -11,8 +11,11 @@ least common denominator, which the ground-truth oracles read, next to a
 Estimators never touch a text directly; they see it only through a
 sampling oracle returning (position, symbol) pairs. A uniform draw of s
 positions with s <= n / SPARSE_DRAW_RATIO allocates O(s) memory and reads
-only the drawn positions of the text; a larger draw, and every weighted
-draw, takes one multinomial over all n positions.
+only the drawn positions of the text. Every other draw counts draws at
+all n positions, in one of two dense regimes with the same law: when the
+margin m = POISSON_MARGIN * sqrt(s) is below s and m * SPARSE_DRAW_RATIO
+<= n, as when s is far above n, Poisson bulk counts plus the shortfall
+as categorical draws; otherwise one multinomial over all n positions.
 """
 
 from __future__ import annotations
@@ -61,12 +64,20 @@ def subseed(seed: int, stream: int) -> np.random.SeedSequence:
 # The most draws one `Sampler.draw` takes: numpy counts draws in int64.
 MAX_DRAWS = int(np.iinfo(np.int64).max)
 
-# `UniformSampler.draw` tallies `size` drawn positions when size * ratio <= n
-# and takes one multinomial over all n positions otherwise. The sparse draw
-# measured faster up to about size = 3n; the switch sits at n/4 so that the
-# larger draws keep the multinomial's random stream, and the runs on short
+# `UniformSampler.draw` tallies `size` drawn positions when size * ratio <= n.
+# The sparse draw measured faster up to about size = 3n; the switch sits at
+# n/4 so that the larger draws keep a dense stream, and the runs on short
 # texts (the README example, the distribution-free tests) their outputs.
+# A dense draw, and every weighted draw, is Poissonized when the margin
+# m = POISSON_MARGIN * sqrt(size) is below size and m * ratio <= n, and
+# then takes its shortfall of about m draws as categorical draws while
+# shortfall * ratio <= n; every other dense draw is one multinomial.
 SPARSE_DRAW_RATIO = 4
+
+# Standard deviations of the Poisson bulk total that a Poissonized draw
+# leaves as margin below `size`: the bulk exceeds `size`, and is drawn
+# again, with probability below 1e-20.
+POISSON_MARGIN = 10
 
 # `role_prefix_counts` walks a text in blocks of this many columns, so the
 # copy recursion carries a few values per role from block to block instead
@@ -235,7 +246,11 @@ class Distribution:
         stored as the counts over their gcd g, with D = sum / g."""
         int64_max = int(np.iinfo(np.int64).max)
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
-            counts = np.array([operator.index(c) for c in counts], dtype=object)
+            counts = list(counts)
+            try:  # `operator.index` rejects floats, which int64 would truncate
+                counts = np.fromiter(map(operator.index, counts), np.int64, len(counts))
+            except OverflowError:
+                counts = np.array([operator.index(c) for c in counts], dtype=object)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("weights must be non-empty")
         if np.any(counts < 0):
@@ -383,15 +398,23 @@ class SampleSet:
             np.array([bag[p] for p in order], dtype=np.int64),
         )
 
-    def counts_up_to(self, ends: np.ndarray, symbol: Optional[int] = None) -> np.ndarray:
-        """Draws within each prefix of length `ends[j]`, only at positions
-        carrying `symbol` when one is given. Touches drawn positions only."""
-        positions, multiplicities = self.positions, self.multiplicities
-        if symbol is not None:
-            mask = self.symbols == symbol
-            positions, multiplicities = positions[mask], multiplicities[mask]
-        cumulative = np.concatenate(([0], np.cumsum(multiplicities)))
-        return cumulative[np.searchsorted(positions, ends, side="right")]
+    def tally(self, ends: np.ndarray, symbols=()) -> tuple[np.ndarray, np.ndarray]:
+        """Draws within each prefix of length `ends[j]`: per entry of
+        `symbols` those at positions carrying it, as a (len(symbols),
+        len(ends)) array, and all of them, as a (len(ends),) array.
+
+        Locates the ends once and sums each distinct symbol once, over the
+        drawn positions only; both arrays are int64.
+        """
+        cut = self.positions.searchsorted(ends, side="right")
+        cumulative = np.zeros(self.positions.size + 1, dtype=np.int64)
+        distinct, inverse = np.unique(np.asarray(symbols, dtype=np.int64), return_inverse=True)
+        rows = np.empty((distinct.size, cut.size), dtype=np.int64)
+        for row, symbol in zip(rows, distinct.tolist()):
+            np.cumsum(np.where(self.symbols == symbol, self.multiplicities, 0), out=cumulative[1:])
+            cumulative.take(cut, out=row)
+        np.cumsum(self.multiplicities, out=cumulative[1:])
+        return rows[inverse], cumulative[cut]
 
     def count_between(self, lo: int, hi: int) -> int:
         if not 1 <= lo or not hi <= self.n or lo > hi + 1:
@@ -414,8 +437,17 @@ class Sampler:
     """Draws positions i.i.d. from fixed position weights over a text.
 
     Deterministic given (size, seed). Returns a SampleSet built from one
-    multinomial count vector, which is distributed identically to size
-    independent draws tallied by position.
+    count vector over all n positions, distributed as the multinomial of
+    `size` independent draws tallied by position. With the margin
+    m = POISSON_MARGIN * sqrt(size), a draw with m < size and
+    m * SPARSE_DRAW_RATIO <= n is Poissonized: bulk counts
+    Poisson((size - m) * p) at every position, drawn again in the rare case
+    that they total more than `size`, plus the shortfall as that many
+    categorical draws (sorted uniforms located in the cumulative weights,
+    built on first use), or as a multinomial when the shortfall exceeds
+    n / SPARSE_DRAW_RATIO. Given their total N, Poisson counts are
+    Multinomial(N, p), so the sum is Multinomial(size, p). Every other
+    draw is one multinomial, which keeps its random stream.
     """
 
     def __init__(self, text: Text, pvals: np.ndarray) -> None:
@@ -431,21 +463,43 @@ class Sampler:
     def n(self) -> int:
         return self._text.n
 
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        """Cumulative weights scaled to end at exactly one, so a uniform
+        in [0, 1) never lands past the end or on a zero weight."""
+        cdf = np.cumsum(self._pvals)
+        return cdf / cdf[-1]
+
     def draw(self, size: int, seed) -> SampleSet:
         if size < 0:
             raise ValueError("sample size must be non-negative")
         if size > MAX_DRAWS:
             raise ValueError(f"sample size must be at most {MAX_DRAWS}")
         rng = np.random.default_rng(seed)
-        counts = rng.multinomial(size, self._pvals)
+        margin = POISSON_MARGIN * math.sqrt(size)
+        if margin < size and margin * SPARSE_DRAW_RATIO <= self.n:
+            counts = self._poissonized(rng, size, margin)
+        else:
+            counts = rng.multinomial(size, self._pvals)
         return SampleSet.from_counts(counts, self._text)
+
+    def _poissonized(self, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
+        while True:
+            counts = rng.poisson((size - margin) * self._pvals)
+            shortfall = size - int(counts.sum())
+            if shortfall >= 0:
+                break
+        if shortfall * SPARSE_DRAW_RATIO > self.n:
+            return counts + rng.multinomial(shortfall, self._pvals)
+        uniforms = np.sort(rng.random(shortfall))
+        return counts + np.bincount(self._cdf.searchsorted(uniforms, side="right"), minlength=self.n)
 
 
 class UniformSampler(Sampler):
     """A draw of size <= n / SPARSE_DRAW_RATIO tallies `size` uniform
     positions with `np.unique` and reads only those of the text, which has
-    the same law as the multinomial. A larger draw takes the multinomial,
-    whose n weights are built on its first use."""
+    the same law as the multinomial. A larger draw is dense (`Sampler`),
+    and its n weights are built on its first use."""
 
     def __init__(self, text: Text) -> None:
         if text.n < 1:

@@ -315,7 +315,7 @@ def weights_well_estimated(
     if reference is None:
         reference = ReferencePartition.from_weights(dist, resolution)
     bounds = reference.boundaries
-    drawn = np.diff(sample.counts_up_to(bounds)).astype(object)
+    drawn = np.diff(sample.tally(bounds)[1]).astype(object)
     true = np.diff(dist.numerator_prefix()[bounds]).astype(object)
     size, denom = sample.size, dist.common_denominator()
     # Cross-multiplied, for an estimate drawn/size, a true weight true/D
@@ -347,9 +347,8 @@ def symbol_density_estimate(
         raise ValueError("density estimation needs a non-empty sample")
     if sample.n != partition.n:
         raise ValueError("sample and partition disagree on length")
-    ends = partition.boundaries[1:]
-    role_tallies = np.array([sample.counts_up_to(ends, int(sym)) for sym in word.ids])
-    return DensityEstimate(role_tallies, sample.counts_up_to(ends), sample.size)
+    role_tallies, prefix_tallies = sample.tally(partition.boundaries[1:], word.ids)
+    return DensityEstimate(role_tallies, prefix_tallies, sample.size)
 
 
 def exact_symbol_density(

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from ..core import Alphabet, Distribution, Text, Word
+from ..core import Alphabet, Distribution, Text, Word, as_fraction
 
 
 def read_tokens(path: str) -> list[str]:
@@ -32,11 +32,11 @@ def load_word(path: str, alphabet: Alphabet) -> Word:
 
 
 def parse_weight(token: str) -> Fraction:
-    # Fraction() accepts both "3/7" and "0.15"; reject inf/nan spellings
-    # and anything else it cannot parse exactly.
+    # as_fraction() accepts both "3/7" and "0.15"; it rejects inf/nan
+    # spellings, zero denominators and anything else without an exact value.
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(token)
+    except ValueError:
         raise ValueError(f"cannot parse weight {token!r}") from None
 
 

@@ -138,7 +138,7 @@ def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> Coun
         raise ValueError("cannot estimate from an empty sample")
     if grid.n != sample.n:
         raise ValueError("grid and sample disagree on length")
-    tallies = np.array([sample.counts_up_to(grid.columns, int(sym)) for sym in word.ids])
+    tallies, _ = sample.tally(grid.columns, word.ids)
     scale = sample.n / sample.size
     return CountMatrix(
         tallies * scale,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from seqfree import Text, Word, contains_word
+from seqfree import Text, Word
 
 settings.register_profile(
     "suite",

@@ -22,7 +22,14 @@ from seqfree import (
     is_word_free,
     subseed,
 )
-from seqfree.core import SPARSE_DRAW_RATIO, drop_zero_weight, prefix_count, role_match
+from seqfree import core
+from seqfree.core import (
+    POISSON_MARGIN,
+    SPARSE_DRAW_RATIO,
+    drop_zero_weight,
+    prefix_count,
+    role_match,
+)
 from seqfree.exact import interleave_sentinel
 
 
@@ -207,8 +214,13 @@ class TestDistribution:
         d = Distribution.from_numerators(np.array([2, 0, 4, 6]))
         assert d.numerators().tolist() == [1, 0, 2, 3]
         assert d.common_denominator() == 6 and d.numerators().dtype == np.int64
+        listed = Distribution.from_numerators([2, 0, 4, np.int32(6)])
+        assert listed.numerators().tolist() == [1, 0, 2, 3]
+        assert listed.numerators().dtype == np.int64
         big = Distribution.from_numerators([2**64, 2**64 + 2])
         assert big.common_denominator() == 2**64 + 1 and big.numerators().dtype == object
+        past = Distribution.from_numerators([2**63, 1])  # numpy would infer float64
+        assert past.numerators().tolist() == [2**63, 1] and past.numerators().dtype == object
         with pytest.raises(TypeError):
             Distribution.from_numerators([0.5, 0.5])
 
@@ -299,10 +311,11 @@ class TestSampleSet:
         assert s.positions.tolist() == [1, 3]
         assert s.multiplicities.tolist() == [1, 2]
         ends = np.arange(4)
-        assert s.counts_up_to(ends).tolist() == [0, 1, 1, 3]
-        assert s.counts_up_to(ends, 1).tolist() == [0, 0, 0, 2]
-        assert s.counts_up_to(ends, 2).tolist() == [0, 1, 1, 1]
-        assert s.counts_up_to(ends, 5).tolist() == [0, 0, 0, 0]
+        rows, total = s.tally(ends, [1, 2, 5, 1])
+        assert total.tolist() == [0, 1, 1, 3]
+        assert rows.tolist() == [[0, 0, 0, 2], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 2]]
+        rows, total = s.tally(ends)
+        assert rows.shape == (0, 4) and total.tolist() == [0, 1, 1, 3]
 
     def test_pairs_round_trip(self):
         raw = [(1, 1), (2, 2), (2, 2)]
@@ -346,8 +359,29 @@ def assert_same_sample(got: SampleSet, want: SampleSet) -> None:
 
 
 # Text length of the sparse/dense pins: uniform draws of up to N_SPARSE //
-# SPARSE_DRAW_RATIO positions are sparse, larger ones keep the multinomial.
+# SPARSE_DRAW_RATIO positions are sparse. A dense draw of s positions is
+# Poissonized when 100 < s <= 625 (margin 10 sqrt(s) below s, and at most
+# N_SPARSE / SPARSE_DRAW_RATIO), and keeps the multinomial otherwise.
 N_SPARSE = 1000
+
+
+def poissonized_stream(size: int, pvals: np.ndarray, seed, margin_factor=POISSON_MARGIN):
+    """The generator calls of a Poissonized draw, written out: (counts,
+    number of bulk draws taken, whether the shortfall took a multinomial)."""
+    rng = np.random.default_rng(seed)
+    margin = margin_factor * math.sqrt(size)
+    attempts = 0
+    while True:
+        attempts += 1
+        bulk = rng.poisson((size - margin) * pvals)
+        if bulk.sum() <= size:
+            break
+    shortfall = size - int(bulk.sum())
+    if shortfall * SPARSE_DRAW_RATIO > pvals.size:
+        return bulk + rng.multinomial(shortfall, pvals), attempts, True
+    cdf = np.cumsum(pvals)
+    picks = np.searchsorted(cdf / cdf[-1], np.sort(rng.random(shortfall)), side="right")
+    return bulk + np.bincount(picks, minlength=pvals.size), attempts, False
 
 
 class TestSamplers:
@@ -357,6 +391,12 @@ class TestSamplers:
         b = UniformSampler(t).draw(50, 123)
         assert a.positions.tolist() == b.positions.tolist()
         assert a.multiplicities.tolist() == b.multiplicities.tolist()
+        # A Poissonized draw, before and after its sampler caches the cdf.
+        text, cases = sampler_cases(N_SPARSE)
+        sampler, _ = cases["weighted"]
+        first = WeightedSampler(text, sampler.dist).draw(400, 9)
+        assert_same_sample(sampler.draw(400, 9), first)
+        assert_same_sample(sampler.draw(400, 9), first)
 
     def test_zero_draws(self):
         t = text_of("ab")
@@ -422,19 +462,32 @@ class TestSamplers:
         want = SampleSet.from_counts(np.bincount(idx, minlength=N_SPARSE), text)
         assert_same_sample(sampler.draw(size, seed), want)
 
-    @pytest.mark.parametrize("kind, size", [
-        ("uniform", N_SPARSE // SPARSE_DRAW_RATIO + 1),
-        ("uniform", 5000),
-        # Weighted draws take the multinomial at every size.
-        ("weighted", 10),
-        ("weighted", N_SPARSE // SPARSE_DRAW_RATIO),
-        ("weighted", 5000),
+    @pytest.mark.parametrize("kind, size, poissonized", [
+        pytest.param(kind, size, poissonized, id=f"{kind}-{size}")
+        for kind, size, poissonized in [
+            ("uniform", N_SPARSE // SPARSE_DRAW_RATIO + 1, True),
+            ("uniform", 625, True),  # the largest Poissonized draw
+            ("uniform", 626, False),
+            ("uniform", 5000, False),
+            ("weighted", 10, False),
+            ("weighted", 100, False),  # margin equal to the size
+            ("weighted", 101, True),
+            ("weighted", N_SPARSE // SPARSE_DRAW_RATIO, True),
+            ("weighted", 625, True),
+            ("weighted", 626, False),
+            ("weighted", 5000, False),
+        ]
     ])
-    def test_dense_draw_keeps_the_multinomial_stream(self, kind, size):
+    def test_dense_draw_keeps_the_multinomial_stream(self, kind, size, poissonized):
+        """Dense draws outside the Poissonized regime keep the multinomial
+        stream; inside it they follow `poissonized_stream`."""
         text, cases = sampler_cases(N_SPARSE)
         sampler, pvals = cases[kind]
         for seed in (0, 7, subseed(3, 2)):
-            counts = np.random.default_rng(seed).multinomial(size, pvals)
+            if poissonized:
+                counts = poissonized_stream(size, pvals, seed)[0]
+            else:
+                counts = np.random.default_rng(seed).multinomial(size, pvals)
             want = SampleSet.from_counts(counts, text)
             assert_same_sample(sampler.draw(size, seed), want)
 
@@ -447,6 +500,74 @@ class TestSamplers:
         observed = np.bincount((sample.positions - 1) // 1000, weights=sample.multiplicities,
                                minlength=100)
         assert stats.chisquare(observed).pvalue > alpha
+
+    def test_poissonized_draws_pass_chisquare(self):
+        stats = pytest.importorskip("scipy.stats")
+        alpha = 0.001  # fixed before the first run
+        n, size, draws = 8000, 10_000, 200  # margin 1,000: Poissonized
+        rng = np.random.default_rng(5)
+        nums = rng.integers(0, 6, size=n, dtype=np.int64)
+        nums[:50] = 0
+        dist = Distribution.from_numerators(nums)
+        sampler = WeightedSampler(Text(np.ones(n, dtype=np.int32)), dist)
+        p = dist.floats / dist.floats.sum()
+        groups = np.arange(n) * 10 // n  # ten cells of 800 positions
+        expected_group = size * np.bincount(groups, weights=p)
+        pooled = np.zeros(n, dtype=np.int64)
+        statistic = 0.0
+        for seed in range(draws):
+            counts = np.zeros(n, dtype=np.int64)
+            sample = sampler.draw(size, seed)
+            counts[sample.positions - 1] = sample.multiplicities
+            pooled += counts
+            observed = np.bincount(groups, weights=counts)
+            statistic += float(((observed - expected_group) ** 2 / expected_group).sum())
+        assert not pooled[nums == 0].any()
+        positive = nums > 0
+        # Pooled draws are one multinomial over the positive positions.
+        assert stats.chisquare(pooled[positive], draws * size * p[positive]).pvalue > alpha
+        # Each draw's grouped statistic is chi-square with 9 degrees of
+        # freedom only when its counts are jointly multinomial.
+        assert alpha < stats.chi2.sf(statistic, draws * 9) < 1 - alpha
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted"])
+    def test_poissonized_draws_are_exact_in_size_and_support(self, kind):
+        text, cases = sampler_cases(N_SPARSE)
+        sampler, pvals = cases[kind]
+        for size in (101, 251, 400, 625):
+            for seed in range(20):
+                sample = sampler.draw(size, seed)
+                assert sample.size == size
+                assert np.all(pvals[sample.positions - 1] > 0)
+
+    def test_poissonized_bulk_redrawn_when_over_size(self, monkeypatch):
+        # A margin of minus one deviation puts the bulk over the size in
+        # about five draws of six, so most draws redraw it.
+        monkeypatch.setattr(core, "POISSON_MARGIN", -1)
+        text, cases = sampler_cases(N_SPARSE)
+        sampler, pvals = cases["weighted"]
+        redrawn = 0
+        for seed in range(10):
+            counts, attempts, _ = poissonized_stream(400, pvals, seed, margin_factor=-1)
+            redrawn += attempts > 1
+            assert_same_sample(sampler.draw(400, seed), SampleSet.from_counts(counts, text))
+        assert redrawn >= 5
+
+    def test_poissonized_shortfall_takes_multinomial_when_large(self, monkeypatch):
+        # Size 100 on 399 positions with margin 99.75 (4 * 99.75 = 399):
+        # the bulk is Poisson(0.25), zero in about 78% of draws, leaving a
+        # shortfall of 100 > 399 / 4 for the multinomial.
+        monkeypatch.setattr(core, "POISSON_MARGIN", 9.975)
+        text, cases = sampler_cases(399)
+        sampler, pvals = cases["weighted"]
+        by_multinomial = 0
+        for seed in range(10):
+            counts, _, multinomial = poissonized_stream(100, pvals, seed, margin_factor=9.975)
+            by_multinomial += multinomial
+            sample = sampler.draw(100, seed)
+            assert_same_sample(sample, SampleSet.from_counts(counts, text))
+            assert sample.size == 100 and np.all(pvals[sample.positions - 1] > 0)
+        assert 5 <= by_multinomial < 10
 
     def test_sparse_draws_allocate_independently_of_n(self):
         # numpy reports its buffers to tracemalloc, so an O(n) step in a

@@ -19,7 +19,6 @@ from seqfree.core import (
 from seqfree.distfree import (
     DEFAULT_CONSTANTS,
     DensityEstimate,
-    EstimatorConstants,
     IntervalPartition,
     ReferencePartition,
     assemble_sentinel_density,

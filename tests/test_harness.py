@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqfree.core import Distribution, Text
+from seqfree.core import Distribution
 from seqfree.distfree import DEFAULT_CONSTANTS
 from seqfree.exact import bruteforce_distance, copy_count, greedy_copies, uniform_distance
 from seqfree.harness.experiments import (

@@ -1,10 +1,11 @@
-"""Every name a module under `src/seqfree` imports is used there: read by
-its code, or re-exported through its `__all__`."""
+"""Every name a module under `src/seqfree` or `tests/` imports is used
+there: read by its code, or re-exported through its `__all__`."""
 
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "seqfree"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "seqfree"
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -27,10 +28,10 @@ def unused_imports(tree: ast.Module) -> list:
 
 
 def test_no_unused_imports():
-    sources = sorted(SOURCE.rglob("*.py"))
-    assert len(sources) > 5  # the glob sees the package
+    sources = sorted(SOURCE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(sources) > 15  # the globs see the package and the tests
     unused = [
-        f"{path.relative_to(SOURCE)}:{line}: {name}"
+        f"{path.relative_to(SOURCE.parent.parent)}:{line}: {name}"
         for path in sources
         for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
