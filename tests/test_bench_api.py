@@ -118,8 +118,9 @@ def test_distfree_replay_matches_both_estimators(bench, n, heavy):
         assert bench.replay_distfree(tr, sampler, free, w.DF_DELTA, seed, False) == lib.raw
 
 
-# The 2,832 draws are Poissonized at n = 10**4 and sparse at n = 10**5.
-@pytest.mark.parametrize("n", [10**4, 10**5])
+# The 2,832 draws are Poissonized at n = 2,500, one multinomial at n = 10**4
+# and sparse at n = 10**5.
+@pytest.mark.parametrize("n", [2500, 10**4, 10**5])
 def test_uniform_replay_matches_the_estimator(bench, n):
     w, tr = bench.w, bench.Tracer()
     rng = w.stream(n, "replay")

@@ -359,15 +359,18 @@ def assert_same_sample(got: SampleSet, want: SampleSet) -> None:
 
 
 # Text length of the sparse/dense pins: uniform draws of up to N_SPARSE //
-# SPARSE_DRAW_RATIO positions are sparse. A dense draw of s positions is
-# Poissonized when 100 < s <= 625 (margin 10 sqrt(s) below s, and at most
-# N_SPARSE / SPARSE_DRAW_RATIO), and keeps the multinomial otherwise.
+# SPARSE_DRAW_RATIO positions are sparse, and no dense draw is Poissonized.
 N_SPARSE = 1000
+
+# Text length of the Poissonized pins: a dense draw of s positions is
+# Poissonized when 4000 < s <= 10000 (s above n, and the margin 10 sqrt(s)
+# at most N_POISSON / SPARSE_DRAW_RATIO), and keeps the multinomial otherwise.
+N_POISSON = 4000
 
 
 def poissonized_stream(size: int, pvals: np.ndarray, seed, margin_factor=POISSON_MARGIN):
     """The generator calls of a Poissonized draw, written out: (counts,
-    number of bulk draws taken, whether the shortfall took a multinomial)."""
+    number of bulk draws taken)."""
     rng = np.random.default_rng(seed)
     margin = margin_factor * math.sqrt(size)
     attempts = 0
@@ -377,11 +380,9 @@ def poissonized_stream(size: int, pvals: np.ndarray, seed, margin_factor=POISSON
         if bulk.sum() <= size:
             break
     shortfall = size - int(bulk.sum())
-    if shortfall * SPARSE_DRAW_RATIO > pvals.size:
-        return bulk + rng.multinomial(shortfall, pvals), attempts, True
     cdf = np.cumsum(pvals)
     picks = np.searchsorted(cdf / cdf[-1], np.sort(rng.random(shortfall)), side="right")
-    return bulk + np.bincount(picks, minlength=pvals.size), attempts, False
+    return bulk + np.bincount(picks, minlength=pvals.size), attempts
 
 
 class TestSamplers:
@@ -391,12 +392,12 @@ class TestSamplers:
         b = UniformSampler(t).draw(50, 123)
         assert a.positions.tolist() == b.positions.tolist()
         assert a.multiplicities.tolist() == b.multiplicities.tolist()
-        # A Poissonized draw, before and after its sampler caches the cdf.
-        text, cases = sampler_cases(N_SPARSE)
+        # A Poissonized draw, from a fresh sampler and twice from one.
+        text, cases = sampler_cases(N_POISSON)
         sampler, _ = cases["weighted"]
-        first = WeightedSampler(text, sampler.dist).draw(400, 9)
-        assert_same_sample(sampler.draw(400, 9), first)
-        assert_same_sample(sampler.draw(400, 9), first)
+        first = WeightedSampler(text, sampler.dist).draw(6000, 9)
+        assert_same_sample(sampler.draw(6000, 9), first)
+        assert_same_sample(sampler.draw(6000, 9), first)
 
     def test_zero_draws(self):
         t = text_of("ab")
@@ -462,26 +463,29 @@ class TestSamplers:
         want = SampleSet.from_counts(np.bincount(idx, minlength=N_SPARSE), text)
         assert_same_sample(sampler.draw(size, seed), want)
 
-    @pytest.mark.parametrize("kind, size, poissonized", [
-        pytest.param(kind, size, poissonized, id=f"{kind}-{size}")
-        for kind, size, poissonized in [
-            ("uniform", N_SPARSE // SPARSE_DRAW_RATIO + 1, True),
-            ("uniform", 625, True),  # the largest Poissonized draw
-            ("uniform", 626, False),
-            ("uniform", 5000, False),
-            ("weighted", 10, False),
-            ("weighted", 100, False),  # margin equal to the size
-            ("weighted", 101, True),
-            ("weighted", N_SPARSE // SPARSE_DRAW_RATIO, True),
-            ("weighted", 625, True),
-            ("weighted", 626, False),
-            ("weighted", 5000, False),
+    @pytest.mark.parametrize("n, kind, size, poissonized", [
+        pytest.param(n, kind, size, poissonized, id=f"{kind}-{size}")
+        for n, kind, size, poissonized in [
+            (N_SPARSE, "uniform", N_SPARSE // SPARSE_DRAW_RATIO + 1, False),
+            (N_SPARSE, "uniform", 5000, False),
+            (N_SPARSE, "weighted", 10, False),
+            (N_SPARSE, "weighted", N_SPARSE // SPARSE_DRAW_RATIO, False),
+            (N_SPARSE, "weighted", 5000, False),
+        ] + [
+            (N_POISSON, kind, size, poissonized)
+            for kind in ("uniform", "weighted")
+            for size, poissonized in [
+                (N_POISSON, False),  # not above n
+                (N_POISSON + 1, True),
+                (10_000, True),  # margin 1,000 = N_POISSON / SPARSE_DRAW_RATIO
+                (10_001, False),
+            ]
         ]
     ])
-    def test_dense_draw_keeps_the_multinomial_stream(self, kind, size, poissonized):
+    def test_dense_draw_keeps_the_multinomial_stream(self, n, kind, size, poissonized):
         """Dense draws outside the Poissonized regime keep the multinomial
         stream; inside it they follow `poissonized_stream`."""
-        text, cases = sampler_cases(N_SPARSE)
+        text, cases = sampler_cases(n)
         sampler, pvals = cases[kind]
         for seed in (0, 7, subseed(3, 2)):
             if poissonized:
@@ -532,9 +536,9 @@ class TestSamplers:
 
     @pytest.mark.parametrize("kind", ["uniform", "weighted"])
     def test_poissonized_draws_are_exact_in_size_and_support(self, kind):
-        text, cases = sampler_cases(N_SPARSE)
+        text, cases = sampler_cases(N_POISSON)
         sampler, pvals = cases[kind]
-        for size in (101, 251, 400, 625):
+        for size in (N_POISSON + 1, 6000, 10_000):
             for seed in range(20):
                 sample = sampler.draw(size, seed)
                 assert sample.size == size
@@ -548,26 +552,10 @@ class TestSamplers:
         sampler, pvals = cases["weighted"]
         redrawn = 0
         for seed in range(10):
-            counts, attempts, _ = poissonized_stream(400, pvals, seed, margin_factor=-1)
+            counts, attempts = poissonized_stream(1500, pvals, seed, margin_factor=-1)
             redrawn += attempts > 1
-            assert_same_sample(sampler.draw(400, seed), SampleSet.from_counts(counts, text))
+            assert_same_sample(sampler.draw(1500, seed), SampleSet.from_counts(counts, text))
         assert redrawn >= 5
-
-    def test_poissonized_shortfall_takes_multinomial_when_large(self, monkeypatch):
-        # Size 100 on 399 positions with margin 99.75 (4 * 99.75 = 399):
-        # the bulk is Poisson(0.25), zero in about 78% of draws, leaving a
-        # shortfall of 100 > 399 / 4 for the multinomial.
-        monkeypatch.setattr(core, "POISSON_MARGIN", 9.975)
-        text, cases = sampler_cases(399)
-        sampler, pvals = cases["weighted"]
-        by_multinomial = 0
-        for seed in range(10):
-            counts, _, multinomial = poissonized_stream(100, pvals, seed, margin_factor=9.975)
-            by_multinomial += multinomial
-            sample = sampler.draw(100, seed)
-            assert_same_sample(sample, SampleSet.from_counts(counts, text))
-            assert sample.size == 100 and np.all(pvals[sample.positions - 1] > 0)
-        assert 5 <= by_multinomial < 10
 
     def test_sparse_draws_allocate_independently_of_n(self):
         # numpy reports its buffers to tracemalloc, so an O(n) step in a
