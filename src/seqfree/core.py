@@ -538,48 +538,30 @@ def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
     return int(np.count_nonzero(text.ids[:length] == word.ids[role - 1]))
 
 
-def interleave(ids: np.ndarray) -> np.ndarray:
-    """`ids` with the separator symbol after every entry."""
-    if ids.size and int(ids.min()) == SENTINEL:  # ids are never negative
-        raise ValueError("separator id 0 must not occur in the input")
-    out = np.full(2 * ids.size, SENTINEL, dtype=np.int32)
-    out[0::2] = ids
-    return out
-
-
 def role_prefix_counts(
-    text: Text, word: Word, weights: Optional[np.ndarray] = None, separator: bool = False
+    text: Text, word: Word, weights: Optional[np.ndarray] = None
 ) -> Iterator[np.ndarray]:
     """Per role, the total weight of its symbol within every nonempty text
-    prefix, one block of about `COPY_BLOCK` columns at a time.
+    prefix, one block of `COPY_BLOCK` columns at a time.
 
     Yields (k, B) arrays: column j of a block covers the prefix ending at
     the block's j-th position, and the blocks follow each other along the
     text. The empty prefix, before the first block, counts zero. Without
     `weights` each position counts one, in int32 when n < 2**31;
-    otherwise the counts take the dtype of `weights`. With `separator`
-    the text and the word are read with the separator symbol after every
-    symbol (`interleave`), each separator carrying the weight of the
-    position before it; the interleaved text is built one block of
-    `COPY_BLOCK // 2` positions, so `COPY_BLOCK` columns, at a time.
+    otherwise position j counts weights[j - 1], and the counts take the
+    dtype of `weights`.
     """
     n = text.n
     if weights is None:
         dtype = np.int32 if n < 2**31 else np.int64
     else:
         dtype = weights.dtype
-    roles = (interleave(word.ids) if separator else word.ids)[:, None]
+    roles = word.ids[:, None]
     carry = np.zeros((roles.size, 1), dtype=dtype)
-    step = max(COPY_BLOCK // 2, 1) if separator else COPY_BLOCK
-    for start in range(0, n, step):
-        ids = text.ids[start : start + step]
-        part = None if weights is None else weights[start : start + step]
-        if separator:
-            ids = interleave(ids)
-            part = None if part is None else np.repeat(part, 2)
-        hits = ids == roles
-        if part is not None:
-            hits = np.where(hits, part, 0)
+    for start in range(0, n, COPY_BLOCK):
+        hits = text.ids[start : start + COPY_BLOCK] == roles
+        if weights is not None:
+            hits = np.where(hits, weights[start : start + COPY_BLOCK], 0)
         block = np.cumsum(hits, axis=1, dtype=dtype)
         block += carry
         carry = block[:, -1:].copy()

@@ -40,6 +40,7 @@ from .core import (
     role_prefix_counts,
     subseed,
 )
+from .exact import interleave_sentinel
 from .uniform import copies_from_counts
 
 
@@ -573,14 +574,17 @@ def exact_sentinel_reference(
 
     Rounds the true weights up to the quantization grid as
     `quantize_weights` does, by integer ceiling division of their
-    numerators, carries them through the separator rewrite, and evaluates
-    the cumulative per-role weights of the (never materialized)
-    multiplicity expansion at the merged interval boundaries. Returns
-    integer numerators over the expansion length. Diagnostic only.
+    numerators, and reads the text through the separator rewrite
+    (`interleave_sentinel`), each separator weighted like the position
+    before it. Evaluates the cumulative per-role weights of that text at
+    the merged interval boundaries, counted on their own rather than by
+    the assembly they check. Returns integer numerators over twice the
+    rounded total. Diagnostic only.
     """
     step = quantization_step(text.n, resolution, constants)
     # w / step = num * b / (D * a) for w = num / D and step = a / b.
     scaled = dist.numerators().astype(object) * step.denominator
     mult = (-(-scaled // (dist.common_denominator() * step.numerator))).astype(np.int64)
-    counts = role_prefix_counts(text, word, mult, separator=True)
+    sep_text, sep_word, _ = interleave_sentinel(text, word)
+    counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
     return gather_columns(counts, sentinel.boundaries[1:]), 2 * int(mult.sum())

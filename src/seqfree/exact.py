@@ -1,14 +1,17 @@
 """Ground-truth distances: greedy copy packing, the prefix recursion,
-brute-force minimum-modification search, and the exact weighted pipeline
-(separator interleaving and the copy recursion on weighted prefix counts,
-in O(nk) time whatever the common denominator).
+brute-force minimum-modification search, and the exact weighted distance
+(the same recursion on weighted prefix counts, in O(nk) time whatever the
+common denominator).
 
 The copy recursion, `running_maximum`, walks the text in column blocks of
 `core.COPY_BLOCK` and carries a few values per role from one block to the
 next, so `copy_count` and `exact_weighted_distance` hold O(k * COPY_BLOCK)
-counts at a time, never a count row over the whole text.
+counts at a time, never a count row over the whole text. Both run it with
+offset 1, which is exact for every word; the separator rewrite
+(`interleave_sentinel`) and the multiplicity expansion (`expand_text`)
+are kept as independent reference oracles only.
 
-Everything here is exact: the weighted pipeline reads integer numerators
+Everything here is exact: the weighted distance reads integer numerators
 over the common denominator; the reference oracles use Fractions.
 """
 
@@ -23,11 +26,11 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .core import (
+    SENTINEL,
     Distribution,
     Text,
     Word,
     contains_word,
-    interleave,
     role_prefix_counts,
 )
 
@@ -273,6 +276,15 @@ def quantize_weights(dist: Distribution, step) -> QuantizedWeights:
     )
 
 
+def interleave(ids: np.ndarray) -> np.ndarray:
+    """`ids` with the separator symbol after every entry."""
+    if ids.size and int(ids.min()) == SENTINEL:  # ids are never negative
+        raise ValueError("separator id 0 must not occur in the input")
+    out = np.full(2 * ids.size, SENTINEL, dtype=np.int32)
+    out[0::2] = ids
+    return out
+
+
 def interleave_sentinel(
     text: Text, word: Word, dist: Optional[Distribution] = None
 ):
@@ -371,25 +383,21 @@ def expand_text(text: Text, dist: Distribution, base_weight) -> TextExpansion:
 def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fraction:
     """Exact distance to word-freeness under arbitrary rational weights.
 
-    Reads the text with the separator after every position (which makes
-    the word free of adjacent repeats, at the cost of halving) and takes
-    as multiplicities the weights' numerators over their common
-    denominator D (`Distribution.numerators`). The weighted prefix counts
-    of the interleaved text at every position are those of its
-    multiplicity expansion (length 2D) at run ends, where the recursion
-    of a repeat-free word takes its maxima, so the recursion runs on them
-    directly without the expansion. A zero weight repeats the previous
-    column of counts, which leaves the measure as it was, so zero-weight
-    positions need no dropping. O(nk) time whatever D is, and
-    O(k * COPY_BLOCK) memory besides the weights: the interleaved text and
-    its counts are built one block at a time. Counts are int64, or Python
-    integers when D does not fit.
+    With the weights as numerators m_j over their common denominator D
+    (`Distribution.numerators`), position j offers m_j slots to each
+    role, and the roles of one copy sit at increasing positions, so a
+    slot never serves two consecutive roles of one copy. The distance is
+    the largest number of copies that share no slot in the same role,
+    divided by D: the offset-1 recursion of `copy_count` on weighted
+    prefix counts, exact for every word, adjacent repeats included. A
+    zero weight repeats the previous column of counts, which leaves the
+    measure as it was. O(nk) time whatever D is, and O(k * COPY_BLOCK)
+    memory besides the weights. Counts are int64, or Python integers
+    when D does not fit.
     """
     if text.n < 1:
         raise ValueError("distance is undefined for an empty text")
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
-    counts = role_prefix_counts(text, word, dist.numerators(), separator=True)
-    # The separator halves the distance of the length-2D expansion:
-    # distance = 2 * copies / (2D).
-    return Fraction(int(final_measure(counts, offset=0)), dist.common_denominator())
+    counts = role_prefix_counts(text, word, dist.numerators())
+    return Fraction(int(final_measure(counts, offset=1)), dist.common_denominator())
