@@ -3,12 +3,13 @@
 The estimator works in two sampling phases over the same unknown weights
 that define the distance, both drawn by `sample_phases`, the one place
 that sizes and seeds a run. Phase one partitions positions into intervals
-of small empirical weight (heavy single positions stay alone), walking
-only the drawn positions. Phase two estimates, per word role, the
-cumulative weight of matching positions up to every interval boundary.
-A separator-aware reassembly, array code over the interval boundaries,
-then feeds the copy measure, whose doubled value estimates the distance
-within the requested accuracy with probability at least 2/3.
+of small empirical weight (heavy single positions stay alone) with one
+greedy walk over the drawn positions, which the diagnostic reference
+partition runs on the true weights. Phase two estimates, per word role,
+the cumulative weight of matching positions up to every interval
+boundary. A separator-aware reassembly, array code over the interval
+boundaries, then feeds the copy measure, whose doubled value estimates
+the distance within the requested accuracy with probability at least 2/3.
 
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
@@ -20,11 +21,13 @@ Python integers, without floats or per-entry Fractions.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,16 +51,16 @@ from .uniform import copies_from_counts
 class EstimatorConstants:
     """Dials of the distribution-free estimator.
 
-    The defaults are the production values backing the 2/3 guarantee.
-    `relaxed` scales the interval resolution down for smoke tests; any
-    result produced that way is off-spec and callers must label it so.
+    The defaults back the 2/3 guarantee. Only `resolution_factor` is a
+    field: `relaxed` scales it down for smoke tests, and any result
+    produced that way is off-spec and callers must label it so.
     """
 
     resolution_factor: Fraction = Fraction(100)
-    step_factor: Fraction = Fraction(1, 16)
-    first_sample_factor: int = 120
-    first_sample_log: int = 240
-    second_sample_log: int = 40
+    step_factor: ClassVar[Fraction] = Fraction(1, 16)
+    first_sample_factor: ClassVar[int] = 120
+    first_sample_log: ClassVar[int] = 240
+    second_sample_log: ClassVar[int] = 40
 
     def relaxed(self, factor) -> "EstimatorConstants":
         f = as_fraction(factor)
@@ -117,6 +120,42 @@ def quantization_step(n: int, resolution: Fraction, constants: EstimatorConstant
     return constants.step_factor / (n * resolution)
 
 
+def _greedy_cover(n: int, positions: Sequence, prefix: Sequence, singles: set,
+                  limit: int) -> tuple[list, list]:
+    """(boundaries, singleton flags) of the greedy cover of [1, n] that
+    both partitions build. `positions` lists the positions of positive
+    weight in increasing order, `prefix` the running sums of their weights
+    from 0, and `singles` the indices of those that stand alone, each
+    weighing more than `limit`. Left to right, a single at the start
+    becomes a singleton; any other interval ends just before the first
+    listed position that would take its weight past `limit`, or at n, so
+    an unlisted suffix folds into the last interval. Each such interval is
+    one `bisect_right` over `prefix`; both sequences must index to Python
+    integers (lists or memoryviews: numpy scalars compare slowly).
+    """
+    listed = len(positions)
+    bounds = [0]
+    flags = []
+    start = 1
+    index = 0  # the first listed position at or after `start`
+    while start <= n:
+        if index in singles and positions[index] == start:
+            bounds.append(start)
+            flags.append(True)
+            start += 1
+            index += 1
+            continue
+        # Listed position `stop - 1` is the first whose weight pushes the
+        # interval past the limit; the interval ends just before it.
+        stop = bisect.bisect_right(prefix, prefix[index] + limit, lo=index)
+        end = n if stop > listed else positions[stop - 1] - 1
+        bounds.append(end)
+        flags.append(False)
+        start = end + 1
+        index = stop - 1
+    return bounds, flags
+
+
 @dataclass
 class _IntervalCover:
     """Consecutive intervals covering [1, n].
@@ -162,47 +201,18 @@ class IntervalPartition(_IntervalCover):
 
     @classmethod
     def from_sample(cls, sample: SampleSet, resolution: Fraction) -> "IntervalPartition":
-        """Greedy left-to-right construction over the drawn positions.
-
-        A position whose empirical weight exceeds 1/resolution becomes a
-        heavy singleton; otherwise the interval extends to the largest
-        endpoint keeping empirical weight at most 1/resolution, that is,
-        to just before the first draw that would push it past, or to n.
-        Unsampled positions cost nothing, so an unsampled suffix folds
-        into the final light interval. Only the m drawn positions are
-        read: each light interval is one `searchsorted` over their
-        cumulative draw counts, and no length-n array is built.
-        """
+        """The greedy cover (`_greedy_cover`) of the drawn positions."""
         if sample.size < 1:
             raise ValueError("partition needs a non-empty sample")
-        n = sample.n
         # Comparisons against count/size <= 1/res stay in integers:
         # weight > 1/res iff count > floor(size/res).
         limit = math.floor(Fraction(sample.size) / resolution)
-        positions, multiplicities = sample.positions, sample.multiplicities
-        drawn = positions.size
+        multiplicities = sample.multiplicities
         cumulative = np.concatenate(([0], np.cumsum(multiplicities)))
         heavy_drawn = set(np.flatnonzero(multiplicities > limit).tolist())
-        bounds = [0]
-        heavy = []
-        start = 1
-        next_drawn = 0  # index of the first drawn position at or after `start`
-        while start <= n:
-            if next_drawn in heavy_drawn and positions[next_drawn] == start:
-                bounds.append(start)
-                heavy.append(True)
-                start += 1
-                next_drawn += 1
-                continue
-            # Drawn position `stop - 1` is the first whose draws push the
-            # interval past the limit; the interval ends just before it.
-            stop = int(cumulative.searchsorted(cumulative[next_drawn] + limit, side="right"))
-            end = n if stop > drawn else int(positions[stop - 1]) - 1
-            bounds.append(end)
-            heavy.append(False)
-            start = end + 1
-            next_drawn = stop - 1
-        return cls(n, np.array(bounds, dtype=np.int64), np.array(heavy, dtype=bool))
+        bounds, heavy = _greedy_cover(sample.n, memoryview(sample.positions),
+                                      memoryview(cumulative), heavy_drawn, limit)
+        return cls(sample.n, np.array(bounds, dtype=np.int64), np.array(heavy, dtype=bool))
 
     def validate(self, sample: SampleSet, resolution: Fraction) -> None:
         assert self.boundaries[0] == 0 and self.boundaries[-1] == self.n
@@ -268,38 +278,30 @@ class ReferencePartition(_IntervalCover):
 
     @classmethod
     def from_weights(cls, dist: Distribution, resolution: Fraction) -> "ReferencePartition":
-        weights = dist.numerators().tolist()
-        n = dist.n
+        """The greedy cover (`_greedy_cover`) of the positive weights."""
         # With weights as numerators over D and res = p/q, a weight w
-        # exceeds 1/(8 res) iff 8 p w > q D, and 1/(4 res) iff 4 p w > q D.
+        # exceeds 1/(8 res) iff 8 p w > q D, that is w > floor(q D / 8 p),
+        # and a total t exceeds 1/(4 res) iff t > floor(q D / 4 p).
         unit = resolution.denominator * dist.common_denominator()
         single = 8 * resolution.numerator
-        run = 4 * resolution.numerator
-        bounds = [0]
-        labels = []
-        start = 1
-        while start <= n:
-            w = weights[start - 1]
-            if single * w > unit:
-                bounds.append(start)
-                labels.append(_CLASS_SINGLE)
-                start += 1
-                continue
-            # Maximal run: cumulative weight capped by cap_run, every
-            # member capped by cap_single; stops before the first
-            # position that would break either constraint.
-            end = start
-            total = w
-            while end + 1 <= n:
-                nxt = weights[end]
-                if single * nxt > unit or run * (total + nxt) > unit:
-                    break
-                total += nxt
-                end += 1
-            bounds.append(end)
-            labels.append(_CLASS_SMALL if single * total < unit else _CLASS_MEDIUM)
-            start = end + 1
-        return cls(n, np.array(bounds, dtype=np.int64), tuple(labels))
+        cap, run = unit // single, unit // (4 * resolution.numerator)
+        nums = dist.numerators()
+        listed = np.flatnonzero(nums)
+        positive = nums[listed]
+        singles = np.flatnonzero(positive > cap).tolist()
+        weights = positive.tolist()
+        for i in singles:  # weighs past any run, so no run takes it in
+            weights[i] = run + 1
+        # Python integers: a single's stand-in can pass int64 even when D fits.
+        prefix = list(itertools.accumulate(weights, initial=0))
+        bounds, flags = _greedy_cover(dist.n, memoryview(listed + 1), prefix, set(singles), run)
+        boundaries = np.array(bounds, dtype=np.int64)
+        totals = np.diff(dist.numerator_prefix()[boundaries]).tolist()
+        labels = tuple(
+            _CLASS_SINGLE if alone else _CLASS_SMALL if single * total < unit else _CLASS_MEDIUM
+            for alone, total in zip(flags, totals)
+        )
+        return cls(dist.n, boundaries, labels)
 
 
 def weights_well_estimated(

@@ -20,7 +20,7 @@ from ..distfree import (
     estimate_distance,
     estimate_distance_repeat_free,
 )
-from ..exact import copy_count, exact_weighted_distance, uniform_distance
+from ..exact import exact_weighted_distance, uniform_distance
 from ..uniform import estimate_distance_uniform
 from .experiments import (
     concentration_experiment,
@@ -155,27 +155,15 @@ def _load_instance(args, weights=True):
 
 def cmd_exact(args) -> dict:
     text, word, dist = _load_instance(args)
+    payload = {"command": "exact", "n": text.n, "k": word.k}
     if dist is None:
-        copies = copy_count(text, word)
         distance = uniform_distance(text, word)
-        payload = {
-            "command": "exact",
-            "n": text.n,
-            "k": word.k,
-            "copies": copies,
-            "distance": fraction_str(distance),
-            "distance_float": float(distance),
-        }
+        payload["copies"] = int(distance * text.n)
     else:
         distance = exact_weighted_distance(text, word, dist)
-        payload = {
-            "command": "exact",
-            "n": text.n,
-            "k": word.k,
-            "weights": "file",
-            "distance": fraction_str(distance),
-            "distance_float": float(distance),
-        }
+        payload["weights"] = "file"
+    payload["distance"] = fraction_str(distance)
+    payload["distance_float"] = float(distance)
     return payload
 
 

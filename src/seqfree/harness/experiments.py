@@ -10,7 +10,6 @@ of them so that reports are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -83,83 +82,6 @@ def median_low(values: list) -> object:
     return ordered[(len(ordered) - 1) // 2]
 
 
-@dataclass
-class TrialOutcome:
-    """One estimator run against a known truth."""
-
-    trial: int
-    seed: int
-    estimate: float
-    raw: Fraction
-    truth: Fraction
-    error: float
-    within: bool
-    samples: dict
-
-    def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "estimate": self.estimate,
-            "raw": fraction_str(self.raw),
-            "truth": fraction_str(self.truth),
-            "error": self.error,
-            "within": self.within,
-            "samples": self.samples,
-        }
-
-
-def _clamped(raw: Fraction) -> Fraction:
-    return min(max(raw, Fraction(0)), Fraction(1))
-
-
-def run_uniform_trial(
-    oracle: UniformSampler,
-    word: Word,
-    accuracy,
-    seed: int,
-    trial: int,
-    truth: Fraction,
-) -> TrialOutcome:
-    result = estimate_distance_uniform(oracle, word, accuracy, seed)
-    return _outcome_from(result.raw, result.estimate, truth, accuracy, trial, seed,
-                         {"draws": result.sample_size})
-
-
-def run_distfree_trial(
-    oracle: WeightedSampler,
-    word: Word,
-    accuracy,
-    seed: int,
-    trial: int,
-    truth: Fraction,
-    constants: EstimatorConstants = DEFAULT_CONSTANTS,
-) -> TrialOutcome:
-    result = estimate_distance(oracle, word, accuracy, seed, constants)
-    samples = {
-        "first": result.first_size,
-        "second": result.second_size,
-        "total": result.first_size + result.second_size,
-        "intervals": result.intervals,
-    }
-    return _outcome_from(result.raw, result.estimate, truth, accuracy, trial, seed,
-                         samples)
-
-
-def _outcome_from(raw, estimate, truth, accuracy, trial, seed, samples):
-    exact_error = abs(_clamped(raw) - truth)
-    return TrialOutcome(
-        trial=trial,
-        seed=seed,
-        estimate=estimate,
-        raw=raw,
-        truth=truth,
-        error=float(exact_error),
-        within=bool(exact_error <= as_fraction(accuracy)),
-        samples=samples,
-    )
-
-
 def estimator_sweep(
     kind: str,
     text: Text,
@@ -187,37 +109,51 @@ def estimator_sweep(
         oracle = UniformSampler(text)
         truth = uniform_distance(text, word)
         weights_kind = "uniform"
+
+        def run(acc, tseed):
+            result = estimate_distance_uniform(oracle, word, acc, tseed)
+            return result, {"draws": result.sample_size}
     else:
         if dist is None:
             dist = Distribution.uniform(text.n)
         oracle = WeightedSampler(text, dist)
         truth = exact_weighted_distance(text, word, dist)
         weights_kind = "exact"
+
+        def run(acc, tseed):
+            result = estimate_distance(oracle, word, acc, tseed, constants)
+            return result, {
+                "first": result.first_size,
+                "second": result.second_size,
+                "total": result.first_size + result.second_size,
+                "intervals": result.intervals,
+            }
     rows = []
     for accuracy in accuracies:
         acc = as_fraction(accuracy)
         if not 0 < acc < 1:
             raise ValueError("every accuracy must lie in (0, 1)")
-        outcomes = []
+        results = []
         for t, tseed in enumerate(trial_seeds(seed, trials)):
-            if kind == "uniform":
-                outcome = run_uniform_trial(oracle, word, acc, tseed, t, truth)
-            else:
-                outcome = run_distfree_trial(
-                    oracle, word, acc, tseed, t, truth, constants
-                )
-            outcomes.append(outcome)
-        row = {
-            "accuracy": float(acc),
-            "trials": trials,
-            "results": [o.to_json() for o in outcomes],
-        }
+            result, samples = run(acc, tseed)
+            error = abs(min(max(result.raw, Fraction(0)), Fraction(1)) - truth)
+            results.append({
+                "trial": t,
+                "seed": tseed,
+                "estimate": result.estimate,
+                "raw": fraction_str(result.raw),
+                "truth": fraction_str(truth),
+                "error": float(error),
+                "within": bool(error <= acc),
+                "samples": samples,
+            })
+        row = {"accuracy": float(acc), "trials": trials, "results": results}
         if trials > 0:
-            successes = sum(1 for o in outcomes if o.within)
+            successes = sum(1 for r in results if r["within"])
             row["successes"] = successes
             row["success_rate"] = successes / trials
-            row["mean_abs_error"] = sum(o.error for o in outcomes) / trials
-            row["max_abs_error"] = max(o.error for o in outcomes)
+            row["mean_abs_error"] = sum(r["error"] for r in results) / trials
+            row["max_abs_error"] = max(r["error"] for r in results)
         rows.append(row)
     report = {
         "experiment": "error-sweep",
@@ -255,8 +191,7 @@ def concentration_experiment(
     shifted_hits = 0
     base_copies = []
     shifted_copies = []
-    for t in range(trials):
-        tseed = seed ^ t
+    for tseed in trial_seeds(seed, trials):
         text_base = block_ensemble_text(n, distinct, base_rate, subseed(tseed, 0))
         copies = copy_count(text_base, word)
         base_copies.append(copies)
@@ -328,10 +263,8 @@ def event_diagnostics(
     light_violations = 0
     density_violations = 0
     second_sizes = []
-    for t in range(trials):
-        sample1, partition, sample2 = sample_phases(
-            oracle, word, resolution, seed ^ t, constants
-        )
+    for tseed in trial_seeds(seed, trials):
+        sample1, partition, sample2 = sample_phases(oracle, word, resolution, tseed, constants)
         second_sizes.append(sample2.size)
         if weights_well_estimated(dist, sample1, resolution, reference):
             first_event_hits += 1

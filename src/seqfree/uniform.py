@@ -90,15 +90,11 @@ def prefix_grid(n: int, spacing) -> PrefixGrid:
     if sp * n <= 1:
         # Consecutive columns then differ by at most one: every length.
         return PrefixGrid(n, sp, np.arange(1, n + 1, dtype=np.int64))
-    columns: list[int] = []
-    r = 1
-    while True:
-        j = min(math.ceil(r * sp * n), n)
-        if not columns or j > columns[-1]:
-            columns.append(j)
-        if j >= n:
-            break
-        r += 1
+    # ceil(r * sp * n) in integers; r = ceil(1/sp) already reaches n.
+    columns = sorted({
+        min(-(-r * sp.numerator * n // sp.denominator), n)
+        for r in range(1, math.ceil(1 / sp) + 1)
+    })
     return PrefixGrid(n, sp, np.array(columns, dtype=np.int64))
 
 

@@ -3,6 +3,7 @@ byte-level determinism."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ def instance(tmp_path):
     word = tmp_path / "word.txt"
     word.write_text("a b\n")
     return {"text": str(text), "word": str(word), "dir": tmp_path}
+
+
+PINS = Path(__file__).parent / "data" / "cli_pins"
 
 
 def run_cli(argv, capsys):
@@ -86,6 +90,15 @@ class TestExactCommand:
         assert code == 0 and err == ""
         assert json.loads(out)["distance"] == tiny_weight_truth(text, word, weights)
 
+    def test_empty_text_is_two(self, instance, capsys):
+        empty = instance["dir"] / "empty.txt"
+        empty.write_text("")
+        code, out, err = run_cli(
+            ["exact", "--text", str(empty), "--word", instance["word"]], capsys
+        )
+        assert code == 2 and out == ""
+        assert "distance is undefined" in err
+
 
 class TestDeterminism:
     def test_repeated_invocations_byte_identical(self, instance, capsys):
@@ -105,6 +118,30 @@ class TestDeterminism:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert target.read_text() == out
+
+
+    @pytest.mark.parametrize("pin, argv", [
+        ("exact", ["exact"]),
+        ("sweep-uniform", ["sweep", "--estimator", "uniform", "--deltas", "0.3,0.5",
+                           "--trials", "2", "--seed", "3"]),
+        ("sweep-df", ["sweep", "--estimator", "df", "--deltas", "0.5",
+                      "--trials", "2", "--seed", "3"]),
+    ])
+    def test_outputs_match_pinned_bytes(self, pin, argv, tmp_path, capsys):
+        # Pinned reports of an eight-position instance, so that a change
+        # which keeps runs repeatable but moves their output is caught.
+        text, word = tmp_path / "text.txt", tmp_path / "word.txt"
+        text.write_text("a b a b b a a b\n")
+        word.write_text("a b\n")
+        jsonl = tmp_path / "trials.jsonl"
+        argv = argv + ["--text", str(text), "--word", str(word)]
+        if pin == "sweep-df":
+            argv += ["--jsonl", str(jsonl)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert out == (PINS / f"{pin}.out").read_text()
+        if pin == "sweep-df":
+            assert jsonl.read_text() == (PINS / "sweep-df.jsonl").read_text()
 
 
 class TestExitCodes:

@@ -110,6 +110,68 @@ def dense_partition_reference(sample: SampleSet, resolution: Fraction) -> tuple:
     return bounds, heavy
 
 
+def per_position_reference(dist: Distribution, resolution: Fraction) -> tuple:
+    """(boundaries, labels) of the reference partition, walked over every
+    position one at a time: the construction `ReferencePartition.from_weights`
+    replaces."""
+    weights = dist.numerators().tolist()
+    n = dist.n
+    unit = resolution.denominator * dist.common_denominator()
+    single = 8 * resolution.numerator
+    run = 4 * resolution.numerator
+    bounds, labels = [0], []
+    start = 1
+    while start <= n:
+        w = weights[start - 1]
+        if single * w > unit:
+            bounds.append(start)
+            labels.append("single")
+            start += 1
+            continue
+        end, total = start, w
+        while end + 1 <= n:
+            nxt = weights[end]
+            if single * nxt > unit or run * (total + nxt) > unit:
+                break
+            total += nxt
+            end += 1
+        bounds.append(end)
+        labels.append("small" if single * total < unit else "medium")
+        start = end + 1
+    return bounds, tuple(labels)
+
+
+def edge_case_weights(rng, count: int):
+    """Random (distribution, resolution) pairs that cycle through the
+    awkward shapes of a reference partition: zero weights, singles at
+    positions 1 and n, a run whose total is exactly the run cap, and
+    numerators past int64 (`object` arrays)."""
+    for trial in range(count):
+        n = int(rng.integers(1, 40))
+        res = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 3)))
+        mode = trial % 4
+        if mode == 0:  # about 40% zero weights
+            counts = rng.integers(0, 6, size=n) * (rng.random(n) < 0.6)
+        elif mode == 1:  # singles at 1 and at n
+            counts = rng.integers(0, 4, size=n)
+            counts[[0, -1]] = 50 * n
+            res = Fraction(int(rng.integers(2, 9)))
+        elif mode == 2:  # the first run can total exactly the run cap
+            counts = rng.integers(0, 5, size=n)
+            total = int(counts[: int(rng.integers(1, n + 1))].sum())
+            if total == 0:
+                counts[0] = total = 1
+            res = Fraction(int(counts.sum()), 4 * total)
+        else:  # numerators past int64, zeros included
+            counts = rng.integers(0, 5, size=n)
+        counts = [int(c) for c in counts]
+        if mode == 3:
+            counts = [c * 2**66 + (c > 0) * int(rng.integers(1, 100)) for c in counts]
+        if sum(counts) == 0:
+            counts[-1] = 1
+        yield Distribution.from_numerators(counts), res
+
+
 def loop_sentinel_reference(partition: IntervalPartition, density: DensityEstimate) -> tuple:
     """(merged boundaries, source, assembled numerators) of the separator
     split and assembly, built one interval at a time."""
@@ -351,6 +413,26 @@ class TestReferencePartition:
             for u in range(1, r.count):
                 if r.labels[u - 1] == "small":
                     assert r.labels[u] == "single"
+
+    def test_matches_per_position_reference(self, rng):
+        seen = {"zero weight": 0, "single at 1": 0, "single at n": 0,
+                "run at cap": 0, "object numerators": 0}
+        for d, res in edge_case_weights(rng, 3000):
+            r = ReferencePartition.from_weights(d, res)
+            bounds, labels = per_position_reference(d, res)
+            assert r.boundaries.tolist() == bounds
+            assert r.labels == labels
+            nums = d.numerators()
+            cap = res.denominator * d.common_denominator() // (4 * res.numerator)
+            totals = np.diff(d.numerator_prefix()[bounds])
+            seen["zero weight"] += bool(np.any(nums == 0))
+            seen["single at 1"] += labels[0] == "single"
+            seen["single at n"] += labels[-1] == "single" and d.n > 1
+            seen["run at cap"] += any(
+                label != "single" and total == cap for label, total in zip(labels, totals)
+            )
+            seen["object numerators"] += nums.dtype == object
+        assert all(seen.values()), seen
 
 
 class TestWeightsWellEstimated:

@@ -70,6 +70,19 @@ class TestPrefixGrid:
         for spacing in (Fraction(1, 4), Fraction(1, 9), Fraction(1, 10**12)):
             assert prefix_grid(4, spacing).columns.tolist() == [1, 2, 3, 4]
 
+    def test_matches_fraction_loop(self, rng):
+        # the columns one Fraction step at a time, as the grid was first built
+        for _ in range(2000):
+            n = int(rng.integers(1, 500))
+            spacing = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 400)))
+            columns, r = [], 1
+            while not columns or columns[-1] < n:
+                j = min(math.ceil(r * spacing * n), n)
+                if not columns or j > columns[-1]:
+                    columns.append(j)
+                r += 1
+            assert prefix_grid(n, spacing).columns.tolist() == columns
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             prefix_grid(0, Fraction(1, 2))
