@@ -62,8 +62,10 @@ def subseed(seed: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), int(stream)))
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 # The most draws one `Sampler.draw` takes: numpy counts draws in int64.
-MAX_DRAWS = int(np.iinfo(np.int64).max)
+MAX_DRAWS = INT64_MAX
 
 # `UniformSampler.draw` tallies `size` drawn positions when size * ratio <= n.
 # The sparse draw measured faster up to about size = 3n; the switch sits at
@@ -89,6 +91,15 @@ POISSON_MARGIN = 10
 # (0.21-0.24 s per `copy_count`, against 0.25-0.31 s at 2**12 and at 2**14
 # to 2**16); at k = 6 and k = 10 it was within 5% of the best size.
 COPY_BLOCK = 2**13
+
+
+def exact_dtype(bound: int) -> type:
+    """The dtype for exact integer arithmetic whose every value, operands
+    and intermediate results alike, has magnitude at most `bound`: int64
+    when the bound fits it, `object` (Python integers) otherwise. Callers
+    work the bound out from their inputs, so one array expression is exact
+    in either dtype; this is the one place that picks between them."""
+    return np.int64 if bound <= INT64_MAX else object
 
 
 def draw_count(planned: float) -> int:
@@ -248,7 +259,6 @@ class Distribution:
     def from_numerators(cls, counts) -> "Distribution":
         """Exact weights counts[j] / sum(counts) from non-negative integers,
         stored as the counts over their gcd g, with D = sum / g."""
-        int64_max = int(np.iinfo(np.int64).max)
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
             counts = list(counts)
             try:  # `operator.index` rejects floats, which int64 would truncate
@@ -259,14 +269,14 @@ class Distribution:
             raise ValueError("weights must be non-empty")
         if np.any(counts < 0):
             raise ValueError("weights must be non-negative")
-        if counts.dtype == np.int64 and int(counts.max()) > int64_max // counts.size:
-            counts = counts.astype(object)  # the sum may not fit
+        # Every partial sum is at most max * size.
+        counts = counts.astype(exact_dtype(int(counts.max()) * counts.size), copy=False)
         total = int(counts.sum())
         if total <= 0:
             raise ValueError("weights must have positive total")
         common = int(np.gcd.reduce(counts))
         denom = total // common
-        nums = (counts // common).astype(np.int64 if denom <= int64_max else object, copy=False)
+        nums = (counts // common).astype(exact_dtype(denom), copy=False)
         return cls(nums, denom)
 
     @classmethod
@@ -488,13 +498,18 @@ class Sampler:
             shortfall = size - int(counts.sum())
             if shortfall >= 0:
                 break
-        # Scaled to end at exactly one, so a uniform in [0, 1) never lands
-        # past the end or on a zero weight.
-        cdf = np.cumsum(self._pvals)
-        cdf /= cdf[-1]
-        counts += np.bincount(cdf.searchsorted(np.sort(rng.random(shortfall)), side="right"),
+        counts += np.bincount(self._cdf.searchsorted(np.sort(rng.random(shortfall)), side="right"),
                               minlength=self.n)
         return counts
+
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        """Cumulative weights of the shortfall draws, built on the first
+        Poissonized draw. Scaled to end at exactly one, so a uniform in
+        [0, 1) never lands past the end or on a zero weight."""
+        cdf = np.cumsum(self._pvals)
+        cdf /= cdf[-1]
+        return cdf
 
 
 class UniformSampler(Sampler):

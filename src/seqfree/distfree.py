@@ -15,13 +15,17 @@ Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
 exist for the statistical test harness, not for the estimator itself.
 They compare integer numerators (exact weights over their common
-denominator, draw counts over the sample size) by cross-multiplying on
-Python integers, without floats or per-entry Fractions.
+denominator, draw counts over the sample size) by cross-multiplying,
+without floats or per-entry Fractions: in int64 when a bound worked out
+from the inputs (counts at most the sample size, numerators at most the
+denominator) proves that no product overflows it, on Python integers
+otherwise (`core.exact_dtype`).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import sys
@@ -39,6 +43,7 @@ from .core import (
     Word,
     as_fraction,
     draw_count,
+    exact_dtype,
     gather_columns,
     role_prefix_counts,
     subseed,
@@ -270,6 +275,11 @@ class ReferencePartition(_IntervalCover):
     def _tags(self) -> Sequence:
         return self.labels
 
+    @functools.cached_property
+    def small(self) -> np.ndarray:
+        """One flag per interval, set for the `small` class; built once."""
+        return np.fromiter((label == _CLASS_SMALL for label in self.labels), bool, len(self.labels))
+
     def class_counts(self) -> dict:
         out = {_CLASS_SINGLE: 0, _CLASS_MEDIUM: 0, _CLASS_SMALL: 0}
         for label in self.labels:
@@ -318,17 +328,34 @@ def weights_well_estimated(
     if reference is None:
         reference = ReferencePartition.from_weights(dist, resolution)
     bounds = reference.boundaries
-    drawn = np.diff(sample.tally(bounds)[1]).astype(object)
-    true = np.diff(dist.numerator_prefix()[bounds]).astype(object)
     size, denom = sample.size, dist.common_denominator()
+    p, q = resolution.numerator, resolution.denominator
     # Cross-multiplied, for an estimate drawn/size, a true weight true/D
     # and res = p/q: drawn/size <= 1/(2 res) iff 2 p drawn <= q size, and
     # true/2 <= drawn/size <= 3 true/2 iff true size <= 2 D drawn <= 3 true size.
-    small_ok = 2 * resolution.numerator * drawn <= resolution.denominator * size
+    # With drawn <= size and true <= D, no product passes max(2p, q, 3D) size.
+    dtype = exact_dtype(max(2 * p, q, 3 * denom) * size)
+    drawn = np.diff(sample.tally(bounds)[1]).astype(dtype, copy=False)
+    true = np.diff(dist.numerator_prefix()[bounds]).astype(dtype, copy=False)
+    small_ok = 2 * p * drawn <= q * size
     scaled = 2 * denom * drawn
     other_ok = (true * size <= scaled) & (scaled <= 3 * size * true)
-    small = np.array(reference.labels) == _CLASS_SMALL
-    return bool(np.all(np.where(small, small_ok, other_ok)))
+    return bool(np.all(np.where(reference.small, small_ok, other_ok)))
+
+
+def light_weight_violations(
+    dist: Distribution, partition: IntervalPartition, resolution: Fraction
+) -> int:
+    """Light intervals of the partition whose true weight reaches
+    6/resolution: the first good-sample event implies there are none."""
+    # A true weight w/D breaks the bound when w/D >= 6/res, that is
+    # p w >= 6 q D for res = p/q; with w <= D, p w is at most p D.
+    denom = dist.common_denominator()
+    floor = 6 * resolution.denominator * denom
+    weights = np.diff(dist.numerator_prefix()[partition.boundaries])
+    weights = weights.astype(exact_dtype(max(resolution.numerator * denom, floor)), copy=False)
+    too_heavy = resolution.numerator * weights >= floor
+    return int(np.count_nonzero(too_heavy & ~partition.heavy))
 
 
 @dataclass
@@ -370,14 +397,46 @@ def exact_symbol_density(
     return rows, dist.numerator_prefix()[ends]
 
 
+def _peak(values: np.ndarray) -> int:
+    """The largest magnitude in an integer array, 0 when it is empty."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+
+
 def exactly_within(
     got: np.ndarray, got_denom: int, want: np.ndarray, want_denom: int, bound: Fraction
 ) -> np.ndarray:
     """Entrywise |got/got_denom - want/want_denom| <= bound for integer
-    arrays over Python-int denominators, cross-multiplied on Python
-    integers: the products can exceed int64 even when every input fits."""
-    gap = np.abs(got.astype(object) * want_denom - want.astype(object) * got_denom)
-    return gap * bound.denominator <= bound.numerator * got_denom * want_denom
+    arrays over Python-int denominators, cross-multiplied.
+
+    The products can exceed int64 even when every input fits. They run in
+    int64 when the largest value the comparison can reach fits it: the
+    gap, at most max|got| want_denom + max|want| got_denom, times the
+    bound's denominator, and the bound's numerator times both
+    denominators. Otherwise they run on Python integers (`exact_dtype`).
+    """
+    # The +1 covers the denominators, operands in their own right even
+    # when every entry is zero.
+    left = ((_peak(got) + 1) * want_denom + (_peak(want) + 1) * got_denom) * bound.denominator
+    limit = bound.numerator * got_denom * want_denom
+    dtype = exact_dtype(max(left, limit))
+    gap = np.abs(got.astype(dtype, copy=False) * want_denom
+                 - want.astype(dtype, copy=False) * got_denom)
+    return gap * bound.denominator <= limit
+
+
+def densities_within(
+    estimate: DensityEstimate, exact: tuple, denominator: int, resolution: Fraction
+) -> bool:
+    """Whether every per-role cumulative density and every prefix weight
+    of the estimate is within 1/resolution of `exact`, the pair that
+    `exact_symbol_density` returns, as numerators over `denominator`."""
+    exact_rows, exact_prefix = exact
+    bound = Fraction(1) / resolution
+    size = estimate.sample_size
+    return bool(
+        np.all(exactly_within(estimate.role_tallies, size, exact_rows, denominator, bound))
+        and np.all(exactly_within(estimate.prefix_tallies, size, exact_prefix, denominator, bound))
+    )
 
 
 def densities_well_estimated(
@@ -393,14 +452,8 @@ def densities_well_estimated(
     every prefix weight is estimated within 1/resolution."""
     if exact is None:
         exact = exact_symbol_density(text, dist, word, partition)
-    exact_rows, exact_prefix = exact
     estimate = symbol_density_estimate(sample, partition, word)
-    bound = Fraction(1) / resolution
-    size, denom = estimate.sample_size, dist.common_denominator()
-    return bool(
-        np.all(exactly_within(estimate.role_tallies, size, exact_rows, denom, bound))
-        and np.all(exactly_within(estimate.prefix_tallies, size, exact_prefix, denom, bound))
-    )
+    return densities_within(estimate, exact, dist.common_denominator(), resolution)
 
 
 @dataclass
@@ -584,9 +637,12 @@ def exact_sentinel_reference(
     rounded total. Diagnostic only.
     """
     step = quantization_step(text.n, resolution, constants)
-    # w / step = num * b / (D * a) for w = num / D and step = a / b.
-    scaled = dist.numerators().astype(object) * step.denominator
-    mult = (-(-scaled // (dist.common_denominator() * step.numerator))).astype(np.int64)
+    # w / step = num * b / (D * a) for w = num / D and step = a / b; with
+    # num <= D, neither num * b nor the divisor D * a passes D max(a, b).
+    denom = dist.common_denominator()
+    nums = dist.numerators().astype(
+        exact_dtype(denom * max(step.numerator, step.denominator)), copy=False)
+    mult = (-(-(nums * step.denominator) // (denom * step.numerator))).astype(np.int64)
     sep_text, sep_word, _ = interleave_sentinel(text, word)
     counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
     return gather_columns(counts, sentinel.boundaries[1:]), 2 * int(mult.sum())

@@ -29,13 +29,15 @@ from ..distfree import (
     EstimatorConstants,
     ReferencePartition,
     assemble_sentinel_density,
-    densities_well_estimated,
+    densities_within,
     estimate_distance,
     exact_sentinel_reference,
+    exact_symbol_density,
     exactly_within,
     first_sample_size,
     interleave_partition,
     interval_resolution,
+    light_weight_violations,
     sample_phases,
     symbol_density_estimate,
     weights_well_estimated,
@@ -254,9 +256,6 @@ def event_diagnostics(
     first = first_sample_size(resolution, constants)
     reference = ReferencePartition.from_weights(dist, resolution)
     oracle = WeightedSampler(text, dist)
-    # A light interval of true weight w/D breaks its bound when
-    # w/D >= 6/res, that is p w >= 6 q D for res = p/q.
-    light_floor = 6 * resolution.denominator * dist.common_denominator()
     density_cap = constants.step_factor / resolution + Fraction(1, 2) / resolution
     first_event_hits = 0
     second_event_hits = 0
@@ -268,15 +267,11 @@ def event_diagnostics(
         second_sizes.append(sample2.size)
         if weights_well_estimated(dist, sample1, resolution, reference):
             first_event_hits += 1
-            weights = np.diff(dist.numerator_prefix()[partition.boundaries])
-            too_heavy = resolution.numerator * weights.astype(object) >= light_floor
-            light_violations += int(np.count_nonzero(too_heavy & ~partition.heavy))
-        second_event = densities_well_estimated(
-            text, dist, word, sample2, partition, resolution
-        )
-        if second_event:
+            light_violations += light_weight_violations(dist, partition, resolution)
+        density = symbol_density_estimate(sample2, partition, word)
+        exact = exact_symbol_density(text, dist, word, partition)
+        if densities_within(density, exact, dist.common_denominator(), resolution):
             second_event_hits += 1
-            density = symbol_density_estimate(sample2, partition, word)
             sentinel = interleave_partition(partition)
             assembled = assemble_sentinel_density(density, partition, sentinel)
             ref_nums, ref_denom = exact_sentinel_reference(

@@ -399,6 +399,16 @@ class TestSamplers:
         assert_same_sample(sampler.draw(6000, 9), first)
         assert_same_sample(sampler.draw(6000, 9), first)
 
+    def test_shortfall_cdf_built_once_on_first_poissonized_draw(self):
+        text, cases = sampler_cases(N_POISSON)
+        sampler = WeightedSampler(text, cases["weighted"][0].dist)
+        sampler.draw(N_POISSON, 1)  # not above n: one multinomial
+        assert "_cdf" not in vars(sampler)
+        sampler.draw(6000, 9)
+        cdf = vars(sampler)["_cdf"]
+        sampler.draw(6000, 10)
+        assert vars(sampler)["_cdf"] is cdf
+
     def test_zero_draws(self):
         t = text_of("ab")
         s = UniformSampler(t).draw(0, 1)

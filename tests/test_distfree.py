@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqfree import distfree
 from seqfree.core import (
     Distribution,
     SampleSet,
@@ -15,6 +16,7 @@ from seqfree.core import (
     UniformSampler,
     WeightedSampler,
     Word,
+    exact_dtype,
 )
 from seqfree.distfree import (
     DEFAULT_CONSTANTS,
@@ -27,9 +29,11 @@ from seqfree.distfree import (
     estimate_distance_repeat_free,
     exact_sentinel_reference,
     exact_symbol_density,
+    exactly_within,
     first_sample_size,
     interleave_partition,
     interval_resolution,
+    light_weight_violations,
     quantization_step,
     sample_phases,
     second_sample_size,
@@ -84,6 +88,18 @@ def near_census(dist: Distribution, text: Text, size: int = 2**40) -> SampleSet:
     to multiples of 1/size, then renormalized."""
     counts = np.array([int(w * size) for w in dist.fractions], dtype=np.int64)
     return SampleSet.from_counts(counts, text)
+
+
+def record_exact_dtypes(monkeypatch) -> list:
+    """The dtypes that `distfree` picks for its exact checks, in call order."""
+    picked = []
+
+    def spy(bound):
+        picked.append(exact_dtype(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(distfree, "exact_dtype", spy)
+    return picked
 
 
 def dense_partition_reference(sample: SampleSet, resolution: Fraction) -> tuple:
@@ -474,6 +490,28 @@ class TestWeightsWellEstimated:
         )
         assert not weights_well_estimated(d, s, Fraction(1))
 
+    def test_matches_fraction_loop_at_the_int64_limit(self, monkeypatch):
+        # D = 2**40: at 2**20 draws every product fits int64; at 2**22,
+        # D size = 2**62 still does, but 3 size true for the second single
+        # passes it.
+        picked = record_exact_dtypes(monkeypatch)
+        d = Distribution.from_numerators([2**38 + 1, 3 * 2**38 - 1])
+        t = text_of("ab")
+        ref = ReferencePartition.from_weights(d, Fraction(1))
+        assert ref.labels == ("single", "single")
+        for size, dtype in ((2**20, np.int64), (2**22, object)):
+            outcomes = set()
+            for factor in (Fraction(1, 2), Fraction(3, 2)):
+                edge = factor * size * d.weight(1)
+                for drawn in range(math.floor(edge) - 1, math.ceil(edge) + 2):
+                    s = SampleSet.from_counts(np.array([drawn, size - drawn]), t)
+                    want = all(w / 2 <= Fraction(c, size) <= 3 * w / 2
+                               for c, w in zip((drawn, size - drawn), d.fractions))
+                    assert weights_well_estimated(d, s, Fraction(1), ref) is want
+                    assert picked.pop() is dtype
+                    outcomes.add(want)
+            assert outcomes == {True, False}
+
     def test_explicit_reference_matches_implicit(self):
         d = Distribution.from_fractions(
             [Fraction(9, 10)] + [Fraction(1, 70)] * 7
@@ -583,6 +621,70 @@ class TestDensitiesWellEstimated:
         for counts, ok in (([6, 2], True), ([7, 1], False)):
             s = SampleSet.from_counts(np.array(counts), t)
             assert densities_well_estimated(t, d, w, s, part, Fraction(4)) is ok, counts
+
+
+class TestExactlyWithin:
+    # (got_denom, want_denom, bound, largest |got|, largest |want|, whether
+    # entries may be negative, dtype). The first two straddle the int64
+    # limit of the comparison's largest value, ((2**31 - 1) * 2**29 +
+    # (2**27 - 2) * 2**33) * 4 < 2**63 <= (2**31 * 2**29 + 2**27 * 2**33) * 4;
+    # in the third the cross products themselves pass 2**64.
+    CASES = [
+        (2**33, 2**29, Fraction(1, 4), 2**31 - 1, 2**27 - 2, True, np.int64),
+        (2**33, 2**29, Fraction(1, 4), 2**31 - 1, 2**27 - 1, True, object),
+        (2**32 + 3, 2**32 + 1, Fraction(1, 2**10), 2**32, 2**32, False, object),
+        (2**40, PAST_INT64, Fraction(1, 7), 2**40, PAST_INT64, False, object),
+        (1000, 2000, Fraction(1, 3**45), 1000, 2000, False, object),
+        (1000, 2000, Fraction(1, 3), 1000, 2000, False, np.int64),
+    ]
+
+    @staticmethod
+    def entries(rng, got_denom, want_denom, bound, got_peak, want_peak, signed):
+        """Pairs at the extremes, and pairs whose gap lands on, just inside
+        and just outside the bound."""
+        low = -want_peak if signed else 0
+        pairs = [(got_peak, low), (0, want_peak)]
+        for _ in range(40):
+            want = low + int(rng.integers(0, 2**62)) % (want_peak - low + 1)
+            for side in (-1, 1):
+                target = Fraction(want * got_denom, want_denom) + side * bound * got_denom
+                for got in range(math.floor(target) - 1, math.ceil(target) + 2):
+                    pairs.append((min(max(got, 0), got_peak), want))
+        return pairs
+
+    def test_matches_fraction_loop(self, rng, monkeypatch):
+        picked = record_exact_dtypes(monkeypatch)
+        for got_denom, want_denom, bound, got_peak, want_peak, signed, dtype in self.CASES:
+            pairs = self.entries(rng, got_denom, want_denom, bound, got_peak, want_peak, signed)
+            want_dtype = np.int64 if want_peak < 2**63 else object
+            got = np.array([g for g, _ in pairs], dtype=np.int64)
+            want = np.array([w for _, w in pairs], dtype=want_dtype)
+            expected = [abs(Fraction(g, got_denom) - Fraction(w, want_denom)) <= bound
+                        for g, w in pairs]
+            assert True in expected and False in expected
+            assert exactly_within(got, got_denom, want, want_denom, bound).tolist() == expected
+            assert picked.pop() is dtype
+
+
+class TestLightWeightViolations:
+    def test_matches_fraction_loop(self, monkeypatch):
+        picked = record_exact_dtypes(monkeypatch)
+        part = IntervalPartition(8, np.array([0, 2, 3, 5, 8]),
+                                 np.array([False, True, False, False]))
+        # 6/res = 1/4: uniform weights put the first and the third interval
+        # exactly on the bound. Near int64, 6 D passes it although every
+        # weight fits.
+        res = Fraction(24)
+        for d, dtype in ((Distribution.uniform(8), np.int64),
+                         (over_denominator(NEAR_INT64, 8), object),
+                         (over_denominator(PAST_INT64, 8), object)):
+            want = sum(1 for lo, hi, heavy in part.intervals()
+                       if not heavy and d.interval_weight(lo, hi) >= 6 / res)
+            assert want >= 2
+            assert light_weight_violations(d, part, res) == want
+            assert picked.pop() is dtype
+        # At res = 12 the bound is 1/2, which no light interval reaches.
+        assert light_weight_violations(Distribution.uniform(8), part, Fraction(12)) == 0
 
 
 class TestInterleavePartition:
@@ -719,10 +821,32 @@ class TestAssembleSentinelDensity:
 
 
 class TestExactSentinelReference:
-    def test_matches_quantized_separator_densities(self, rng):
+    @staticmethod
+    def assert_matches(t: Text, w: Word, d: Distribution, s: SampleSet) -> None:
         # reference numerators over the expansion length must equal the
         # cumulative weights of the quantized, normalized, halved
         # distribution on the rewritten text
+        res = Fraction(4)
+        part = IntervalPartition.from_sample(s, res)
+        sp = interleave_partition(part)
+        nums, expanded = exact_sentinel_reference(t, d, w, part, sp, res)
+
+        step = quantization_step(t.n, res)
+        quant = quantize_weights(d, step)
+        sep_text, sep_word, sep_dist = interleave_sentinel(
+            t, w, quant.normalized
+        )
+        shadow = IntervalPartition(
+            2 * t.n, sp.boundaries.copy(), np.zeros(sp.count, dtype=bool)
+        )
+        rows, _ = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
+        denom = sep_dist.common_denominator()
+        for i in range(sep_word.k):
+            for u in range(sp.count):
+                want = Fraction(int(rows[i][u]), denom)
+                assert Fraction(int(nums[i, u]), expanded) == want
+
+    def test_matches_quantized_separator_densities(self, rng):
         for _ in range(15):
             n = int(rng.integers(1, 15))
             t = random_text_ids(rng, n, 3)
@@ -730,26 +854,20 @@ class TestExactSentinelReference:
             d = Distribution.from_fractions(
                 positive_rational_weights(rng, n, max(n, 40))
             )
-            s = census(d, t)
-            res = Fraction(4)
-            part = IntervalPartition.from_sample(s, res)
-            sp = interleave_partition(part)
-            nums, expanded = exact_sentinel_reference(t, d, w, part, sp, res)
+            self.assert_matches(t, w, d, census(d, t))
 
-            step = quantization_step(n, res)
-            quant = quantize_weights(d, step)
-            sep_text, sep_word, sep_dist = interleave_sentinel(
-                t, w, quant.normalized
-            )
-            shadow = IntervalPartition(
-                2 * n, sp.boundaries.copy(), np.zeros(sp.count, dtype=bool)
-            )
-            rows, _ = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
-            denom = sep_dist.common_denominator()
-            for i in range(sep_word.k):
-                for u in range(sp.count):
-                    want = Fraction(int(rows[i][u]), denom)
-                    assert Fraction(int(nums[i, u]), expanded) == want
+    def test_denominators_near_and_past_int64(self, monkeypatch):
+        # Near int64 the numerators fit but their scaling does not.
+        picked = record_exact_dtypes(monkeypatch)
+        t = text_of("abcaba")
+        w = word_of("ab", t)
+        d = over_denominator(NEAR_INT64, t.n)
+        self.assert_matches(t, w, d, census(d, t))
+        d = over_denominator(PAST_INT64, t.n)
+        self.assert_matches(t, w, d, near_census(d, t))
+        assert picked == [object, object]
+        self.assert_matches(t, w, Distribution.uniform(t.n), census(Distribution.uniform(t.n), t))
+        assert picked[-1] is np.int64
 
 
 class TestEstimateDistance:
