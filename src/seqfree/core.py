@@ -1,9 +1,11 @@
 """Token sequences, position weights, and the sampling oracles.
 
 Texts and words are sequences of interned integer symbol ids. User tokens
-always intern to ids >= 1; id 0 is reserved for the internal separator
-symbol used by the repeat-free rewrite and is guaranteed absent from any
-ingested input. Positions are 1-based in every public interface.
+always intern to ids >= 1, so id 0 never occurs in ingested input; it is
+reserved for the separator that `exact.interleave` inserts. Only the
+reference oracles build such an interleaved text: the estimator's
+separator assembly is array code and never uses id 0. Positions are
+1-based in every public interface.
 
 Weights over positions are always exact: integer numerators over their
 least common denominator, which the ground-truth oracles read, next to a
@@ -121,29 +123,19 @@ class Alphabet:
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
-        self._tokens: list[str] = []
 
     def intern(self, token: str) -> int:
         sym = self._ids.get(token)
         if sym is None:
-            sym = len(self._tokens) + 1
+            sym = len(self._ids) + 1
             self._ids[token] = sym
-            self._tokens.append(token)
         return sym
 
     def intern_all(self, tokens: Iterable[str]) -> np.ndarray:
         return np.fromiter((self.intern(t) for t in tokens), dtype=np.int32)
 
-    def token(self, symbol: int) -> str:
-        if symbol == SENTINEL:
-            return "<sep>"
-        return self._tokens[symbol - 1]
-
     def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
+        return len(self._ids)
 
 
 def _as_symbol_array(symbols) -> np.ndarray:
@@ -173,11 +165,6 @@ class Text:
     @property
     def n(self) -> int:
         return int(self.ids.size)
-
-    def symbol(self, position: int) -> int:
-        if not 1 <= position <= self.n:
-            raise IndexError(f"position {position} outside [1, {self.n}]")
-        return int(self.ids[position - 1])
 
     def __len__(self) -> int:
         return self.n
@@ -215,11 +202,6 @@ class Word:
     def has_adjacent_repeat(self) -> bool:
         """True when some symbol immediately repeats itself."""
         return bool(self.k > 1 and np.any(self.ids[1:] == self.ids[:-1]))
-
-    def symbol(self, role: int) -> int:
-        if not 1 <= role <= self.k:
-            raise IndexError(f"role {role} outside [1, {self.k}]")
-        return int(self.ids[role - 1])
 
     def __len__(self) -> int:
         return self.k
@@ -309,17 +291,13 @@ class Distribution:
         """The exact weights as Fractions, built on every call."""
         return tuple(Fraction(p, self._denominator) for p in self._numerators.tolist())
 
-    def weight(self, position: int) -> Fraction:
-        self._check_range(position, position)
-        return Fraction(int(self._numerators[position - 1]), self._denominator)
-
     def interval_weight(self, lo: int, hi: int) -> Fraction:
-        """Total weight of positions lo..hi inclusive."""
-        self._check_range(lo, hi)
-        return self.exact_prefix(hi) - self.exact_prefix(lo - 1)
-
-    def exact_prefix(self, length: int) -> Fraction:
-        return Fraction(int(self.numerator_prefix()[length]), self._denominator)
+        """Total weight of positions lo..hi inclusive; lo = hi + 1 is the
+        empty interval."""
+        if not 1 <= lo or not hi <= self.n or lo > hi + 1:
+            raise ValueError(f"interval [{lo}, {hi}] outside [1, {self.n}]")
+        prefix = self.numerator_prefix()
+        return Fraction(int(prefix[hi] - prefix[lo - 1]), self._denominator)
 
     def common_denominator(self) -> int:
         """The least common denominator D of the weights."""
@@ -335,10 +313,6 @@ class Distribution:
         if self._numerator_prefix is None:
             self._numerator_prefix = np.concatenate(([0], np.cumsum(self._numerators)))
         return self._numerator_prefix
-
-    def _check_range(self, lo: int, hi: int) -> None:
-        if not 1 <= lo or not hi <= self.n or lo > hi + 1:
-            raise ValueError(f"interval [{lo}, {hi}] outside [1, {self.n}]")
 
     def __repr__(self) -> str:
         return f"Distribution(n={self.n})"
@@ -361,7 +335,8 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
 
 
 class SampleSet:
-    """Multiset of (position, symbol) draws, stored as count vectors.
+    """Multiset of (position, symbol) draws, stored as sparse sorted
+    positions with their symbols and multiplicities.
 
     Only positions that were actually drawn are kept: `positions` is
     sorted and unique, `symbols` carries the text symbol at each, and
@@ -395,23 +370,6 @@ class SampleSet:
         hit = np.flatnonzero(counts)
         return cls(text.n, hit + 1, text.ids[hit], counts[hit])
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "SampleSet":
-        """Build from explicit (position, symbol) pairs, mainly for tests."""
-        bag: dict[int, int] = {}
-        syms: dict[int, int] = {}
-        for pos, sym in pairs:
-            bag[pos] = bag.get(pos, 0) + 1
-            if syms.setdefault(pos, sym) != sym:
-                raise ValueError(f"position {pos} reported with two symbols")
-        order = sorted(bag)
-        return cls(
-            n,
-            np.array(order, dtype=np.int64),
-            np.array([syms[p] for p in order], dtype=np.int32),
-            np.array([bag[p] for p in order], dtype=np.int64),
-        )
-
     def tally(self, ends: np.ndarray, symbols=()) -> tuple[np.ndarray, np.ndarray]:
         """Draws within each prefix of length `ends[j]`: per entry of
         `symbols` those at positions carrying it, as a (len(symbols),
@@ -432,19 +390,6 @@ class SampleSet:
         np.cumsum(self.multiplicities, out=cumulative[1:])
         rows = np.array([by_symbol[symbol] for symbol in symbols], dtype=np.int64)
         return rows.reshape(len(symbols), cut.size), cumulative[cut]
-
-    def count_between(self, lo: int, hi: int) -> int:
-        if not 1 <= lo or not hi <= self.n or lo > hi + 1:
-            raise ValueError(f"interval [{lo}, {hi}] outside [1, {self.n}]")
-        a = np.searchsorted(self.positions, lo, side="left")
-        b = np.searchsorted(self.positions, hi, side="right")
-        return int(self.multiplicities[a:b].sum())
-
-    def interval_weight(self, lo: int, hi: int) -> Fraction:
-        """Empirical weight of the interval: draw count over sample size."""
-        if self.size == 0:
-            raise ValueError("empty sample has no weights")
-        return Fraction(self.count_between(lo, hi), self.size)
 
     def __repr__(self) -> str:
         return f"SampleSet(n={self.n}, size={self.size})"
@@ -544,15 +489,6 @@ class WeightedSampler(Sampler):
         self.dist = dist
 
 
-def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
-    """Occurrences of the role's symbol among the first `length` positions."""
-    if not 1 <= role <= word.k:
-        raise ValueError(f"role {role} outside [1, {word.k}]")
-    if not 0 <= length <= text.n:
-        raise ValueError(f"prefix length {length} outside [0, {text.n}]")
-    return int(np.count_nonzero(text.ids[:length] == word.ids[role - 1]))
-
-
 def role_prefix_counts(
     text: Text, word: Word, weights: Optional[np.ndarray] = None
 ) -> Iterator[np.ndarray]:
@@ -595,11 +531,6 @@ def gather_columns(count_blocks: Iterable[np.ndarray], columns: np.ndarray) -> n
         parts.append(block[:, columns[lo:hi] - (start + 1)])
         start = stop
     return np.concatenate(parts, axis=1)
-
-
-def role_match(text: Text, word: Word, role: int, position: int) -> bool:
-    """True when the text symbol at `position` can play `role`."""
-    return text.symbol(position) == word.symbol(role)
 
 
 def contains_word(text: Text, word: Word) -> bool:

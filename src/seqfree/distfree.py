@@ -219,18 +219,6 @@ class IntervalPartition(_IntervalCover):
                                       memoryview(cumulative), heavy_drawn, limit)
         return cls(sample.n, np.array(bounds, dtype=np.int64), np.array(heavy, dtype=bool))
 
-    def validate(self, sample: SampleSet, resolution: Fraction) -> None:
-        assert self.boundaries[0] == 0 and self.boundaries[-1] == self.n
-        assert np.all(np.diff(self.boundaries) > 0)
-        cap = Fraction(1) / resolution
-        for lo, hi, is_heavy in self.intervals():
-            weight = sample.interval_weight(lo, hi)
-            if is_heavy:
-                assert lo == hi, "heavy intervals must be singletons"
-                assert weight > cap
-            else:
-                assert weight <= cap
-
 
 def sample_phases(
     oracle: Sampler,
@@ -279,12 +267,6 @@ class ReferencePartition(_IntervalCover):
     def small(self) -> np.ndarray:
         """One flag per interval, set for the `small` class; built once."""
         return np.fromiter((label == _CLASS_SMALL for label in self.labels), bool, len(self.labels))
-
-    def class_counts(self) -> dict:
-        out = {_CLASS_SINGLE: 0, _CLASS_MEDIUM: 0, _CLASS_SMALL: 0}
-        for label in self.labels:
-            out[label] += 1
-        return out
 
     @classmethod
     def from_weights(cls, dist: Distribution, resolution: Fraction) -> "ReferencePartition":

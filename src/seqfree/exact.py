@@ -51,21 +51,6 @@ class CopySet:
     def count(self) -> int:
         return int(self.positions.shape[0])
 
-    def validate(self, text: Text) -> None:
-        """Check the structural invariants; raises AssertionError."""
-        rows, k = self.positions.shape
-        assert k == self.word.k
-        for m in range(rows):
-            row = self.positions[m]
-            assert np.all(np.diff(row) > 0), f"copy {m} is not increasing"
-            for i in range(k):
-                assert text.symbol(int(row[i])) == self.word.symbol(i + 1), (
-                    f"copy {m} role {i + 1} symbol mismatch"
-                )
-        for i in range(k):
-            col = self.positions[:, i]
-            assert np.unique(col).size == col.size, f"role {i + 1} reuses a position"
-
 
 def greedy_copies(text: Text, word: Word) -> CopySet:
     """Build a maximum set of role-disjoint copies, first-fit forward.
@@ -309,8 +294,8 @@ class TextExpansion:
     """A text expanded by positive per-position multiplicities.
 
     Position j of the source becomes a run of multiplicities[j-1] equal
-    symbols; `origin` maps expanded positions back to their source. Under
-    uniform weights on the expansion, each source position carries weight
+    symbols, which ends at expanded position boundaries[j]. Under uniform
+    weights on the expansion, each source position carries weight
     proportional to its multiplicity.
     """
 
@@ -333,21 +318,6 @@ class TextExpansion:
     @property
     def expanded_length(self) -> int:
         return int(self.boundaries[-1])
-
-    def origin(self, position: int) -> int:
-        """Source position of expanded position `position` (both 1-based)."""
-        if not 1 <= position <= self.expanded_length:
-            raise IndexError(f"position {position} outside the expansion")
-        return int(np.searchsorted(self.boundaries, position, side="left"))
-
-    def origin_map(self) -> np.ndarray:
-        return np.repeat(
-            np.arange(1, self.source.n + 1, dtype=np.int64), self.multiplicities
-        )
-
-    def prefix_boundary(self, source_prefix: int) -> int:
-        """Expanded length covering the first `source_prefix` positions."""
-        return int(self.boundaries[source_prefix])
 
 
 def expand_text(text: Text, dist: Distribution, base_weight) -> TextExpansion:

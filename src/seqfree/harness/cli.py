@@ -59,6 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="divide the sampling resolution by X (off-spec smoke mode; "
         "guarantees void for X > 1)",
     )
+    estimate = argparse.ArgumentParser(add_help=False)
+    estimate.add_argument("--delta", required=True, help="additive accuracy in (0,1)")
+    estimate.add_argument("--repeats", type=int, default=1,
+                          help="median of this many independent runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def instance_flags(p, weights=True):
@@ -75,29 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
     instance_flags(p)
     p.set_defaults(handler=cmd_exact)
 
-    p = sub.add_parser("estimate-uniform", parents=[common],
+    p = sub.add_parser("estimate-uniform", parents=[common, estimate],
                        help="sampling estimator, uniform position weights")
     instance_flags(p, weights=False)
-    p.add_argument("--delta", required=True, help="additive accuracy in (0,1)")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="median of this many independent runs")
     p.set_defaults(handler=cmd_estimate_uniform)
 
-    p = sub.add_parser("estimate-df", parents=[common, relaxed],
+    p = sub.add_parser("estimate-df", parents=[common, relaxed, estimate],
                        help="sampling estimator, arbitrary position weights")
     instance_flags(p)
-    p.add_argument("--delta", required=True, help="additive accuracy in (0,1)")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="median of this many independent runs")
     p.set_defaults(handler=cmd_estimate_df)
 
-    p = sub.add_parser("estimate-df-wc", parents=[common, relaxed],
+    p = sub.add_parser("estimate-df-wc", parents=[common, relaxed, estimate],
                        help="same estimator, specialized to words without "
                        "adjacent equal symbols")
     instance_flags(p)
-    p.add_argument("--delta", required=True, help="additive accuracy in (0,1)")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="median of this many independent runs")
     p.set_defaults(handler=cmd_estimate_df)
 
     p = sub.add_parser("sweep", parents=[common, relaxed],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -74,11 +74,6 @@ class PrefixGrid:
     def size(self) -> int:
         return int(self.columns.size)
 
-    @property
-    def max_gap(self) -> int:
-        """Largest jump between consecutive columns, counting from 0."""
-        return int(np.diff(np.concatenate(([0], self.columns))).max())
-
 
 def prefix_grid(n: int, spacing) -> PrefixGrid:
     """Columns at ceil(r * spacing * n), capped at n and deduplicated."""
@@ -100,49 +95,35 @@ def prefix_grid(n: int, spacing) -> PrefixGrid:
 
 @dataclass
 class CountMatrix:
-    """Per-role occurrence counts at the grid columns, in count scale.
+    """Per-role sample hit counts at the grid columns.
 
-    `counts[i-1, r-1]` approximates (or equals, when exact) the number of
-    occurrences of role i's symbol within the first columns[r-1] text
-    positions. Estimated matrices also keep `tallies`, the raw per-cell
-    sample hit counts, whose scale-free recursion value is exact.
+    `tallies[i-1, r-1]` counts the draws of role i's symbol within the
+    first columns[r-1] text positions. Times n over the sample size, it
+    estimates the occurrence count there; the copy measure of the raw
+    tallies over the sample size is the estimator's exact raw value.
     """
 
-    counts: np.ndarray
-    n: int
-    estimated: bool
-    sample_size: Optional[int] = None
-    tallies: Optional[np.ndarray] = None
+    tallies: np.ndarray  # int64, (k, grid size)
 
 
-def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> CountMatrix:
-    """True occurrence counts at the grid columns."""
+def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> np.ndarray:
+    """True occurrence counts at the grid columns, as an int64 (k, grid
+    size) array: entry [i-1, r-1] counts role i's symbol within the first
+    columns[r-1] text positions."""
     if grid.n != text.n:
         raise ValueError("grid and text disagree on length")
-    rows = gather_columns(role_prefix_counts(text, word), grid.columns)
-    return CountMatrix(rows.astype(np.int64), text.n, estimated=False)
+    return gather_columns(role_prefix_counts(text, word), grid.columns).astype(np.int64)
 
 
 def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> CountMatrix:
-    """Estimated occurrence counts from a uniform sample.
-
-    Each draw at position j with symbol equal to role i's symbol adds
-    n/size to every cell (i, r) with columns[r] >= j; tallies keep the
-    raw hit counts.
-    """
+    """Hit counts of a uniform sample at the grid columns: each draw at
+    position j whose symbol is role i's counts once in every cell (i, r)
+    with columns[r] >= j."""
     if sample.size < 1:
         raise ValueError("cannot estimate from an empty sample")
     if grid.n != sample.n:
         raise ValueError("grid and sample disagree on length")
-    tallies, _ = sample.tally(grid.columns, word.ids)
-    scale = sample.n / sample.size
-    return CountMatrix(
-        tallies * scale,
-        sample.n,
-        estimated=True,
-        sample_size=sample.size,
-        tallies=tallies,
-    )
+    return CountMatrix(sample.tally(grid.columns, word.ids)[0])
 
 
 def copies_from_counts(matrix) -> Number:

@@ -1,5 +1,6 @@
 """Shared helpers: instance generation, an independent minimum-weight
-removal oracle, and high-precision sample-size arithmetic."""
+removal oracle, high-precision sample-size arithmetic, and the reference
+counts and structural checks that tests hold library results to."""
 
 import math
 from decimal import Decimal, localcontext
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from seqfree import Text, Word
+from seqfree import CopySet, IntervalPartition, SampleSet, Text, Word
+from seqfree.uniform import PrefixGrid
 
 settings.register_profile(
     "suite",
@@ -114,6 +116,72 @@ def _contains(seq, word) -> bool:
             if need == len(word):
                 return True
     return False
+
+
+def sample_from_pairs(n: int, pairs) -> SampleSet:
+    """A sample of explicit (position, symbol) draws over a text of length n."""
+    bag: dict[int, int] = {}
+    syms: dict[int, int] = {}
+    for pos, sym in pairs:
+        bag[pos] = bag.get(pos, 0) + 1
+        if syms.setdefault(pos, sym) != sym:
+            raise ValueError(f"position {pos} reported with two symbols")
+    order = sorted(bag)
+    return SampleSet(
+        n,
+        np.array(order, dtype=np.int64),
+        np.array([syms[p] for p in order], dtype=np.int32),
+        np.array([bag[p] for p in order], dtype=np.int64),
+    )
+
+
+def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
+    """Occurrences of the role's symbol among the first `length` positions."""
+    if not 1 <= role <= word.k:
+        raise ValueError(f"role {role} outside [1, {word.k}]")
+    if not 0 <= length <= text.n:
+        raise ValueError(f"prefix length {length} outside [0, {text.n}]")
+    return int(np.count_nonzero(text.ids[:length] == word.ids[role - 1]))
+
+
+def validate_copies(copies: CopySet, text: Text) -> None:
+    """Check that the copies are increasing, match the word symbol by
+    symbol, and use no position twice in one role; raises AssertionError."""
+    rows, k = copies.positions.shape
+    assert k == copies.word.k
+    for m in range(rows):
+        row = copies.positions[m]
+        assert np.all(np.diff(row) > 0), f"copy {m} is not increasing"
+        for i in range(k):
+            assert text.ids[row[i] - 1] == copies.word.ids[i], (
+                f"copy {m} role {i + 1} symbol mismatch"
+            )
+    for i in range(k):
+        col = copies.positions[:, i]
+        assert np.unique(col).size == col.size, f"role {i + 1} reuses a position"
+
+
+def validate_partition(partition: IntervalPartition, sample: SampleSet,
+                       resolution: Fraction) -> None:
+    """Check that the intervals cover [1, n], that heavy ones are single
+    positions of empirical weight above 1/resolution, and that light ones
+    weigh at most that; raises AssertionError."""
+    assert partition.boundaries[0] == 0 and partition.boundaries[-1] == partition.n
+    assert np.all(np.diff(partition.boundaries) > 0)
+    cap = Fraction(1) / resolution
+    for lo, hi, is_heavy in partition.intervals():
+        inside = (sample.positions >= lo) & (sample.positions <= hi)
+        weight = Fraction(int(sample.multiplicities[inside].sum()), sample.size)
+        if is_heavy:
+            assert lo == hi, "heavy intervals must be singletons"
+            assert weight > cap
+        else:
+            assert weight <= cap
+
+
+def max_gap(grid: PrefixGrid) -> int:
+    """Largest jump between consecutive grid columns, counting from 0."""
+    return int(np.diff(np.concatenate(([0], grid.columns))).max())
 
 
 @pytest.fixture

@@ -44,6 +44,7 @@ from seqfree.uniform import (
 from conftest import (
     branching_distance,
     ceil_scaled_log,
+    max_gap,
     positive_rational_weights,
     random_repeat_free_word,
     random_text_ids,
@@ -100,7 +101,7 @@ def test_criterion_02_measure_exact_on_full_grid(capsys):
         text = random_text_ids(rng, n, alphabet)
         word = random_repeat_free_word(rng, int(rng.integers(1, 5)), alphabet)
         grid = prefix_grid(n, Fraction(1, n))
-        measure = copies_from_counts(exact_count_matrix(text, word, grid).counts)
+        measure = copies_from_counts(exact_count_matrix(text, word, grid))
         if measure == copy_count(text, word):
             exact_hits += 1
     passed = exact_hits == instances
@@ -127,8 +128,8 @@ def test_criterion_03_grid_gap_bound(capsys):
         if cols.size == 0 or cols[-1] != n:
             cols = np.unique(np.append(cols, n))
         grid = PrefixGrid(n, Fraction(1, n), cols.astype(np.int64))
-        measure = copies_from_counts(exact_count_matrix(text, word, grid).counts)
-        if abs(measure - copy_count(text, word)) <= (k - 1) * grid.max_gap:
+        measure = copies_from_counts(exact_count_matrix(text, word, grid))
+        if abs(measure - copy_count(text, word)) <= (k - 1) * max_gap(grid):
             within += 1
     passed = within == instances
     announce(

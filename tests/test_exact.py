@@ -23,14 +23,16 @@ from seqfree import (
     uniform_distance,
 )
 from seqfree import core
-from seqfree.core import SENTINEL, drop_zero_weight, prefix_count
+from seqfree.core import SENTINEL, drop_zero_weight
 from seqfree.exact import BRUTEFORCE_LIMIT, EXPANSION_LIMIT, TextExpansion, expand_text
 
 from conftest import (
     branching_distance,
     positive_rational_weights,
+    prefix_count,
     random_text_ids,
     random_word_ids,
+    validate_copies,
 )
 from test_bench_api import load_workloads
 
@@ -49,7 +51,7 @@ class TestGreedyCopies:
         copies = greedy_copies(t, word_of("ab", t))
         assert copies.count == 2
         assert copies.positions.tolist() == [[1, 3], [2, 4]]
-        copies.validate(t)
+        validate_copies(copies, t)
 
     def test_free_text(self):
         t = text_of("ba")
@@ -60,7 +62,7 @@ class TestGreedyCopies:
         copies = greedy_copies(t, word_of("aa", t))
         assert copies.count == 2
         assert copies.positions.tolist() == [[1, 2], [2, 3]]
-        copies.validate(t)
+        validate_copies(copies, t)
 
     def test_word_longer_than_text(self):
         t = text_of("ab")
@@ -78,7 +80,7 @@ class TestGreedyCopies:
         bad[1, 0] = 1  # duplicate a role-1 position
         tampered = type(copies)(positions=bad, word=copies.word)
         with pytest.raises(AssertionError):
-            tampered.validate(t)
+            validate_copies(tampered, t)
 
     def test_validation_is_structural(self, rng):
         # role-disjointness and symbol agreement on random instances
@@ -86,7 +88,7 @@ class TestGreedyCopies:
             n = int(rng.integers(0, 15))
             t = random_text_ids(rng, n, 3)
             w = random_word_ids(rng, int(rng.integers(1, 4)), 3)
-            greedy_copies(t, w).validate(t)
+            validate_copies(greedy_copies(t, w), t)
 
 
 class TestCopyCountTable:
@@ -298,13 +300,9 @@ class TestExpansion:
     def test_origin_map(self):
         t = text_of("ab")
         e = TextExpansion(t, np.array([1, 3]))
-        assert e.origin(1) == 1
-        assert e.origin(2) == 2
-        assert e.origin(4) == 2
-        assert e.origin_map().tolist() == [1, 2, 2, 2]
-        assert e.prefix_boundary(0) == 0
-        assert e.prefix_boundary(1) == 1
-        assert e.prefix_boundary(2) == 4
+        assert e.expanded.ids.tolist() == [1, 2, 2, 2]
+        assert e.boundaries.tolist() == [0, 1, 4]
+        assert e.expanded_length == 4
 
     def test_expansion_symbols_follow_origin(self, rng):
         for _ in range(50):
@@ -314,12 +312,11 @@ class TestExpansion:
             d = Distribution.from_fractions(weights)
             e = expand_text(t, d, Fraction(1, n + 9))
             assert e.expanded_length == n + 9
-            for pos in range(1, e.expanded_length + 1):
-                assert e.expanded.symbol(pos) == t.symbol(e.origin(pos))
-            # origin map is non-decreasing and onto
-            om = e.origin_map()
-            assert np.all(np.diff(om) >= 0)
-            assert set(om.tolist()) == set(range(1, n + 1))
+            # source position of each expanded one: non-decreasing and onto
+            origin = np.searchsorted(e.boundaries, np.arange(1, e.expanded_length + 1))
+            assert np.all(np.diff(origin) >= 0)
+            assert set(origin.tolist()) == set(range(1, n + 1))
+            assert e.expanded.ids.tolist() == t.ids[origin - 1].tolist()
 
     def test_splitting_preserves_distance_repeat_free(self, rng):
         # for words without adjacent repeats the uniform distance of the

@@ -1,11 +1,26 @@
 """Every name a module under `src/seqfree` or `tests/` imports is used
-there: read by its code, or re-exported through its `__all__`."""
+there: read by its code, or re-exported through its `__all__`. Every
+function of the library modules has a caller in the package or the
+benchmark, or is exported."""
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "seqfree"
+BENCH = TESTS.parent / "perfbench"
+LIBRARY = ("core.py", "exact.py", "uniform.py", "distfree.py")
+
+
+def exported(tree: ast.Module) -> set:
+    """The names the module lists in `__all__`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names |= set(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -18,12 +33,7 @@ def unused_imports(tree: ast.Module) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -44,3 +54,37 @@ def test_detects_an_unused_import():
         "__all__ = ['Callable']\nx: Optional[int] = None\n"
     )
     assert unused_imports(tree) == [(1, "math")]
+
+
+def defined_functions(tree: ast.Module) -> list:
+    """(qualified name, name) of each top-level function of the module and
+    each method of its top-level classes, dunder methods left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name)
+                      for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [(qualified, name) for qualified, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Every name the module reads, as a variable or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_library_function_has_a_caller():
+    """A function that only tests call belongs in `tests/`, or nowhere."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.rglob("*.py")) + sorted(BENCH.glob("*.py"))}
+    reached = set().union(*map(referenced_names, trees.values()))
+    reached |= exported(trees[SOURCE / "__init__.py"])
+    defined = [(module, qualified, name) for module in LIBRARY
+               for qualified, name in defined_functions(trees[SOURCE / module])]
+    assert len(defined) > 50  # the walk sees the library's functions
+    uncalled = [f"{module}: {qualified}" for module, qualified, name in defined
+                if name not in reached]
+    assert not uncalled, uncalled
