@@ -17,7 +17,6 @@ from .core import (
     Word,
     as_fraction,
     contains_word,
-    is_word_free,
     subseed,
 )
 from .distfree import (
@@ -44,7 +43,6 @@ from .uniform import (
     UniformEstimate,
     copies_from_counts,
     estimate_distance_uniform,
-    exact_count_matrix,
     prefix_grid,
     uniform_plan,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "Word",
     "as_fraction",
     "contains_word",
-    "is_word_free",
     "subseed",
     "DEFAULT_CONSTANTS",
     "DistFreeEstimate",
@@ -83,7 +80,6 @@ __all__ = [
     "UniformEstimate",
     "copies_from_counts",
     "estimate_distance_uniform",
-    "exact_count_matrix",
     "prefix_grid",
     "uniform_plan",
     "__version__",

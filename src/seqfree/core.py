@@ -544,6 +544,3 @@ def contains_word(text: Text, word: Word) -> bool:
                 return True
     return False
 
-
-def is_word_free(text: Text, word: Word) -> bool:
-    return not contains_word(text, word)

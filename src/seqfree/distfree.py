@@ -7,9 +7,11 @@ of small empirical weight (heavy single positions stay alone) with one
 greedy walk over the drawn positions, which the diagnostic reference
 partition runs on the true weights. Phase two estimates, per word role,
 the cumulative weight of matching positions up to every interval
-boundary. A separator-aware reassembly, array code over the interval
-boundaries, then feeds the copy measure, whose doubled value estimates
-the distance within the requested accuracy with probability at least 2/3.
+boundary. The copy recursion (`exact.running_maximum`) runs on those
+tallies, lagged at heavy intervals: there each role reads the previous
+role's measure one column back, as the separator rewrite of the paper
+would have it. Its measure over the phase-two size estimates the distance
+within the requested accuracy with probability at least 2/3.
 
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
@@ -48,8 +50,7 @@ from .core import (
     role_prefix_counts,
     subseed,
 )
-from .exact import interleave_sentinel
-from .uniform import copies_from_counts
+from .exact import final_measure, interleave_sentinel
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,18 @@ def quantization_step(n: int, resolution: Fraction, constants: EstimatorConstant
     if n < 1:
         raise ValueError("step needs n >= 1")
     return constants.step_factor / (n * resolution)
+
+
+def quantized_numerators(dist: Distribution, step: Fraction) -> np.ndarray:
+    """ceil(w / step) for every weight w, as int64: the multiples of `step`
+    that `quantize_weights` rounds the weights up to, by integer ceiling
+    division of their numerators."""
+    # w / step = num * b / (D * a) for w = num / D and step = a / b; with
+    # num <= D, neither num * b nor the divisor D * a passes D max(a, b).
+    denom = dist.common_denominator()
+    nums = dist.numerators().astype(
+        exact_dtype(denom * max(step.numerator, step.denominator)), copy=False)
+    return (-(-(nums * step.denominator) // (denom * step.numerator))).astype(np.int64)
 
 
 def _greedy_cover(n: int, positions: Sequence, prefix: Sequence, singles: set,
@@ -438,9 +451,96 @@ def densities_well_estimated(
     return densities_within(estimate, exact, dist.common_denominator(), resolution)
 
 
+def separator_violations(
+    estimate: DensityEstimate, heavy: np.ndarray, exact: tuple, denominator: int, bound: Fraction
+) -> int:
+    """Entries of the separator matrix (`assemble_sentinel_density`)
+    further than `bound` from `exact_sentinel_reference`, counted on the
+    densities they repeat against `exact`, as `exact_symbol_density`
+    returns it over `denominator`. Both sides of that matrix are halved,
+    which doubles the bound; a heavy interval's role densities fill two
+    of its columns, and each prefix density one entry per role, again
+    when the next interval is heavy. Its empty prefix is exact."""
+    exact_rows, exact_prefix = exact
+    size = estimate.sample_size
+    roles = ~exactly_within(estimate.role_tallies, size, exact_rows, denominator, 2 * bound)
+    prefix = ~exactly_within(estimate.prefix_tallies, size, exact_prefix, denominator, 2 * bound)
+    k = estimate.role_tallies.shape[0]
+    heavy_next = np.append(heavy[1:], False)
+    return int(np.sum(roles * (1 + heavy)) + k * np.sum(prefix * (1 + heavy_next)))
+
+
+@dataclass(frozen=True)
+class DistFreeEstimate:
+    """Result of one distribution-free estimation run."""
+
+    estimate: float  # clamped to [0, 1]
+    raw: Fraction  # exact pre-clamp value given the samples
+    resolution: Fraction
+    first_size: int
+    second_size: int
+    intervals: int
+    seed: int
+    production: bool
+
+
+def estimate_distance(
+    oracle: Sampler,
+    word: Word,
+    accuracy,
+    seed: int,
+    constants: EstimatorConstants = DEFAULT_CONSTANTS,
+) -> DistFreeEstimate:
+    """Estimate the distance to word-freeness under unknown weights.
+
+    Two-phase sampling: the phase-two size depends on the interval count
+    realized in phase one. The raw value, the measure of the phase-two
+    role tallies lagged at heavy intervals over the phase-two size, is
+    exact given the samples and doubles the measure of the separator
+    matrix (`assemble_sentinel_density`). Guarantee: within `accuracy` of
+    the true distance with probability at least 2/3.
+    """
+    resolution = interval_resolution(word.k, accuracy, constants)
+    sample1, partition, sample2 = sample_phases(oracle, word, resolution, seed, constants)
+    density = symbol_density_estimate(sample2, partition, word)
+    measure = final_measure([density.role_tallies], lag=partition.heavy)
+    raw = Fraction(int(measure), sample2.size)
+    clamped = min(max(raw, Fraction(0)), Fraction(1))
+    return DistFreeEstimate(
+        estimate=float(clamped),
+        raw=raw,
+        resolution=resolution,
+        first_size=sample1.size,
+        second_size=sample2.size,
+        intervals=partition.count,
+        seed=seed,
+        production=constants.is_production,
+    )
+
+
+def estimate_distance_repeat_free(
+    oracle: Sampler,
+    word: Word,
+    accuracy,
+    seed: int,
+    constants: EstimatorConstants = DEFAULT_CONSTANTS,
+) -> DistFreeEstimate:
+    """`estimate_distance` for words without adjacent equal symbols, the
+    only words it accepts. On those the lag at heavy intervals leaves the
+    measure as it is, so both return the same result."""
+    if word.has_adjacent_repeat:
+        raise ValueError(
+            "this estimator needs a word without adjacent equal symbols; "
+            "use estimate_distance for the general case"
+        )
+    return estimate_distance(oracle, word, accuracy, seed, constants)
+
+
 @dataclass
 class SentinelPartition:
-    """Interval structure carried through the separator rewrite.
+    """Interval structure carried through the separator rewrite of the
+    density matrix, the reference for the lag: only the benchmark's
+    replays and the tests run the rewrite.
 
     Boundaries live on the doubled text. A heavy source interval [b, b]
     splits into two merged intervals ending at 2b-1 (the position itself)
@@ -458,6 +558,7 @@ class SentinelPartition:
 
 
 def interleave_partition(partition: IntervalPartition) -> SentinelPartition:
+    """The merged intervals of the rewrite; for benchmark replays and tests."""
     copies = 1 + partition.heavy  # merged intervals per source interval
     source = np.repeat(np.arange(1, partition.count + 1, dtype=np.int64), copies)
     ends = 2 * np.repeat(partition.boundaries[1:], copies)
@@ -471,7 +572,7 @@ def interleave_partition(partition: IntervalPartition) -> SentinelPartition:
 class SentinelDensity:
     """Assembled density matrix for the separator-rewritten word, stored
     as integer numerators over a common denominator (twice the phase-two
-    sample size)."""
+    sample size); for benchmark replays and tests."""
 
     numerators: np.ndarray  # int64, (2k, U')
     denominator: int
@@ -490,7 +591,8 @@ def assemble_sentinel_density(
     exactly the even doubled positions, so their cumulative weight up to
     a merged boundary is half the prefix weight of the source prefix it
     covers. A merged boundary that is odd (first half of a heavy pair)
-    covers only the separators of the previous source interval.
+    covers only the separators of the previous source interval. Benchmark
+    replays and tests run it, as the reference for `estimate_distance`.
     """
     k, intervals = density.role_tallies.shape
     if intervals != partition.count:
@@ -505,97 +607,6 @@ def assemble_sentinel_density(
     numerators[0::2] = density.role_tallies[:, source - 1]
     numerators[1::2] = prefix_with_zero[source - first_half]
     return SentinelDensity(numerators, 2 * density.sample_size)
-
-
-@dataclass(frozen=True)
-class DistFreeEstimate:
-    """Result of one distribution-free estimation run."""
-
-    estimate: float  # clamped to [0, 1]
-    raw: Fraction  # exact pre-clamp value given the samples
-    resolution: Fraction
-    first_size: int
-    second_size: int
-    intervals: int
-    merged_intervals: Optional[int]
-    seed: int
-    production: bool
-
-
-def _estimate(
-    oracle: Sampler,
-    word: Word,
-    accuracy,
-    seed: int,
-    constants: EstimatorConstants,
-    separator: bool,
-) -> DistFreeEstimate:
-    """Both distribution-free estimators: two sampling phases, then the
-    copy measure of the phase-two tallies, through the separator rewrite
-    when `separator` is set."""
-    resolution = interval_resolution(word.k, accuracy, constants)
-    sample1, partition, sample2 = sample_phases(oracle, word, resolution, seed, constants)
-    density = symbol_density_estimate(sample2, partition, word)
-    if separator:
-        sentinel = interleave_partition(partition)
-        tallies = assemble_sentinel_density(density, partition, sentinel).numerators
-        merged = sentinel.count
-    else:
-        tallies, merged = density.role_tallies, None
-    measure = copies_from_counts(tallies)
-    # With the separator: 2 * measure(numerators / (2 * second)) = measure / second.
-    raw = Fraction(int(measure), sample2.size)
-    clamped = min(max(raw, Fraction(0)), Fraction(1))
-    return DistFreeEstimate(
-        estimate=float(clamped),
-        raw=raw,
-        resolution=resolution,
-        first_size=sample1.size,
-        second_size=sample2.size,
-        intervals=partition.count,
-        merged_intervals=merged,
-        seed=seed,
-        production=constants.is_production,
-    )
-
-
-def estimate_distance(
-    oracle: Sampler,
-    word: Word,
-    accuracy,
-    seed: int,
-    constants: EstimatorConstants = DEFAULT_CONSTANTS,
-) -> DistFreeEstimate:
-    """Estimate the distance to word-freeness under unknown weights.
-
-    Two-phase sampling: the phase-two size depends on the interval count
-    realized in phase one. The output doubles the copy measure of the
-    assembled separator matrix; by linearity that equals the integer
-    measure of the numerators divided by the phase-two sample size,
-    computed without float rounding. Guarantee: within `accuracy` of the
-    true distance with probability at least 2/3.
-    """
-    return _estimate(oracle, word, accuracy, seed, constants, separator=True)
-
-
-def estimate_distance_repeat_free(
-    oracle: Sampler,
-    word: Word,
-    accuracy,
-    seed: int,
-    constants: EstimatorConstants = DEFAULT_CONSTANTS,
-) -> DistFreeEstimate:
-    """Specialized estimator for words without adjacent equal symbols.
-
-    Skips the separator rewrite entirely: the copy measure runs on the
-    phase-two role tallies, and the output is not doubled.
-    """
-    if word.has_adjacent_repeat:
-        raise ValueError(
-            "this estimator needs a word without adjacent equal symbols; "
-            "use estimate_distance for the general case"
-        )
-    return _estimate(oracle, word, accuracy, seed, constants, separator=False)
 
 
 def exact_sentinel_reference(
@@ -616,15 +627,10 @@ def exact_sentinel_reference(
     before it. Evaluates the cumulative per-role weights of that text at
     the merged interval boundaries, counted on their own rather than by
     the assembly they check. Returns integer numerators over twice the
-    rounded total. Diagnostic only.
+    rounded total. Benchmark replays and tests run it, as the
+    reference for `separator_violations`.
     """
-    step = quantization_step(text.n, resolution, constants)
-    # w / step = num * b / (D * a) for w = num / D and step = a / b; with
-    # num <= D, neither num * b nor the divisor D * a passes D max(a, b).
-    denom = dist.common_denominator()
-    nums = dist.numerators().astype(
-        exact_dtype(denom * max(step.numerator, step.denominator)), copy=False)
-    mult = (-(-(nums * step.denominator) // (denom * step.numerator))).astype(np.int64)
+    mult = quantized_numerators(dist, quantization_step(text.n, resolution, constants))
     sep_text, sep_word, _ = interleave_sentinel(text, word)
     counts = role_prefix_counts(sep_text, sep_word, np.repeat(mult, 2))
     return gather_columns(counts, sentinel.boundaries[1:]), 2 * int(mult.sum())

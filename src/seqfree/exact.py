@@ -6,10 +6,11 @@ common denominator).
 The copy recursion, `running_maximum`, walks the text in column blocks of
 `core.COPY_BLOCK` and carries a few values per role from one block to the
 next, so `copy_count` and `exact_weighted_distance` hold O(k * COPY_BLOCK)
-counts at a time, never a count row over the whole text. Both run it with
-offset 1, which is exact for every word; the separator rewrite
-(`interleave_sentinel`) and the multiplicity expansion (`expand_text`)
-are kept as independent reference oracles only.
+counts at a time, never a count row over the whole text. Both lag it
+one column everywhere, exact for every word; the estimators lag it
+nowhere (uniform) or at heavy intervals (distribution-free). The
+separator rewrite (`interleave_sentinel`) and the multiplicity expansion
+(`expand_text`) are kept as independent reference oracles only.
 
 Everything here is exact: the weighted distance reads integer numerators
 over the common denominator; the reference oracles use Fractions.
@@ -89,35 +90,42 @@ def greedy_copies(text: Text, word: Word) -> CopySet:
     return CopySet(positions, word)
 
 
-def running_maximum(
-    count_blocks: Iterable[np.ndarray], offset: int
-) -> Iterator[np.ndarray]:
+def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) -> Iterator[np.ndarray]:
     """The copy recursion over per-role counts, one column block at a time.
 
     Each block holds one row of counts per role at consecutive prefix
     lengths; the empty prefix before the first block counts zero. Row one
     is taken as-is. Every later row subtracts from its counts the worst
     running shortfall against the previous measure:
-    counts[j] - max(0, max of counts[t] - measure[t - offset], t <= j).
-    Offset 1 runs on full prefix counts and is exact for every word;
-    offset 0 compares columns in place, exact for words without adjacent
-    equal symbols. From block to block each role carries its last measure
-    value and its shortfall maximum. Yields the measure of each block.
+    counts[j] - max(0, max of counts[t] - measure[t - lag[t]], t <= j).
+    `lag` is `True`, `False` or one bool flag per column across all
+    blocks. Lagged everywhere on full prefix counts it is exact for every
+    word; lagged nowhere, for words without adjacent equal symbols. From
+    block to block each role carries its last measure value, which a
+    lagged first column reads, and its shortfall maximum. Yields the
+    measure of each block.
     """
     last = worst = None
+    start = 0
     for counts in count_blocks:
         if last is None:
             last = np.zeros(counts.shape[0], dtype=counts.dtype)
             worst = np.zeros_like(last)
+        width = counts.shape[1]
+        flags = lag if isinstance(lag, bool) else lag[start:start + width]
+        start += width
         measure = np.empty_like(counts)
         measure[0] = counts[0]
         for i in range(1, counts.shape[0]):
             shortfall = measure[i]
-            if offset:
+            if flags is True:
                 np.subtract(counts[i, 1:], measure[i - 1, :-1], out=shortfall[1:])
                 shortfall[0] = counts[i, 0] - last[i - 1]
-            else:
+            elif flags is False:
                 np.subtract(counts[i], measure[i - 1], out=shortfall)
+            else:
+                behind = np.concatenate((last[i - 1:i], measure[i - 1, :-1]))
+                np.subtract(counts[i], np.where(flags, behind, measure[i - 1]), out=shortfall)
             # The carried maximum is at least 0, which clamps the whole
             # running maximum.
             shortfall[0] = max(shortfall[0], worst[i])
@@ -128,11 +136,11 @@ def running_maximum(
         yield measure
 
 
-def final_measure(count_blocks: Iterable[np.ndarray], offset: int):
+def final_measure(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray):
     """The last entry of the last role's measure, in the counts' dtype:
     the copy measure of the whole text, 0 when there are no blocks."""
     value = 0
-    for measure in running_maximum(count_blocks, offset):
+    for measure in running_maximum(count_blocks, lag):
         value = measure[-1, -1]
     return value
 
@@ -143,7 +151,7 @@ def copy_count_table(text: Text, word: Word) -> np.ndarray:
     Entry [i-1, j] is the copy count of the first i roles within the
     first j positions.
     """
-    blocks = running_maximum(role_prefix_counts(text, word), offset=1)
+    blocks = running_maximum(role_prefix_counts(text, word), lag=True)
     empty = np.zeros((word.k, 1), dtype=np.int64)
     return np.concatenate([empty, *blocks], axis=1, dtype=np.int64)
 
@@ -151,7 +159,7 @@ def copy_count_table(text: Text, word: Word) -> np.ndarray:
 def copy_count(text: Text, word: Word) -> int:
     """Maximum number of role-disjoint copies, O(nk) time, O(k * COPY_BLOCK)
     memory."""
-    return int(final_measure(role_prefix_counts(text, word), offset=1))
+    return int(final_measure(role_prefix_counts(text, word), lag=True))
 
 
 def uniform_distance(text: Text, word: Word) -> Fraction:
@@ -358,7 +366,7 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
     role, and the roles of one copy sit at increasing positions, so a
     slot never serves two consecutive roles of one copy. The distance is
     the largest number of copies that share no slot in the same role,
-    divided by D: the offset-1 recursion of `copy_count` on weighted
+    divided by D: the `lag=True` recursion of `copy_count` on weighted
     prefix counts, exact for every word, adjacent repeats included. A
     zero weight repeats the previous column of counts, which leaves the
     measure as it was. O(nk) time whatever D is, and O(k * COPY_BLOCK)
@@ -370,4 +378,4 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
     counts = role_prefix_counts(text, word, dist.numerators())
-    return Fraction(int(final_measure(counts, offset=1)), dist.common_denominator())
+    return Fraction(int(final_measure(counts, lag=True)), dist.common_denominator())

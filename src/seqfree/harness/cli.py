@@ -211,7 +211,8 @@ def cmd_estimate_uniform(args) -> dict:
 
 
 def cmd_estimate_df(args) -> dict:
-    """`estimate-df` and, without the separator rewrite, `estimate-df-wc`."""
+    """`estimate-df` and `estimate-df-wc`, which first rejects a word with
+    an adjacent repeat."""
     text, word, dist = _load_instance(args)
     oracle = WeightedSampler(text, dist) if dist is not None else UniformSampler(text)
     accuracy = as_fraction(args.delta)

@@ -28,17 +28,16 @@ from ..distfree import (
     DEFAULT_CONSTANTS,
     EstimatorConstants,
     ReferencePartition,
-    assemble_sentinel_density,
     densities_within,
     estimate_distance,
-    exact_sentinel_reference,
     exact_symbol_density,
-    exactly_within,
     first_sample_size,
-    interleave_partition,
     interval_resolution,
     light_weight_violations,
+    quantization_step,
+    quantized_numerators,
     sample_phases,
+    separator_violations,
     symbol_density_estimate,
     weights_well_estimated,
 )
@@ -246,15 +245,18 @@ def event_diagnostics(
 
     Conditioned on the first event, every light interval of the sampled
     partition must carry true weight below 6/resolution. Conditioned on
-    the second, the assembled density matrix must match the exact
-    quantized reference entrywise within step_factor/resolution plus
-    1/(2*resolution).
+    the second, the separator-rewritten density matrix must match its
+    exact counterpart on the quantized weights entrywise within
+    step_factor/resolution plus 1/(2*resolution); `separator_violations`
+    counts its misses on the role and prefix densities it repeats.
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
     resolution = interval_resolution(word.k, accuracy, constants)
     first = first_sample_size(resolution, constants)
     reference = ReferencePartition.from_weights(dist, resolution)
+    quantized = Distribution.from_numerators(
+        quantized_numerators(dist, quantization_step(text.n, resolution, constants)))
     oracle = WeightedSampler(text, dist)
     density_cap = constants.step_factor / resolution + Fraction(1, 2) / resolution
     first_event_hits = 0
@@ -272,16 +274,11 @@ def event_diagnostics(
         exact = exact_symbol_density(text, dist, word, partition)
         if densities_within(density, exact, dist.common_denominator(), resolution):
             second_event_hits += 1
-            sentinel = interleave_partition(partition)
-            assembled = assemble_sentinel_density(density, partition, sentinel)
-            ref_nums, ref_denom = exact_sentinel_reference(
-                text, dist, word, partition, sentinel, resolution, constants
+            density_violations += separator_violations(
+                density, partition.heavy,
+                exact_symbol_density(text, quantized, word, partition),
+                quantized.common_denominator(), density_cap,
             )
-            within = exactly_within(
-                assembled.numerators, assembled.denominator, ref_nums, ref_denom,
-                density_cap,
-            )
-            density_violations += int(np.count_nonzero(~within))
     report = {
         "experiment": "event-diagnostics",
         "n": text.n,

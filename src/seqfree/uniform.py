@@ -16,16 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import (
-    SampleSet,
-    Sampler,
-    Text,
-    Word,
-    as_fraction,
-    draw_count,
-    gather_columns,
-    role_prefix_counts,
-)
+from .core import SampleSet, Sampler, Word, as_fraction, draw_count
 from .exact import final_measure
 
 Number = Union[int, float]
@@ -106,15 +97,6 @@ class CountMatrix:
     tallies: np.ndarray  # int64, (k, grid size)
 
 
-def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> np.ndarray:
-    """True occurrence counts at the grid columns, as an int64 (k, grid
-    size) array: entry [i-1, r-1] counts role i's symbol within the first
-    columns[r-1] text positions."""
-    if grid.n != text.n:
-        raise ValueError("grid and text disagree on length")
-    return gather_columns(role_prefix_counts(text, word), grid.columns).astype(np.int64)
-
-
 def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> CountMatrix:
     """Hit counts of a uniform sample at the grid columns: each draw at
     position j whose symbol is role i's counts once in every cell (i, r)
@@ -129,17 +111,19 @@ def tally_prefix_counts(sample: SampleSet, word: Word, grid: PrefixGrid) -> Coun
 def copies_from_counts(matrix) -> Number:
     """Copy measure of a count matrix over an increasing prefix grid.
 
-    The offset-0 `running_maximum`, the empty prefix counting as a zero
-    column. With exact counts on the full grid this equals the copy count
-    for words without adjacent equal symbols; on coarse grids it stays
-    within (k-1) times the largest gap.
+    `running_maximum` with no lag, each role reading the previous role's
+    measure in place, the empty prefix counting as a zero column. With
+    exact counts on the full grid this equals the copy count for words
+    without adjacent equal symbols; on coarse grids it stays within (k-1)
+    times the largest gap. The distribution-free estimator runs the same
+    recursion lagged at its heavy intervals instead.
     The measure scales linearly: doubling every entry doubles the result,
     which lets callers run it on raw integer tallies.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("count matrix must be two-dimensional and non-empty")
-    value = final_measure([arr], offset=0)
+    value = final_measure([arr], lag=False)
     if np.issubdtype(arr.dtype, np.integer):
         return int(value)
     if arr.dtype == object:

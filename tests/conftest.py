@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from seqfree import CopySet, IntervalPartition, SampleSet, Text, Word
+from seqfree.core import gather_columns, role_prefix_counts
 from seqfree.uniform import PrefixGrid
 
 settings.register_profile(
@@ -177,6 +178,15 @@ def validate_partition(partition: IntervalPartition, sample: SampleSet,
             assert weight > cap
         else:
             assert weight <= cap
+
+
+def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> np.ndarray:
+    """True occurrence counts at the grid columns, as an int64 (k, grid
+    size) array: entry [i-1, r-1] counts role i's symbol within the first
+    columns[r-1] text positions."""
+    if grid.n != text.n:
+        raise ValueError("grid and text disagree on length")
+    return gather_columns(role_prefix_counts(text, word), grid.columns).astype(np.int64)
 
 
 def max_gap(grid: PrefixGrid) -> int:

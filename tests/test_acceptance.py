@@ -36,7 +36,6 @@ from seqfree.uniform import (
     PrefixGrid,
     copies_from_counts,
     estimate_distance_uniform,
-    exact_count_matrix,
     prefix_grid,
     uniform_plan,
 )
@@ -44,6 +43,7 @@ from seqfree.uniform import (
 from conftest import (
     branching_distance,
     ceil_scaled_log,
+    exact_count_matrix,
     max_gap,
     positive_rational_weights,
     random_repeat_free_word,

@@ -36,18 +36,26 @@ from seqfree.distfree import (
     interval_resolution,
     light_weight_violations,
     quantization_step,
+    quantized_numerators,
     sample_phases,
     second_sample_size,
+    separator_violations,
     symbol_density_estimate,
     weights_well_estimated,
 )
-from seqfree.exact import exact_weighted_distance, interleave_sentinel, quantize_weights
-from seqfree.uniform import PrefixGrid, copies_from_counts, exact_count_matrix
+from seqfree.exact import (
+    exact_weighted_distance,
+    final_measure,
+    interleave_sentinel,
+    quantize_weights,
+)
+from seqfree.uniform import PrefixGrid, copies_from_counts
 from seqfree.exact import copy_count
 
 from conftest import (
     branching_distance,
     ceil_scaled_log,
+    exact_count_matrix,
     positive_rational_weights,
     random_repeat_free_word,
     random_text_ids,
@@ -872,6 +880,103 @@ class TestExactSentinelReference:
         assert picked[-1] is np.int64
 
 
+def phase_runs(rng, count: int):
+    """(text, word, weights, resolution, constants, seed, partition,
+    phase-two tallies) of `count` real `sample_phases` runs: n < 40,
+    k <= 5 over three symbols, spread and point-mass weights in turn,
+    relaxed constants 50 to 400 at accuracy 1/5."""
+    for trial in range(count):
+        n = int(rng.integers(1, 40))
+        t = random_text_ids(rng, n, 3)
+        w = Word(rng.integers(1, 4, size=int(rng.integers(1, 6))).astype(np.int32))
+        if trial % 2:
+            nums = rng.integers(1, 20, size=n)
+        else:
+            nums = rng.integers(0, 2, size=n)
+            nums[int(rng.integers(0, n))] = 10 * n
+        d = Distribution.from_numerators(nums)
+        consts = DEFAULT_CONSTANTS.relaxed(int(rng.choice([50, 100, 200, 400])))
+        res = interval_resolution(w.k, Fraction(1, 5), consts)
+        seed = int(rng.integers(0, 2**31))
+        _, part, sample2 = sample_phases(WeightedSampler(t, d), w, res, seed, consts)
+        density = symbol_density_estimate(sample2, part, w)
+        yield t, w, d, res, consts, seed, part, density
+
+
+def separator_measure(density: DensityEstimate, part: IntervalPartition) -> int:
+    """The reference: copy measure of the separator-assembled matrix."""
+    return copies_from_counts(
+        assemble_sentinel_density(density, part, interleave_partition(part)).numerators)
+
+
+class TestLaggedRecursion:
+    """The recursion lagged at heavy intervals against the separator
+    rewrite, its reference."""
+
+    def test_matches_separator_on_sample_phases_runs(self):
+        heavy = changed = 0
+        for t, w, d, res, consts, seed, part, density in phase_runs(
+                np.random.default_rng(16), 400):
+            r = estimate_distance(WeightedSampler(t, d), w, Fraction(1, 5), seed, consts)
+            want = separator_measure(density, part)
+            assert r.raw == Fraction(want, density.sample_size)
+            unlagged = final_measure([density.role_tallies], lag=False)
+            heavy += bool(part.heavy.any())
+            changed += unlagged != want
+            if not w.has_adjacent_repeat:
+                assert unlagged == want
+                special = estimate_distance_repeat_free(
+                    WeightedSampler(t, d), w, Fraction(1, 5), seed, consts)
+                assert special == r
+        assert heavy >= 100 and changed >= 10
+
+    def test_matches_separator_on_synthetic_tallies(self):
+        # Symbol rows, one more for the symbols outside the word; a heavy
+        # column is one position, so it raises one symbol only.
+        rng = np.random.default_rng(1601)
+        heavy_seen = changed = 0
+        for _ in range(3000):
+            symbols, width = int(rng.integers(1, 4)), int(rng.integers(1, 12))
+            heavy = rng.integers(0, 2, size=width).astype(bool)
+            steps = rng.integers(0, 4, size=(symbols + 1, width))
+            for u in np.flatnonzero(heavy):
+                steps[:, u] = 0
+                steps[int(rng.integers(0, symbols + 1)), u] = int(rng.integers(1, 6))
+            tallies = np.cumsum(steps, axis=1)
+            ids = rng.integers(0, symbols, size=int(rng.integers(1, 6)))
+            density = DensityEstimate(tallies[ids], tallies.sum(axis=0),
+                                      max(int(tallies[:, -1].sum()), 1))
+            widths = np.where(heavy, 1, rng.integers(1, 4, size=width))
+            bounds = np.concatenate(([0], np.cumsum(widths)))
+            part = IntervalPartition(int(bounds[-1]), bounds, heavy)
+            want = separator_measure(density, part)
+            assert final_measure([density.role_tallies], lag=heavy) == want
+            heavy_seen += bool(heavy.any())
+            changed += final_measure([density.role_tallies], lag=False) != want
+        assert heavy_seen >= 1000 and changed >= 100
+
+
+class TestSeparatorViolations:
+    def test_matches_separator_entry_count(self):
+        counts = []
+        for t, w, d, res, consts, seed, part, density in phase_runs(
+                np.random.default_rng(61), 100):
+            quantized = Distribution.from_numerators(
+                quantized_numerators(d, quantization_step(t.n, res, consts)))
+            exact = exact_symbol_density(t, quantized, w, part)
+            sp = interleave_partition(part)
+            assembled = assemble_sentinel_density(density, part, sp)
+            ref_nums, ref_denom = exact_sentinel_reference(t, d, w, part, sp, res, consts)
+            for cap in (Fraction(1, 50), Fraction(1, 500), Fraction(1, 5000)):
+                want = np.count_nonzero(~exactly_within(
+                    assembled.numerators, assembled.denominator, ref_nums, ref_denom, cap))
+                got = separator_violations(
+                    density, part.heavy, exact, quantized.common_denominator(), cap)
+                assert got == want
+                counts.append(want)
+        assert sum(c > 0 for c in counts) >= 150
+
+
 class TestEstimateDistance:
     def test_deterministic(self):
         t = Text(np.tile(np.array([1, 2], dtype=np.int32), 500))
@@ -906,7 +1011,6 @@ class TestEstimateDistance:
         r = estimate_distance(UniformSampler(t), w, 0.5, 3)
         assert r.second_size % r.raw.denominator == 0
         assert 0.0 <= r.estimate <= 1.0
-        assert r.merged_intervals >= r.intervals
 
     def test_agrees_with_specialized_path_on_repeat_free_words(self):
         # for a word with no adjacent equal symbols the separator rewrite

@@ -24,7 +24,13 @@ from seqfree import (
 )
 from seqfree import core
 from seqfree.core import SENTINEL, drop_zero_weight
-from seqfree.exact import BRUTEFORCE_LIMIT, EXPANSION_LIMIT, TextExpansion, expand_text
+from seqfree.exact import (
+    BRUTEFORCE_LIMIT,
+    EXPANSION_LIMIT,
+    TextExpansion,
+    expand_text,
+    running_maximum,
+)
 
 from conftest import (
     branching_distance,
@@ -435,6 +441,46 @@ def expansion_distance(text: Text, word: Word, dist: Distribution) -> Fraction:
     expansion = expand_text(sep_text, sep_dist, Fraction(1, sep_dist.common_denominator()))
     copies = greedy_copies(expansion.expanded, sep_word).count
     return Fraction(2 * copies, expansion.expanded_length)
+
+
+def split_columns(matrix: np.ndarray, rng) -> list:
+    """`matrix` cut into column blocks of one to four columns."""
+    cuts, at = [], 0
+    while at < matrix.shape[1]:
+        at += int(rng.integers(1, 5))
+        cuts.append(min(at, matrix.shape[1]))
+    return np.split(matrix, cuts[:-1], axis=1)
+
+
+class TestRunningMaximumLag:
+    """A flag per column, read across block seams, against the two bool
+    forms and against itself on one block."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_uniform_flags_equal_bool_forms(self, rng, dtype):
+        for _ in range(200):
+            k, width = int(rng.integers(1, 6)), int(rng.integers(1, 15))
+            counts = rng.integers(-3, 8, size=(k, width)).astype(dtype)
+            blocks = split_columns(counts, rng)
+            for lag in (True, False):
+                flags = np.full(width, lag)
+                got = np.concatenate(list(running_maximum(blocks, flags)), axis=1)
+                want = np.concatenate(list(running_maximum(blocks, lag)), axis=1)
+                assert got.dtype == want.dtype == counts.dtype
+                assert np.array_equal(got, want)
+
+    def test_mixed_flags_do_not_depend_on_blocks(self, rng):
+        changed = 0
+        for _ in range(300):
+            k, width = int(rng.integers(2, 6)), int(rng.integers(1, 15))
+            counts = np.cumsum(rng.integers(0, 3, size=(k, width)), axis=1)
+            flags = rng.integers(0, 2, size=width).astype(bool)
+            whole = next(running_maximum([counts], flags))
+            blocked = np.concatenate(
+                list(running_maximum(split_columns(counts, rng), flags)), axis=1)
+            assert np.array_equal(blocked, whole)
+            changed += not np.array_equal(whole, next(running_maximum([counts], False)))
+        assert changed > 0
 
 
 class TestBlockedRecursion:

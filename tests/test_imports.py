@@ -1,7 +1,9 @@
 """Every name a module under `src/seqfree` or `tests/` imports is used
 there: read by its code, or re-exported through its `__all__`. Every
 function of the library modules has a caller in the package or the
-benchmark, or is exported."""
+benchmark, or is exported. The package runs one copy recursion, and none
+of it goes through the separator rewrite, which only the tests and the
+benchmark keep as the reference for the recursion's lag."""
 
 import ast
 from pathlib import Path
@@ -88,3 +90,66 @@ def test_every_library_function_has_a_caller():
     uncalled = [f"{module}: {qualified}" for module, qualified, name in defined
                 if name not in reached]
     assert not uncalled, uncalled
+
+
+SEPARATOR_REFERENCE = {"interleave_partition", "assemble_sentinel_density", "exact_sentinel_reference"}
+
+
+def recursion_sites(tree: ast.Module) -> list:
+    """(enclosing function, line) of each `np.maximum.accumulate` in the
+    module; the function is None at module level."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "accumulate" and (
+                isinstance(child.value, ast.Attribute) and child.value.attr == "maximum"
+                and isinstance(child.value.value, ast.Name) and child.value.value.id == "np"
+            ):
+                sites.append((function, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return sites
+
+
+def separator_calls(tree: ast.Module) -> list:
+    """(line, name) of each call of a separator reference function, by
+    bare name or as an attribute."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in SEPARATOR_REFERENCE:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_one_recursion_and_no_separator_path():
+    trees = {path.relative_to(SOURCE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.rglob("*.py"))}
+    assert "exact.py" in trees and "harness/experiments.py" in trees
+    sites = [(module, function) for module, tree in trees.items()
+             for function, _ in recursion_sites(tree)]
+    assert sites == [("exact.py", "running_maximum")]
+    calls = [f"{module}:{line}: {name}" for module, tree in trees.items()
+             for line, name in separator_calls(tree)]
+    assert not calls, calls
+
+
+def test_detects_recursions_and_separator_calls():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "top = np.maximum.accumulate([1])\n"
+        "def f(x):\n"
+        "    def g():\n"
+        "        return np.maximum.accumulate(x)\n"
+        "    return np.minimum.accumulate(x), interleave_partition(x)\n"
+        "class C:\n"
+        "    def m(self, d):\n"
+        "        return distfree.assemble_sentinel_density(d), exact_sentinel_reference\n"
+    )
+    assert recursion_sites(tree) == [(None, 2), ("g", 5)]
+    assert separator_calls(tree) == [(6, "interleave_partition"),
+                                     (9, "assemble_sentinel_density")]

@@ -18,7 +18,6 @@ from seqfree import (
     copy_count,
     copy_count_table,
     estimate_distance_uniform,
-    exact_count_matrix,
     prefix_grid,
     uniform_distance,
     uniform_plan,
@@ -28,6 +27,7 @@ from seqfree.uniform import tally_prefix_counts
 
 from conftest import (
     ceil_scaled_log,
+    exact_count_matrix,
     max_gap,
     random_repeat_free_word,
     random_text_ids,
