@@ -265,7 +265,9 @@ class Distribution:
     def uniform(cls, n: int) -> "Distribution":
         if n < 1:
             raise ValueError("uniform weights need n >= 1")
-        return cls.from_numerators(np.ones(n, dtype=np.int64))
+        # Ones over n: their gcd is one, so this is what `from_numerators`
+        # builds, without its scans.
+        return cls(np.ones(n, dtype=np.int64), n)
 
     @classmethod
     def from_fractions(cls, weights: Sequence[WeightLike]) -> "Distribution":

@@ -4,14 +4,17 @@ The estimator works in two sampling phases over the same unknown weights
 that define the distance, both drawn by `sample_phases`, the one place
 that sizes and seeds a run. Phase one partitions positions into intervals
 of small empirical weight (heavy single positions stay alone) with one
-greedy walk over the drawn positions, which the diagnostic reference
-partition runs on the true weights. Phase two estimates, per word role,
-the cumulative weight of matching positions up to every interval
-boundary. The copy recursion (`exact.running_maximum`) runs on those
-tallies, lagged at heavy intervals: there each role reads the previous
-role's measure one column back, as the separator rewrite of the paper
-would have it. Its measure over the phase-two size estimates the distance
-within the requested accuracy with probability at least 2/3.
+greedy cover of the drawn positions, which the diagnostic reference
+partition builds from the true weights. The cover is array code, by
+pointer doubling over the positions, unless many positions share each
+interval; then it walks, one bisection per interval. Phase two
+estimates, per word role, the cumulative weight of matching positions up
+to every interval boundary. The copy recursion (`exact.running_maximum`)
+runs on those tallies, lagged at heavy intervals: there each role reads
+the previous role's measure one column back, as the separator rewrite of
+the paper would have it. Its measure over the phase-two size estimates
+the distance within the requested accuracy with probability at least
+2/3.
 
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
@@ -27,8 +30,6 @@ otherwise (`core.exact_dtype`).
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -138,26 +139,102 @@ def quantized_numerators(dist: Distribution, step: Fraction) -> np.ndarray:
     return (-(-(nums * step.denominator) // (denom * step.numerator))).astype(np.int64)
 
 
-def _greedy_cover(n: int, positions: Sequence, prefix: Sequence, singles: set,
-                  limit: int) -> tuple[list, list]:
+# `_greedy_cover` doubles pointers when the listed positions number at
+# most this many per interval, estimated as total // (limit + 1) + 1, and
+# walks otherwise. On phase-one-like samples (2-vCPU VM, numpy 2.4.6)
+# doubling cost 0.065-0.13 us per listed position, over about log2 U
+# rounds, and the walk 0.55-1.5 us per interval, the upper ends under host
+# load; in either regime they broke even at 10-12 listed positions per
+# interval, at 600 and at 6,000 intervals. A phase-one sample of 855,185
+# draws on 2,000 positions (about 3 listed per interval) and the reference
+# partition of those weights (about 1) double, about 3 times faster than
+# the walk; the same sample on 10**5 positions (86,766 listed, 600
+# intervals) walks, about 13 times faster than doubling.
+DOUBLING_RATIO = 8
+
+
+def _by_doubling(listed: int, total: int, limit: int) -> bool:
+    """Whether `_greedy_cover` doubles pointers on `listed` positions of
+    weights summing to `total`, intervals holding at most `limit`."""
+    return listed <= DOUBLING_RATIO * (total // (limit + 1) + 1)
+
+
+def _greedy_cover(n: int, positions: np.ndarray, prefix: np.ndarray, singles: np.ndarray,
+                  limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(boundaries, singleton flags) of the greedy cover of [1, n] that
-    both partitions build. `positions` lists the positions of positive
-    weight in increasing order, `prefix` the running sums of their weights
-    from 0, and `singles` the indices of those that stand alone, each
+    both partitions build, as int64 and bool arrays. `positions` lists the
+    positions of positive weight, at least one, in increasing order
+    (int64), `prefix` the running sums of their weights from 0 (int64 or
+    Python integers), and `singles` flags those that stand alone, each
     weighing more than `limit`. Left to right, a single at the start
     becomes a singleton; any other interval ends just before the first
     listed position that would take its weight past `limit`, or at n, so
-    an unlisted suffix folds into the last interval. Each such interval is
-    one `bisect_right` over `prefix`; both sequences must index to Python
-    integers (lists or memoryviews: numpy scalars compare slowly).
+    an unlisted suffix folds into the last interval. Both forms give the
+    same cover; `_by_doubling` picks one from the input size.
     """
-    listed = len(positions)
+    if _by_doubling(positions.size, int(prefix[-1]), limit):
+        return _cover_by_doubling(n, positions, prefix, singles, limit)
+    return _cover_by_walk(n, positions, prefix, singles, limit)
+
+
+def _cover_by_doubling(n: int, positions: np.ndarray, prefix: np.ndarray,
+                       singles: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_greedy_cover` as array code: O(m log U) for m listed positions
+    and U intervals, with no Python step per interval.
+
+    A walk state is a listed index i whose interval starts before its
+    position (state 2i) or on it (state 2i + 1); state 2m says that nothing
+    listed is left, and 2m + 1 ends the walk. Every state emits one
+    interval and has one successor, which is a larger state, so the path
+    from the start, built by pointer doubling, increases up to the end.
+    """
+    listed = positions.size
+    done = 2 * listed + 1
+    # A light interval from index i ends before listed position stop - 1,
+    # the first that takes it past the limit, or at n when there is none;
+    # the next interval starts on that position. Capped at the total,
+    # which no sum passes, the targets stay within the prefix dtype.
+    target = np.minimum(prefix[:-1], prefix[-1] - limit) + limit
+    stop = prefix.searchsorted(target, side="right")
+    last = stop > listed
+    light_next = np.where(last, done, 2 * stop - 1)
+    light_end = np.where(last, n, positions[np.minimum(stop, listed) - 1] - 1)
+    # After a single at i the next interval starts on listed position
+    # i + 1 when that follows it directly, before it otherwise; for the
+    # last single those are the end (it sits at n) and state 2m.
+    follows = np.append(positions[1:], n + 1) == positions + 1
+    single_next = 2 * np.arange(listed) + 2 + follows
+    jump = np.full(2 * listed + 2, done)
+    jump[0:-2:2] = light_next
+    jump[1:-2:2] = np.where(singles, single_next, light_next)
+    ends = np.full(2 * listed + 2, n)
+    ends[0:-2:2] = light_end
+    ends[1:-2:2] = np.where(singles, positions, light_end)
+    heavy = np.zeros(2 * listed + 2, dtype=bool)
+    heavy[1:-2:2] = singles
+    path = np.array([int(positions[0] == 1)])
+    while path[-1] != done:
+        path = np.concatenate((path, jump[path]))
+        jump = jump[jump]
+    path = path[:path.searchsorted(done)]
+    return np.concatenate(([0], ends[path])), heavy[path]
+
+
+def _cover_by_walk(n: int, positions: np.ndarray, prefix: np.ndarray,
+                   singles: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_greedy_cover` one interval at a time, each one `bisect_right`
+    over `prefix`: O(U log m), for many listed positions per interval. It
+    reads the arrays through memoryviews (lists for Python integers),
+    which index to Python scalars: numpy scalars compare slowly."""
+    listed = positions.size
+    positions, singles = memoryview(positions), memoryview(singles)
+    prefix = prefix.tolist() if prefix.dtype == object else memoryview(prefix)
     bounds = [0]
     flags = []
     start = 1
     index = 0  # the first listed position at or after `start`
     while start <= n:
-        if index in singles and positions[index] == start:
+        if index < listed and singles[index] and positions[index] == start:
             bounds.append(start)
             flags.append(True)
             start += 1
@@ -171,7 +248,7 @@ def _greedy_cover(n: int, positions: Sequence, prefix: Sequence, singles: set,
         flags.append(False)
         start = end + 1
         index = stop - 1
-    return bounds, flags
+    return np.array(bounds, dtype=np.int64), np.array(flags, dtype=bool)
 
 
 @dataclass
@@ -227,10 +304,9 @@ class IntervalPartition(_IntervalCover):
         limit = math.floor(Fraction(sample.size) / resolution)
         multiplicities = sample.multiplicities
         cumulative = np.concatenate(([0], np.cumsum(multiplicities)))
-        heavy_drawn = set(np.flatnonzero(multiplicities > limit).tolist())
-        bounds, heavy = _greedy_cover(sample.n, memoryview(sample.positions),
-                                      memoryview(cumulative), heavy_drawn, limit)
-        return cls(sample.n, np.array(bounds, dtype=np.int64), np.array(heavy, dtype=bool))
+        bounds, heavy = _greedy_cover(sample.n, sample.positions, cumulative,
+                                      multiplicities > limit, limit)
+        return cls(sample.n, bounds, heavy)
 
 
 def sample_phases(
@@ -255,9 +331,8 @@ def sample_phases(
     return sample1, partition, sample2
 
 
-_CLASS_SINGLE = "single"
-_CLASS_MEDIUM = "medium"
-_CLASS_SMALL = "small"
+# The class labels by code: 0 single, 1 medium, 2 small.
+_CLASSES = np.array(("single", "medium", "small"))
 
 
 @dataclass
@@ -272,14 +347,10 @@ class ReferencePartition(_IntervalCover):
     """
 
     labels: tuple
+    small: np.ndarray  # bool, one flag per interval, set for the `small` class
 
     def _tags(self) -> Sequence:
         return self.labels
-
-    @functools.cached_property
-    def small(self) -> np.ndarray:
-        """One flag per interval, set for the `small` class; built once."""
-        return np.fromiter((label == _CLASS_SMALL for label in self.labels), bool, len(self.labels))
 
     @classmethod
     def from_weights(cls, dist: Distribution, resolution: Fraction) -> "ReferencePartition":
@@ -287,26 +358,26 @@ class ReferencePartition(_IntervalCover):
         # With weights as numerators over D and res = p/q, a weight w
         # exceeds 1/(8 res) iff 8 p w > q D, that is w > floor(q D / 8 p),
         # and a total t exceeds 1/(4 res) iff t > floor(q D / 4 p).
-        unit = resolution.denominator * dist.common_denominator()
+        denom = dist.common_denominator()
+        unit = resolution.denominator * denom
         single = 8 * resolution.numerator
         cap, run = unit // single, unit // (4 * resolution.numerator)
         nums = dist.numerators()
         listed = np.flatnonzero(nums)
         positive = nums[listed]
-        singles = np.flatnonzero(positive > cap).tolist()
-        weights = positive.tolist()
-        for i in singles:  # weighs past any run, so no run takes it in
-            weights[i] = run + 1
-        # Python integers: a single's stand-in can pass int64 even when D fits.
-        prefix = list(itertools.accumulate(weights, initial=0))
-        bounds, flags = _greedy_cover(dist.n, memoryview(listed + 1), prefix, set(singles), run)
-        boundaries = np.array(bounds, dtype=np.int64)
-        totals = np.diff(dist.numerator_prefix()[boundaries]).tolist()
-        labels = tuple(
-            _CLASS_SINGLE if alone else _CLASS_SMALL if single * total < unit else _CLASS_MEDIUM
-            for alone, total in zip(flags, totals)
-        )
-        return cls(dist.n, boundaries, labels)
+        singles = positive > cap
+        # A single's stand-in weighs past any run, so no run takes it in;
+        # the others sum to at most D.
+        bound = denom + int(np.count_nonzero(singles)) * (run + 1)
+        weights = np.where(singles, run + 1, positive).astype(exact_dtype(bound), copy=False)
+        prefix = np.concatenate(([0], np.cumsum(weights)))
+        boundaries, flags = _greedy_cover(dist.n, listed + 1, prefix, singles, run)
+        # A total t <= D is small iff 8 p t < q D.
+        totals = np.diff(dist.numerator_prefix()[boundaries])
+        totals = totals.astype(exact_dtype(max(single, resolution.denominator) * denom), copy=False)
+        small = ~flags & (single * totals < unit)
+        labels = tuple(_CLASSES[np.where(flags, 0, 1 + small)].tolist())
+        return cls(dist.n, boundaries, labels, small)
 
 
 def weights_well_estimated(

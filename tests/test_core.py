@@ -146,6 +146,18 @@ class TestDistribution:
         d = Distribution.uniform(4)
         assert d.interval_weight(2, 3) == Fraction(1, 2)
 
+    def test_uniform_matches_from_numerators(self):
+        for n in (1, 2, 7, 10**5):
+            d = Distribution.uniform(n)
+            ref = Distribution.from_numerators(np.ones(n, dtype=np.int64))
+            assert d.common_denominator() == ref.common_denominator() == n
+            assert d.numerators().dtype == ref.numerators().dtype == np.int64
+            assert np.array_equal(d.numerators(), ref.numerators())
+            assert np.array_equal(d.floats, ref.floats)
+            assert not d.numerators().flags.writeable
+        with pytest.raises(ValueError):
+            Distribution.uniform(0)
+
     def test_single_entry(self):
         d = Distribution.from_fractions([Fraction(1, 4), Fraction(3, 4)])
         assert d.interval_weight(1, 1) == Fraction(1, 4)

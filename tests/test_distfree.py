@@ -112,6 +112,51 @@ def record_exact_dtypes(monkeypatch) -> list:
     return picked
 
 
+def record_cover_forms(monkeypatch) -> list:
+    """Whether each `_greedy_cover` call doubled pointers, in call order."""
+    doubled = []
+    by_doubling = distfree._by_doubling
+
+    def spy(listed, total, limit):
+        doubled.append(by_doubling(listed, total, limit))
+        return doubled[-1]
+
+    monkeypatch.setattr(distfree, "_by_doubling", spy)
+    return doubled
+
+
+def random_covers(rng, count: int):
+    """Random `_greedy_cover` inputs (n, positions, prefix, singles, limit)
+    that cycle through singles at 1 and at n, an unlisted prefix and
+    suffix, and limit 0 (every listed position single). Every other round
+    of the four shapes scales its weights and limit by 2**64 into a
+    Python-integer prefix."""
+    for trial in range(count):
+        n = int(rng.integers(1, 60))
+        limit = int(rng.integers(0, 8))
+        listed = rng.random(n) < rng.uniform(0.2, 1.0)
+        mode = trial % 4
+        if mode == 0:  # a single at 1 and at n
+            listed[[0, -1]] = True
+        elif mode == 1:  # an unlisted prefix and suffix
+            listed[[0, -1]] = False
+        if not listed.any():
+            listed[int(rng.integers(0, n))] = True
+        positions = np.flatnonzero(listed) + 1
+        singles = rng.random(positions.size) < 0.3
+        if limit == 0:
+            singles[:] = True
+        if mode == 0:
+            singles[[0, -1]] = True
+        weights = np.where(singles, limit + rng.integers(1, 5, size=positions.size),
+                           rng.integers(1, max(limit, 1) + 1, size=positions.size))
+        prefix = np.concatenate(([0], np.cumsum(weights)))
+        if trial // 4 % 2:
+            prefix = prefix.astype(object) * 2**64
+            limit *= 2**64
+        yield n, positions, prefix, singles, limit
+
+
 def dense_partition_reference(sample: SampleSet, resolution: Fraction) -> tuple:
     """(boundaries, heavy) of the greedy partition, walked over a dense
     length-n prefix sum of the draw counts, one position or interval at a
@@ -349,6 +394,17 @@ class TestIntervalPartition:
         assert not p.heavy[-1]
         validate_partition(p, s, Fraction(2))
 
+    def test_sums_past_int64_stay_exact(self, monkeypatch):
+        # The first interval's sum plus the limit passes int64, which the
+        # doubling form, taken here, adds up in one array.
+        doubled = record_cover_forms(monkeypatch)
+        s = SampleSet(3, [1, 2, 3], [1, 1, 1], [1, 2**62, 2**62 - 2])
+        assert s.size == 2**63 - 1
+        p = IntervalPartition.from_sample(s, Fraction(3, 2))
+        assert p.boundaries.tolist() == [0, 2, 3]
+        assert p.heavy.tolist() == [False, False]
+        assert doubled == [True]
+
     def test_empty_sample_rejected(self):
         t = text_of("ab")
         with pytest.raises(ValueError):
@@ -459,6 +515,87 @@ class TestReferencePartition:
             )
             seen["object numerators"] += nums.dtype == object
         assert all(seen.values()), seen
+
+
+class TestGreedyCover:
+    """The pointer-doubling and the walking form of `_greedy_cover`, and
+    which of them each partition takes."""
+
+    def test_forms_agree_on_random_covers(self, rng):
+        seen = {"single at 1": 0, "single at n": 0, "unlisted prefix": 0,
+                "unlisted suffix": 0, "limit 0": 0, "light run": 0, "object prefix": 0}
+        for n, positions, prefix, singles, limit in random_covers(rng, 20_000):
+            bounds, flags = distfree._cover_by_doubling(n, positions, prefix, singles, limit)
+            walked, walked_flags = distfree._cover_by_walk(n, positions, prefix, singles, limit)
+            assert bounds.dtype == walked.dtype == np.int64
+            assert flags.dtype == walked_flags.dtype == bool
+            assert bounds.tolist() == walked.tolist()
+            assert flags.tolist() == walked_flags.tolist()
+            assert bounds[0] == 0 and bounds[-1] == n and np.all(np.diff(bounds) > 0)
+            seen["single at 1"] += bool(flags[0]) and bounds[1] == 1
+            seen["single at n"] += bool(flags[-1]) and n > 1
+            seen["unlisted prefix"] += bool(positions[0] > 1)
+            seen["unlisted suffix"] += bool(positions[-1] < n)
+            seen["limit 0"] += limit == 0
+            seen["light run"] += bool(np.any(~flags[:-1] & (np.diff(bounds)[:-1] > 1)))
+            seen["object prefix"] += prefix.dtype == object
+        assert all(count >= 100 for count in seen.values()), seen
+
+    def test_sample_walk_side_matches_dense_reference(self, rng, monkeypatch):
+        doubled = record_cover_forms(monkeypatch)
+        with_heavy = 0
+        for trial in range(6):
+            n = 5000
+            t = random_text_ids(rng, n, 3)
+            counts = rng.multinomial(50_000, np.full(n, 1 / n))
+            counts[rng.integers(0, n, size=trial)] += 50_000  # heavy positions
+            counts[n - 200 * trial:] = 0  # an unsampled suffix
+            s = SampleSet.from_counts(counts, t)
+            res = Fraction(int(rng.integers(10, 40)))
+            p = IntervalPartition.from_sample(s, res)
+            bounds, heavy = dense_partition_reference(s, res)
+            assert p.boundaries.tolist() == bounds
+            assert p.heavy.tolist() == heavy
+            with_heavy += any(heavy)
+        assert doubled == [False] * 6
+        assert with_heavy >= 3
+
+    def test_weights_walk_side_matches_per_position_reference(self, monkeypatch):
+        doubled = record_cover_forms(monkeypatch)
+        point_mass = Distribution.from_numerators([4000] + [1] * 9_998 + [4000])
+        for d, res in ((Distribution.uniform(20_000), Fraction(1)),
+                       (Distribution.uniform(20_001), Fraction(7, 3)),
+                       (point_mass, Fraction(2))):
+            r = ReferencePartition.from_weights(d, res)
+            bounds, labels = per_position_reference(d, res)
+            assert r.boundaries.tolist() == bounds
+            assert r.labels == labels
+            assert r.small.tolist() == [label == "small" for label in labels]
+        assert r.labels[0] == r.labels[-1] == "single"  # the point masses
+        assert doubled == [False] * 3
+
+    def test_workload_shaped_inputs_take_their_side(self, rng, monkeypatch):
+        # Shaped like the benchmark's `oracles` instances and `df-weighted`
+        # phase one: integer weights with some zeros and a few heavy
+        # positions, k = 3 and accuracy 1/2 (resolution 600).
+        res = interval_resolution(3, Fraction(1, 2))
+        assert res == 600 and first_sample_size(res) == 855_185
+
+        def instance(n, most, zeros, heavy, weight):
+            counts = rng.integers(1, most + 1, size=n)
+            counts[rng.random(n) < zeros] = 0
+            counts[rng.choice(n, size=heavy, replace=False)] = weight
+            return random_text_ids(rng, n, 4), Distribution.from_numerators(counts)
+
+        doubled = record_cover_forms(monkeypatch)
+        t, d = instance(2000, 4000, 0.05, 3, 20000)
+        assert 1850 <= np.count_nonzero(d.numerators()) <= 1950
+        ReferencePartition.from_weights(d, res)
+        IntervalPartition.from_sample(WeightedSampler(t, d).draw(first_sample_size(res), 1), res)
+        assert doubled == [True, True]
+        t, d = instance(10**5, 20, 0.1, 5, 3500)
+        IntervalPartition.from_sample(WeightedSampler(t, d).draw(first_sample_size(res), 1), res)
+        assert doubled == [True, True, False]
 
 
 class TestWeightsWellEstimated:
