@@ -3,8 +3,8 @@
 Texts and words are sequences of interned integer symbol ids. User tokens
 always intern to ids >= 1, so id 0 never occurs in ingested input; it is
 reserved for the separator that `exact.interleave` inserts. Only the
-reference oracles build such an interleaved text: the estimator's
-separator assembly is array code and never uses id 0. Positions are
+exact reference paths build such an interleaved text; no estimator
+inserts separators, so the estimators never see id 0. Positions are
 1-based in every public interface.
 
 Weights over positions are always exact: integer numerators over their

@@ -9,22 +9,24 @@ partition builds from the true weights. The cover is array code, by
 pointer doubling over the positions, unless many positions share each
 interval; then it walks, one bisection per interval. Phase two
 estimates, per word role, the cumulative weight of matching positions up
-to every interval boundary. The copy recursion (`exact.running_maximum`)
-runs on those tallies, lagged at heavy intervals: there each role reads
-the previous role's measure one column back, as the separator rewrite of
-the paper would have it. Its measure over the phase-two size estimates
-the distance within the requested accuracy with probability at least
-2/3.
+to every interval boundary: `sample_phases` hands out only those tallies,
+a `DensityEstimate` over the phase-two size, never the phase-two draw.
+The copy recursion (`exact.running_maximum`) runs on those tallies,
+lagged at heavy intervals: there each role reads the previous role's
+measure one column back, as the separator rewrite of the paper would
+have it. Its measure over the phase-two size estimates the distance
+within the requested accuracy with probability at least 2/3.
 
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and
 exist for the statistical test harness, not for the estimator itself.
-They compare integer numerators (exact weights over their common
-denominator, draw counts over the sample size) by cross-multiplying,
-without floats or per-entry Fractions: in int64 when a bound worked out
-from the inputs (counts at most the sample size, numerators at most the
-denominator) proves that no product overflows it, on Python integers
-otherwise (`core.exact_dtype`).
+The exact reference of a density is a `DensityEstimate` as well, over
+the common denominator of the weights. The diagnostics compare integer
+numerators (exact weights over their common denominator, draw counts
+over the sample size) by cross-multiplying, without floats or per-entry
+Fractions: in int64 when a bound worked out from the inputs (counts at
+most the sample size, numerators at most the denominator) proves that no
+product overflows it, on Python integers otherwise (`core.exact_dtype`).
 """
 
 from __future__ import annotations
@@ -187,37 +189,37 @@ def _cover_by_doubling(n: int, positions: np.ndarray, prefix: np.ndarray,
     listed is left, and 2m + 1 ends the walk. Every state emits one
     interval and has one successor, which is a larger state, so the path
     from the start, built by pointer doubling, increases up to the end.
+    Only the successors are built for every state; ends and flags are
+    read off the path.
     """
     listed = positions.size
     done = 2 * listed + 1
     # A light interval from index i ends before listed position stop - 1,
-    # the first that takes it past the limit, or at n when there is none;
-    # the next interval starts on that position. Capped at the total,
-    # which no sum passes, the targets stay within the prefix dtype.
-    target = np.minimum(prefix[:-1], prefix[-1] - limit) + limit
-    stop = prefix.searchsorted(target, side="right")
-    last = stop > listed
-    light_next = np.where(last, done, 2 * stop - 1)
-    light_end = np.where(last, n, positions[np.minimum(stop, listed) - 1] - 1)
+    # the first that takes it past the limit, or at n when stop = m + 1;
+    # the next interval starts on that position, state 2 stop - 1, which
+    # is the end state when stop = m + 1. Capped at the total, which no
+    # sum passes, the targets stay within the prefix dtype.
+    jump = np.full(2 * listed + 2, done)
+    jump[0:-2:2] = jump[1:-2:2] = 2 * prefix.searchsorted(
+        np.minimum(prefix[:-1], prefix[-1] - limit) + limit, side="right") - 1
     # After a single at i the next interval starts on listed position
     # i + 1 when that follows it directly, before it otherwise; for the
     # last single those are the end (it sits at n) and state 2m.
-    follows = np.append(positions[1:], n + 1) == positions + 1
-    single_next = 2 * np.arange(listed) + 2 + follows
-    jump = np.full(2 * listed + 2, done)
-    jump[0:-2:2] = light_next
-    jump[1:-2:2] = np.where(singles, single_next, light_next)
-    ends = np.full(2 * listed + 2, n)
-    ends[0:-2:2] = light_end
-    ends[1:-2:2] = np.where(singles, positions, light_end)
-    heavy = np.zeros(2 * listed + 2, dtype=bool)
-    heavy[1:-2:2] = singles
+    single = np.flatnonzero(singles)
+    after = np.append(positions, n + 1)[single + 1]
+    jump[2 * single + 1] = 2 * single + 2 + (after == positions[single] + 1)
     path = np.array([int(positions[0] == 1)])
     while path[-1] != done:
         path = np.concatenate((path, jump[path]))
         jump = jump[jump]
     path = path[:path.searchsorted(done)]
-    return np.concatenate(([0], ends[path])), heavy[path]
+    # A singleton ends on its position, a light interval just before the
+    # listed position j that its successor 2j + 1 starts on, or at n when
+    # that is the end state (j = m).
+    index = np.minimum(path // 2, listed - 1)
+    heavy = (path % 2 == 1) & singles[index]
+    light_end = np.append(positions, n + 1)[np.append(path[1:], done) // 2] - 1
+    return np.concatenate(([0], np.where(heavy, positions[index], light_end))), heavy
 
 
 def _cover_by_walk(n: int, positions: np.ndarray, prefix: np.ndarray,
@@ -315,20 +317,22 @@ def sample_phases(
     resolution: Fraction,
     seed: int,
     constants: EstimatorConstants,
-) -> tuple[SampleSet, IntervalPartition, SampleSet]:
+) -> tuple[SampleSet, IntervalPartition, DensityEstimate]:
     """The two sampling phases of one distribution-free run.
 
     Phase one draws `first_sample_size` positions on stream 1 of `seed`
     and partitions them; phase two draws `second_sample_size` positions,
-    sized by that partition, on stream 2. Both estimators and the event
+    sized by that partition, on stream 2, and tallies them at its
+    boundaries (`symbol_density_estimate`). Both estimators and the event
     diagnostics draw through here, so one seed gives all of them the same
-    samples. Returns (phase-one sample, partition, phase-two sample).
+    samples. Returns (phase-one sample, partition, phase-two density);
+    the density's denominator is the phase-two size.
     """
     sample1 = oracle.draw(first_sample_size(resolution, constants), subseed(seed, 1))
     partition = IntervalPartition.from_sample(sample1, resolution)
     second = second_sample_size(resolution, word.k, partition.count, constants)
-    sample2 = oracle.draw(second, subseed(seed, 2))
-    return sample1, partition, sample2
+    density = symbol_density_estimate(oracle.draw(second, subseed(seed, 2)), partition, word)
+    return sample1, partition, density
 
 
 # The class labels by code: 0 single, 1 medium, 2 small.
@@ -426,13 +430,14 @@ def light_weight_violations(
 
 @dataclass
 class DensityEstimate:
-    """Phase-two tallies: per-role and total draw counts up to each
-    interval boundary. Dividing by the sample size gives the estimated
-    cumulative weights."""
+    """Per-role and total cumulative weights up to each interval boundary,
+    as integer numerators over `denominator`: phase-two draw counts over
+    the sample size (`symbol_density_estimate`), or true weights over
+    their common denominator (`exact_symbol_density`)."""
 
-    role_tallies: np.ndarray  # int64, (k, U)
-    prefix_tallies: np.ndarray  # int64, (U,)
-    sample_size: int
+    role_tallies: np.ndarray  # (k, U): int64 counts, or numerators in their dtype
+    prefix_tallies: np.ndarray  # (U,), likewise
+    denominator: int
 
 
 def symbol_density_estimate(
@@ -449,18 +454,17 @@ def symbol_density_estimate(
 
 def exact_symbol_density(
     text: Text, dist: Distribution, word: Word, partition: IntervalPartition
-) -> tuple[np.ndarray, np.ndarray]:
-    """True cumulative weights matching `symbol_density_estimate`.
-
-    Returns (per-role rows (k, U), prefix weights (U,)) as numerators
-    over `dist.common_denominator()`, in the dtype of `dist.numerators()`.
-    Diagnostic only: requires the text and the true weights.
+) -> DensityEstimate:
+    """True cumulative weights matching `symbol_density_estimate`, as
+    numerators over `dist.common_denominator()` in the dtype of
+    `dist.numerators()`. Diagnostic only: requires the text and the true
+    weights.
     """
     if text.n != partition.n or dist.n != partition.n:
         raise ValueError("text, weights and partition disagree on length")
     ends = partition.boundaries[1:]
     rows = gather_columns(role_prefix_counts(text, word, dist.numerators()), ends)
-    return rows, dist.numerator_prefix()[ends]
+    return DensityEstimate(rows, dist.numerator_prefix()[ends], dist.common_denominator())
 
 
 def _peak(values: np.ndarray) -> int:
@@ -490,19 +494,21 @@ def exactly_within(
     return gap * bound.denominator <= limit
 
 
-def densities_within(
-    estimate: DensityEstimate, exact: tuple, denominator: int, resolution: Fraction
-) -> bool:
+def _misses(got: DensityEstimate, want: DensityEstimate,
+            bound: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """(role misses (k, U), prefix misses (U,)): the bool masks of the
+    entries where `got` is further than `bound` from `want`."""
+    return (~exactly_within(got.role_tallies, got.denominator,
+                            want.role_tallies, want.denominator, bound),
+            ~exactly_within(got.prefix_tallies, got.denominator,
+                            want.prefix_tallies, want.denominator, bound))
+
+
+def densities_within(estimate: DensityEstimate, exact: DensityEstimate, resolution: Fraction) -> bool:
     """Whether every per-role cumulative density and every prefix weight
-    of the estimate is within 1/resolution of `exact`, the pair that
-    `exact_symbol_density` returns, as numerators over `denominator`."""
-    exact_rows, exact_prefix = exact
-    bound = Fraction(1) / resolution
-    size = estimate.sample_size
-    return bool(
-        np.all(exactly_within(estimate.role_tallies, size, exact_rows, denominator, bound))
-        and np.all(exactly_within(estimate.prefix_tallies, size, exact_prefix, denominator, bound))
-    )
+    of the estimate is within 1/resolution of `exact`."""
+    roles, prefix = _misses(estimate, exact, Fraction(1) / resolution)
+    return not (roles.any() or prefix.any())
 
 
 def densities_well_estimated(
@@ -512,33 +518,28 @@ def densities_well_estimated(
     sample: SampleSet,
     partition: IntervalPartition,
     resolution: Fraction,
-    exact: Optional[tuple] = None,
+    exact: Optional[DensityEstimate] = None,
 ) -> bool:
     """Second good-sample event: every per-role cumulative density and
     every prefix weight is estimated within 1/resolution."""
     if exact is None:
         exact = exact_symbol_density(text, dist, word, partition)
-    estimate = symbol_density_estimate(sample, partition, word)
-    return densities_within(estimate, exact, dist.common_denominator(), resolution)
+    return densities_within(symbol_density_estimate(sample, partition, word), exact, resolution)
 
 
 def separator_violations(
-    estimate: DensityEstimate, heavy: np.ndarray, exact: tuple, denominator: int, bound: Fraction
+    estimate: DensityEstimate, heavy: np.ndarray, exact: DensityEstimate, bound: Fraction
 ) -> int:
     """Entries of the separator matrix (`assemble_sentinel_density`)
     further than `bound` from `exact_sentinel_reference`, counted on the
-    densities they repeat against `exact`, as `exact_symbol_density`
-    returns it over `denominator`. Both sides of that matrix are halved,
-    which doubles the bound; a heavy interval's role densities fill two
-    of its columns, and each prefix density one entry per role, again
-    when the next interval is heavy. Its empty prefix is exact."""
-    exact_rows, exact_prefix = exact
-    size = estimate.sample_size
-    roles = ~exactly_within(estimate.role_tallies, size, exact_rows, denominator, 2 * bound)
-    prefix = ~exactly_within(estimate.prefix_tallies, size, exact_prefix, denominator, 2 * bound)
-    k = estimate.role_tallies.shape[0]
+    densities they repeat against `exact` (`exact_symbol_density`). Both
+    sides of that matrix are halved, which doubles the bound; a heavy
+    interval's role densities fill two of its columns, and each prefix
+    density one entry per role, again when the next interval is heavy.
+    Its empty prefix is exact."""
+    roles, prefix = _misses(estimate, exact, 2 * bound)
     heavy_next = np.append(heavy[1:], False)
-    return int(np.sum(roles * (1 + heavy)) + k * np.sum(prefix * (1 + heavy_next)))
+    return int(np.sum(roles * (1 + heavy)) + roles.shape[0] * np.sum(prefix * (1 + heavy_next)))
 
 
 @dataclass(frozen=True)
@@ -572,17 +573,16 @@ def estimate_distance(
     the true distance with probability at least 2/3.
     """
     resolution = interval_resolution(word.k, accuracy, constants)
-    sample1, partition, sample2 = sample_phases(oracle, word, resolution, seed, constants)
-    density = symbol_density_estimate(sample2, partition, word)
+    sample1, partition, density = sample_phases(oracle, word, resolution, seed, constants)
     measure = final_measure([density.role_tallies], lag=partition.heavy)
-    raw = Fraction(int(measure), sample2.size)
+    raw = Fraction(int(measure), density.denominator)
     clamped = min(max(raw, Fraction(0)), Fraction(1))
     return DistFreeEstimate(
         estimate=float(clamped),
         raw=raw,
         resolution=resolution,
         first_size=sample1.size,
-        second_size=sample2.size,
+        second_size=density.denominator,
         intervals=partition.count,
         seed=seed,
         production=constants.is_production,
@@ -677,7 +677,7 @@ def assemble_sentinel_density(
     numerators = np.empty((2 * k, sentinel.count), dtype=np.int64)
     numerators[0::2] = density.role_tallies[:, source - 1]
     numerators[1::2] = prefix_with_zero[source - first_half]
-    return SentinelDensity(numerators, 2 * density.sample_size)
+    return SentinelDensity(numerators, 2 * density.denominator)
 
 
 def exact_sentinel_reference(

@@ -38,7 +38,6 @@ from ..distfree import (
     quantized_numerators,
     sample_phases,
     separator_violations,
-    symbol_density_estimate,
     weights_well_estimated,
 )
 from ..exact import copy_count, exact_weighted_distance, uniform_distance
@@ -265,20 +264,16 @@ def event_diagnostics(
     density_violations = 0
     second_sizes = []
     for tseed in trial_seeds(seed, trials):
-        sample1, partition, sample2 = sample_phases(oracle, word, resolution, tseed, constants)
-        second_sizes.append(sample2.size)
+        sample1, partition, density = sample_phases(oracle, word, resolution, tseed, constants)
+        second_sizes.append(density.denominator)
         if weights_well_estimated(dist, sample1, resolution, reference):
             first_event_hits += 1
             light_violations += light_weight_violations(dist, partition, resolution)
-        density = symbol_density_estimate(sample2, partition, word)
-        exact = exact_symbol_density(text, dist, word, partition)
-        if densities_within(density, exact, dist.common_denominator(), resolution):
+        if densities_within(density, exact_symbol_density(text, dist, word, partition), resolution):
             second_event_hits += 1
             density_violations += separator_violations(
                 density, partition.heavy,
-                exact_symbol_density(text, quantized, word, partition),
-                quantized.common_denominator(), density_cap,
-            )
+                exact_symbol_density(text, quantized, word, partition), density_cap)
     report = {
         "experiment": "event-diagnostics",
         "n": text.n,

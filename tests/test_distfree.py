@@ -4,6 +4,7 @@ end-to-end estimator with its reduction bounds."""
 
 import collections
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from seqfree.core import (
     WeightedSampler,
     Word,
     exact_dtype,
+    subseed,
 )
 from seqfree.distfree import (
     DEFAULT_CONSTANTS,
@@ -26,6 +28,7 @@ from seqfree.distfree import (
     ReferencePartition,
     assemble_sentinel_density,
     densities_well_estimated,
+    densities_within,
     estimate_distance,
     estimate_distance_repeat_free,
     exact_sentinel_reference,
@@ -597,6 +600,36 @@ class TestGreedyCover:
         IntervalPartition.from_sample(WeightedSampler(t, d).draw(first_sample_size(res), 1), res)
         assert doubled == [True, True, False]
 
+    def test_doubling_memory_is_a_few_words_per_listed_position(self, rng, monkeypatch):
+        # A reference partition shaped like one of 10**6 weights 0-99 at
+        # resolution 40,000, scaled down: about 6 listed positions per
+        # estimated interval and more than 2**14 intervals, doubling side.
+        # A round holds the successors of the 2m + 2 states twice, 4 int64
+        # words per listed position; building ends and flags for every
+        # state as well took about 12.
+        calls = []
+        double = distfree._cover_by_doubling
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                out = double(*args)
+                calls.append((args, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(distfree, "_cover_by_doubling", traced)
+        d = Distribution.from_numerators(rng.integers(0, 100, size=120_000))
+        r = ReferencePartition.from_weights(d, Fraction(4800))
+        [(args, peak)] = calls
+        listed = args[1].size
+        assert r.count >= 2**14 and 5 <= listed / r.count <= 7
+        assert peak <= 6 * 8 * listed, peak / listed
+        walked, flags = distfree._cover_by_walk(*args)
+        assert r.boundaries.tolist() == walked.tolist()
+        assert [label == "single" for label in r.labels] == flags.tolist()
+
 
 class TestWeightsWellEstimated:
     def test_census_passes(self):
@@ -678,7 +711,7 @@ class TestSymbolDensityEstimate:
         part = IntervalPartition(2, np.array([0, 1, 2]), np.array([False, True]))
         est = symbol_density_estimate(s, part, w)
         # densities [[1/4, 1/4], [0, 3/4]] and prefix weights [1/4, 1]
-        assert est.sample_size == 4
+        assert est.denominator == 4
         assert est.role_tallies.tolist() == [[1, 1], [0, 3]]
         assert est.prefix_tallies.tolist() == [1, 4]
 
@@ -692,25 +725,26 @@ class TestSymbolDensityEstimate:
             s = census(d, t)
             part = IntervalPartition.from_sample(s, Fraction(3))
             est = symbol_density_estimate(s, part, w)
-            rows, prefix = exact_symbol_density(t, d, w, part)
-            denom = d.common_denominator()
+            exact = exact_symbol_density(t, d, w, part)
+            assert exact.denominator == d.common_denominator()
             for i in range(w.k):
                 for u in range(part.count):
-                    got = Fraction(int(est.role_tallies[i, u]), est.sample_size)
-                    assert got == Fraction(int(rows[i][u]), denom)
+                    got = Fraction(int(est.role_tallies[i, u]), est.denominator)
+                    assert got == Fraction(int(exact.role_tallies[i][u]), exact.denominator)
             for u in range(part.count):
-                got = Fraction(int(est.prefix_tallies[u]), est.sample_size)
-                assert got == Fraction(int(prefix[u]), denom)
+                got = Fraction(int(est.prefix_tallies[u]), est.denominator)
+                assert got == Fraction(int(exact.prefix_tallies[u]), exact.denominator)
         # Past int64 no census fits; compare with summed Fractions.
         d = over_denominator(PAST_INT64, t.n)
         part = IntervalPartition(t.n, np.array([0, 2, 3, 6]),
                                  np.array([False, True, False]))
-        rows, prefix = exact_symbol_density(t, d, w, part)
+        exact = exact_symbol_density(t, d, w, part)
+        assert exact.denominator == PAST_INT64
         for u, end in enumerate(part.boundaries[1:]):
             for i in range(w.k):
                 want = sum(f for f, sym in zip(d.fractions[:end], t.ids) if sym == w.ids[i])
-                assert Fraction(int(rows[i][u]), PAST_INT64) == want
-            assert Fraction(int(prefix[u]), PAST_INT64) == sum(d.fractions[:end])
+                assert Fraction(int(exact.role_tallies[i][u]), PAST_INT64) == want
+            assert Fraction(int(exact.prefix_tallies[u]), PAST_INT64) == sum(d.fractions[:end])
 
     def test_absent_symbol_row_zero(self):
         t = text_of("aaaa")
@@ -768,6 +802,17 @@ class TestDensitiesWellEstimated:
         for counts, ok in (([6, 2], True), ([7, 1], False)):
             s = SampleSet.from_counts(np.array(counts), t)
             assert densities_well_estimated(t, d, w, s, part, Fraction(4)) is ok, counts
+
+    def test_prefix_miss_alone_fails(self):
+        # Every role density is exact, but the draws of the symbol outside
+        # the word all sit at position 1: the prefix weight there is 2/3
+        # against a true 1/3.
+        t = text_of("cca")
+        w = word_of("a", t)
+        part = IntervalPartition(3, np.array([0, 1, 2, 3]), np.array([False] * 3))
+        s = SampleSet.from_counts(np.array([4, 0, 2]), t)
+        assert not densities_well_estimated(t, Distribution.uniform(3), w, s, part, Fraction(4))
+        assert densities_well_estimated(t, Distribution.uniform(3), w, s, part, Fraction(3))
 
 
 class TestExactlyWithin:
@@ -904,7 +949,7 @@ class TestAssembleSentinelDensity:
         density = DensityEstimate(
             role_tallies=np.array([[3, 5], [1, 4]]),
             prefix_tallies=np.array([4, 10]),
-            sample_size=10,
+            denominator=10,
         )
         out = assemble_sentinel_density(density, part, sp)
         assert out.numerators.tolist() == [[3, 5], [4, 10], [1, 4], [4, 10]]
@@ -916,7 +961,7 @@ class TestAssembleSentinelDensity:
         density = DensityEstimate(
             role_tallies=np.array([[3, 5]]),
             prefix_tallies=np.array([4, 10]),
-            sample_size=10,
+            denominator=10,
         )
         out = assemble_sentinel_density(density, part, sp)
         # merged boundary 1 is the heavy position itself: no separator
@@ -930,7 +975,7 @@ class TestAssembleSentinelDensity:
         density = DensityEstimate(
             role_tallies=np.array([[3, 5, 7]]),
             prefix_tallies=np.array([4, 8, 10]),
-            sample_size=10,
+            denominator=10,
         )
         with pytest.raises(ValueError):
             assemble_sentinel_density(density, part, sp)
@@ -959,12 +1004,12 @@ class TestAssembleSentinelDensity:
                 sp.boundaries.copy(),
                 np.zeros(sp.count, dtype=bool),
             )
-            rows, _ = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
-            denom = sep_dist.common_denominator()
+            exact = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
             for i in range(sep_word.k):
                 for u in range(sp.count):
                     got = Fraction(int(out.numerators[i, u]), out.denominator)
-                    assert got == Fraction(int(rows[i][u]), denom), (trial, i, u)
+                    want = Fraction(int(exact.role_tallies[i][u]), exact.denominator)
+                    assert got == want, (trial, i, u)
 
 
 class TestExactSentinelReference:
@@ -986,11 +1031,10 @@ class TestExactSentinelReference:
         shadow = IntervalPartition(
             2 * t.n, sp.boundaries.copy(), np.zeros(sp.count, dtype=bool)
         )
-        rows, _ = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
-        denom = sep_dist.common_denominator()
+        exact = exact_symbol_density(sep_text, sep_dist, sep_word, shadow)
         for i in range(sep_word.k):
             for u in range(sp.count):
-                want = Fraction(int(rows[i][u]), denom)
+                want = Fraction(int(exact.role_tallies[i][u]), exact.denominator)
                 assert Fraction(int(nums[i, u]), expanded) == want
 
     def test_matches_quantized_separator_densities(self, rng):
@@ -1035,8 +1079,7 @@ def phase_runs(rng, count: int):
         consts = DEFAULT_CONSTANTS.relaxed(int(rng.choice([50, 100, 200, 400])))
         res = interval_resolution(w.k, Fraction(1, 5), consts)
         seed = int(rng.integers(0, 2**31))
-        _, part, sample2 = sample_phases(WeightedSampler(t, d), w, res, seed, consts)
-        density = symbol_density_estimate(sample2, part, w)
+        _, part, density = sample_phases(WeightedSampler(t, d), w, res, seed, consts)
         yield t, w, d, res, consts, seed, part, density
 
 
@@ -1056,7 +1099,7 @@ class TestLaggedRecursion:
                 np.random.default_rng(16), 400):
             r = estimate_distance(WeightedSampler(t, d), w, Fraction(1, 5), seed, consts)
             want = separator_measure(density, part)
-            assert r.raw == Fraction(want, density.sample_size)
+            assert r.raw == Fraction(want, density.denominator)
             unlagged = final_measure([density.role_tallies], lag=False)
             heavy += bool(part.heavy.any())
             changed += unlagged != want
@@ -1107,8 +1150,7 @@ class TestSeparatorViolations:
             for cap in (Fraction(1, 50), Fraction(1, 500), Fraction(1, 5000)):
                 want = np.count_nonzero(~exactly_within(
                     assembled.numerators, assembled.denominator, ref_nums, ref_denom, cap))
-                got = separator_violations(
-                    density, part.heavy, exact, quantized.common_denominator(), cap)
+                got = separator_violations(density, part.heavy, exact, cap)
                 assert got == want
                 counts.append(want)
         assert sum(c > 0 for c in counts) >= 150
@@ -1133,14 +1175,38 @@ class TestEstimateDistance:
         consts = DEFAULT_CONSTANTS.relaxed(10)
         res = interval_resolution(w.k, 0.5, consts)
         for seed in (0, 5):
-            sample1, part, sample2 = sample_phases(o, w, res, seed, consts)
+            sample1, part, density = sample_phases(o, w, res, seed, consts)
             assert sample1.size == first_sample_size(res, consts)
-            assert sample2.size == second_sample_size(res, w.k, part.count, consts)
+            assert density.denominator == second_sample_size(res, w.k, part.count, consts)
             assert part.heavy[0]
             for run in (estimate_distance, estimate_distance_repeat_free):
                 r = run(o, w, 0.5, seed, consts)
                 assert (r.first_size, r.second_size, r.intervals) == (
-                    sample1.size, sample2.size, part.count)
+                    sample1.size, density.denominator, part.count)
+
+    # The benchmark replays phase two as this redraw and tally, and the
+    # estimate from the lagged measure of the tallies: n = 300 draws both
+    # phases as one multinomial, n = 10**5 Poissonized.
+    @pytest.mark.parametrize("n, heavy", [(300, 100), (10**5, 3500)])
+    def test_phase_two_is_the_tally_of_its_draw(self, n, heavy):
+        rng = np.random.default_rng(n)
+        mult = rng.integers(1, 21, size=n)
+        mult[rng.random(n) < 0.1] = 0
+        mult[rng.choice(n, size=3, replace=False)] = heavy
+        o = WeightedSampler(random_text_ids(rng, n, 4), Distribution.from_numerators(mult))
+        w = Word(np.array([1, 2, 2], dtype=np.int32))
+        res = interval_resolution(w.k, Fraction(1, 2))
+        for seed in (1, 2):
+            _, part, density = sample_phases(o, w, res, seed, DEFAULT_CONSTANTS)
+            drawn = o.draw(second_sample_size(res, w.k, part.count), subseed(seed, 2))
+            want = symbol_density_estimate(drawn, part, w)
+            assert density.denominator == want.denominator == drawn.size
+            for got, tallies in ((density.role_tallies, want.role_tallies),
+                                 (density.prefix_tallies, want.prefix_tallies)):
+                assert got.dtype == tallies.dtype and np.array_equal(got, tallies)
+            measure = final_measure([density.role_tallies], lag=part.heavy)
+            r = estimate_distance(o, w, Fraction(1, 2), seed)
+            assert r.raw == Fraction(int(measure), density.denominator)
 
     def test_raw_denominator_divides_phase_two_size(self):
         t = Text(np.tile(np.array([1, 2], dtype=np.int32), 500))
@@ -1220,10 +1286,10 @@ class TestGoodEventFrequencies:
         second_hits = 0
         trials = 20
         for seed in range(trials):
-            sample1, part, sample2 = sample_phases(o, w, res, seed, DEFAULT_CONSTANTS)
+            sample1, part, density = sample_phases(o, w, res, seed, DEFAULT_CONSTANTS)
             if weights_well_estimated(d, sample1, res, ref):
                 first_hits += 1
-            if densities_well_estimated(t, d, w, sample2, part, res):
+            if densities_within(density, exact_symbol_density(t, d, w, part), res):
                 second_hits += 1
         assert first_hits >= 16
         assert second_hits >= 16

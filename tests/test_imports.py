@@ -3,7 +3,8 @@ there: read by its code, or re-exported through its `__all__`. Every
 function of the library modules has a caller in the package or the
 benchmark, or is exported. The package runs one copy recursion, and none
 of it goes through the separator rewrite, which only the tests and the
-benchmark keep as the reference for the recursion's lag."""
+benchmark keep as the reference for the recursion's lag. Phase two of the
+distribution-free estimator is tallied in one place."""
 
 import ast
 from pathlib import Path
@@ -95,23 +96,34 @@ def test_every_library_function_has_a_caller():
 SEPARATOR_REFERENCE = {"interleave_partition", "assemble_sentinel_density", "exact_sentinel_reference"}
 
 
-def recursion_sites(tree: ast.Module) -> list:
-    """(enclosing function, line) of each `np.maximum.accumulate` in the
-    module; the function is None at module level."""
-    sites = []
+def enclosing_sites(tree: ast.Module, matches) -> list:
+    """(enclosing function, line) of each node of the module that
+    `matches`; the function is None at module level."""
+    found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "accumulate" and (
-                isinstance(child.value, ast.Attribute) and child.value.attr == "maximum"
-                and isinstance(child.value.value, ast.Name) and child.value.value.id == "np"
-            ):
-                sites.append((function, child.lineno))
+            if matches(child):
+                found.append((function, child.lineno))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
             visit(child, inner)
 
     visit(tree, None)
-    return sites
+    return found
+
+
+def is_recursion(node: ast.AST) -> bool:
+    """Whether the node is `np.maximum.accumulate`."""
+    return isinstance(node, ast.Attribute) and node.attr == "accumulate" and (
+        isinstance(node.value, ast.Attribute) and node.value.attr == "maximum"
+        and isinstance(node.value.value, ast.Name) and node.value.value.id == "np")
+
+
+def is_tally_call(node: ast.AST) -> bool:
+    """Whether the node calls `symbol_density_estimate`, by bare name or
+    as an attribute."""
+    return isinstance(node, ast.Call) and "symbol_density_estimate" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
 
 def separator_calls(tree: ast.Module) -> list:
@@ -126,12 +138,17 @@ def separator_calls(tree: ast.Module) -> list:
     return sorted(calls)
 
 
+def package_trees() -> dict:
+    """The parsed modules under `src/seqfree`, by path relative to it."""
+    return {path.relative_to(SOURCE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.rglob("*.py"))}
+
+
 def test_one_recursion_and_no_separator_path():
-    trees = {path.relative_to(SOURCE).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SOURCE.rglob("*.py"))}
+    trees = package_trees()
     assert "exact.py" in trees and "harness/experiments.py" in trees
     sites = [(module, function) for module, tree in trees.items()
-             for function, _ in recursion_sites(tree)]
+             for function, _ in enclosing_sites(tree, is_recursion)]
     assert sites == [("exact.py", "running_maximum")]
     calls = [f"{module}:{line}: {name}" for module, tree in trees.items()
              for line, name in separator_calls(tree)]
@@ -150,6 +167,34 @@ def test_detects_recursions_and_separator_calls():
         "    def m(self, d):\n"
         "        return distfree.assemble_sentinel_density(d), exact_sentinel_reference\n"
     )
-    assert recursion_sites(tree) == [(None, 2), ("g", 5)]
+    assert enclosing_sites(tree, is_recursion) == [(None, 2), ("g", 5)]
     assert separator_calls(tree) == [(6, "interleave_partition"),
                                      (9, "assemble_sentinel_density")]
+
+
+# `sample_phases` tallies the phase-two draw for the estimators and the
+# event diagnostics; `densities_well_estimated` takes a sample from its
+# caller, the benchmark's diagnostics replay.
+TALLY_CALLERS = {"sample_phases", "densities_well_estimated"}
+
+
+def test_phase_two_is_tallied_in_one_place():
+    trees = package_trees()
+    callers = [(module, function) for module, tree in trees.items()
+               for function, _ in enclosing_sites(tree, is_tally_call)]
+    assert ("distfree.py", "sample_phases") in callers
+    stray = [f"{module}: {function}" for module, function in callers
+             if function not in TALLY_CALLERS]
+    assert not stray, stray
+
+
+def test_detects_tally_calls():
+    tree = ast.parse(
+        "def sample_phases(s):\n"
+        "    return symbol_density_estimate(s)\n"
+        "def f(samples):\n"
+        "    return [distfree.symbol_density_estimate(s) for s in samples]\n"
+        "alias = symbol_density_estimate\n"
+        "top = symbol_density_estimate(1)\n"
+    )
+    assert enclosing_sites(tree, is_tally_call) == [("sample_phases", 2), ("f", 4), (None, 6)]
