@@ -147,8 +147,9 @@ def _as_symbol_array(symbols) -> np.ndarray:
     return arr
 
 
-class Text:
-    """Immutable symbol sequence of length n (n = 0 allowed)."""
+class _Symbols:
+    """Immutable sequence of symbol ids, with the alphabet they were
+    interned in, if any."""
 
     __slots__ = ("ids", "alphabet")
 
@@ -158,37 +159,36 @@ class Text:
         self.alphabet = alphabet
 
     @classmethod
-    def from_tokens(cls, tokens: Iterable[str], alphabet: Optional[Alphabet] = None) -> "Text":
+    def from_tokens(cls, tokens: Iterable[str], alphabet: Optional[Alphabet] = None):
         alphabet = alphabet if alphabet is not None else Alphabet()
         return cls(alphabet.intern_all(tokens), alphabet)
+
+    def __len__(self) -> int:
+        return int(self.ids.size)
+
+
+class Text(_Symbols):
+    """Immutable symbol sequence of length n (n = 0 allowed)."""
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return int(self.ids.size)
 
-    def __len__(self) -> int:
-        return self.n
-
     def __repr__(self) -> str:
         return f"Text(n={self.n})"
 
 
-class Word:
+class Word(_Symbols):
     """Immutable pattern of length k >= 1 whose copies are searched for."""
 
-    __slots__ = ("ids", "alphabet")
+    __slots__ = ()
 
     def __init__(self, symbols, alphabet: Optional[Alphabet] = None) -> None:
-        self.ids = _as_symbol_array(symbols)
+        super().__init__(symbols, alphabet)
         if self.ids.size == 0:
             raise ValueError("a word needs at least one symbol")
-        self.ids.flags.writeable = False
-        self.alphabet = alphabet
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str], alphabet: Optional[Alphabet] = None) -> "Word":
-        alphabet = alphabet if alphabet is not None else Alphabet()
-        return cls(alphabet.intern_all(tokens), alphabet)
 
     @property
     def k(self) -> int:
@@ -202,9 +202,6 @@ class Word:
     def has_adjacent_repeat(self) -> bool:
         """True when some symbol immediately repeats itself."""
         return bool(self.k > 1 and np.any(self.ids[1:] == self.ids[:-1]))
-
-    def __len__(self) -> int:
-        return self.k
 
     def __repr__(self) -> str:
         return f"Word(k={self.k})"
@@ -488,7 +485,6 @@ class WeightedSampler(Sampler):
         if dist.n != text.n:
             raise ValueError("weights and text disagree on length")
         super().__init__(text, dist.floats)
-        self.dist = dist
 
 
 def role_prefix_counts(

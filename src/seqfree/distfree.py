@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Iterator, Optional, Sequence
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -258,8 +258,8 @@ class _IntervalCover:
     """Consecutive intervals covering [1, n].
 
     `boundaries` starts at 0 and ends at n; interval u spans
-    boundaries[u-1]+1 .. boundaries[u]. Subclasses attach one tag per
-    interval.
+    boundaries[u-1]+1 .. boundaries[u]. Subclasses attach bool arrays of
+    one flag per interval.
     """
 
     n: int
@@ -269,22 +269,10 @@ class _IntervalCover:
     def count(self) -> int:
         return int(self.boundaries.size) - 1
 
-    def lower(self, u: int) -> int:
-        return int(self.boundaries[u - 1]) + 1
-
-    def upper(self, u: int) -> int:
-        return int(self.boundaries[u])
-
-    def intervals(self) -> Iterator[tuple]:
-        """(lower, upper, tag) for every interval, left to right; subclasses
-        supply the tags."""
-        for u, tag in enumerate(self._tags(), start=1):
-            yield self.lower(u), self.upper(u), tag
-
 
 @dataclass
 class IntervalPartition(_IntervalCover):
-    """Intervals built from sampled weights; the tag is the heavy flag.
+    """Intervals built from sampled weights, flagged heavy or light.
 
     An interval is heavy exactly when it is a single position whose
     empirical weight exceeds 1/resolution; every other interval is light
@@ -293,8 +281,11 @@ class IntervalPartition(_IntervalCover):
 
     heavy: np.ndarray  # bool, one flag per interval
 
-    def _tags(self) -> Sequence:
-        return self.heavy.tolist()
+    def intervals(self) -> Iterator[tuple[int, int, bool]]:
+        """(first position, last position, heavy flag) of every interval,
+        left to right, as Python scalars."""
+        bounds = self.boundaries.tolist()
+        return zip([b + 1 for b in bounds[:-1]], bounds[1:], self.heavy.tolist())
 
     @classmethod
     def from_sample(cls, sample: SampleSet, resolution: Fraction) -> "IntervalPartition":
@@ -316,7 +307,6 @@ def sample_phases(
     word: Word,
     resolution: Fraction,
     seed: int,
-    constants: EstimatorConstants,
 ) -> tuple[SampleSet, IntervalPartition, DensityEstimate]:
     """The two sampling phases of one distribution-free run.
 
@@ -328,33 +318,27 @@ def sample_phases(
     samples. Returns (phase-one sample, partition, phase-two density);
     the density's denominator is the phase-two size.
     """
-    sample1 = oracle.draw(first_sample_size(resolution, constants), subseed(seed, 1))
+    sample1 = oracle.draw(first_sample_size(resolution), subseed(seed, 1))
     partition = IntervalPartition.from_sample(sample1, resolution)
-    second = second_sample_size(resolution, word.k, partition.count, constants)
+    second = second_sample_size(resolution, word.k, partition.count)
     density = symbol_density_estimate(oracle.draw(second, subseed(seed, 2)), partition, word)
     return sample1, partition, density
 
 
-# The class labels by code: 0 single, 1 medium, 2 small.
-_CLASSES = np.array(("single", "medium", "small"))
-
-
 @dataclass
 class ReferencePartition(_IntervalCover):
-    """Diagnostic partition built from the true weights; the tag is the
-    class label.
+    """Diagnostic partition built from the true weights, its intervals
+    flagged by class.
 
     Intervals chase a per-interval weight near 1/(4*resolution) subject
     to a per-position cap of 1/(8*resolution); positions over the cap
-    stand alone. Classes: `single` for over-cap singletons, `medium` for
-    intervals with weight in [1/(8 res), 1/(4 res)], `small` below that.
+    stand alone. `single` flags those over-cap singletons, `small` the
+    other intervals of weight below 1/(8 res); the rest, of weight in
+    [1/(8 res), 1/(4 res)], are medium.
     """
 
-    labels: tuple
-    small: np.ndarray  # bool, one flag per interval, set for the `small` class
-
-    def _tags(self) -> Sequence:
-        return self.labels
+    single: np.ndarray  # bool, one flag per interval
+    small: np.ndarray  # bool, one flag per interval
 
     @classmethod
     def from_weights(cls, dist: Distribution, resolution: Fraction) -> "ReferencePartition":
@@ -364,8 +348,8 @@ class ReferencePartition(_IntervalCover):
         # and a total t exceeds 1/(4 res) iff t > floor(q D / 4 p).
         denom = dist.common_denominator()
         unit = resolution.denominator * denom
-        single = 8 * resolution.numerator
-        cap, run = unit // single, unit // (4 * resolution.numerator)
+        cap_factor = 8 * resolution.numerator
+        cap, run = unit // cap_factor, unit // (4 * resolution.numerator)
         nums = dist.numerators()
         listed = np.flatnonzero(nums)
         positive = nums[listed]
@@ -378,25 +362,22 @@ class ReferencePartition(_IntervalCover):
         boundaries, flags = _greedy_cover(dist.n, listed + 1, prefix, singles, run)
         # A total t <= D is small iff 8 p t < q D.
         totals = np.diff(dist.numerator_prefix()[boundaries])
-        totals = totals.astype(exact_dtype(max(single, resolution.denominator) * denom), copy=False)
-        small = ~flags & (single * totals < unit)
-        labels = tuple(_CLASSES[np.where(flags, 0, 1 + small)].tolist())
-        return cls(dist.n, boundaries, labels, small)
+        totals = totals.astype(exact_dtype(max(cap_factor, resolution.denominator) * denom), copy=False)
+        return cls(dist.n, boundaries, flags, ~flags & (cap_factor * totals < unit))
 
 
 def weights_well_estimated(
     dist: Distribution,
     sample: SampleSet,
     resolution: Fraction,
-    reference: Optional[ReferencePartition] = None,
+    reference: ReferencePartition,
 ) -> bool:
     """First good-sample event: the phase-one draw sees representative
-    weights. Singles and mediums must be estimated within a factor of
-    [1/2, 3/2]; smalls must stay under 1/(2*resolution) empirically."""
+    weights on the reference partition of `dist` at `resolution`. Singles
+    and mediums must be estimated within a factor of [1/2, 3/2]; smalls
+    must stay under 1/(2*resolution) empirically."""
     if sample.size == 0:
         raise ValueError("empty sample has no weights")
-    if reference is None:
-        reference = ReferencePartition.from_weights(dist, resolution)
     bounds = reference.boundaries
     size, denom = sample.size, dist.common_denominator()
     p, q = resolution.numerator, resolution.denominator
@@ -518,12 +499,12 @@ def densities_well_estimated(
     sample: SampleSet,
     partition: IntervalPartition,
     resolution: Fraction,
-    exact: Optional[DensityEstimate] = None,
+    exact: DensityEstimate,
 ) -> bool:
     """Second good-sample event: every per-role cumulative density and
-    every prefix weight is estimated within 1/resolution."""
-    if exact is None:
-        exact = exact_symbol_density(text, dist, word, partition)
+    every prefix weight is estimated within 1/resolution of `exact`
+    (`exact_symbol_density`). `text` and `dist` are not read; they stay
+    for the callers in `perfbench/`."""
     return densities_within(symbol_density_estimate(sample, partition, word), exact, resolution)
 
 
@@ -573,7 +554,7 @@ def estimate_distance(
     the true distance with probability at least 2/3.
     """
     resolution = interval_resolution(word.k, accuracy, constants)
-    sample1, partition, density = sample_phases(oracle, word, resolution, seed, constants)
+    sample1, partition, density = sample_phases(oracle, word, resolution, seed)
     measure = final_measure([density.role_tallies], lag=partition.heavy)
     raw = Fraction(int(measure), density.denominator)
     clamped = min(max(raw, Fraction(0)), Fraction(1))

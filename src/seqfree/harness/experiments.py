@@ -264,7 +264,7 @@ def event_diagnostics(
     density_violations = 0
     second_sizes = []
     for tseed in trial_seeds(seed, trials):
-        sample1, partition, density = sample_phases(oracle, word, resolution, tseed, constants)
+        sample1, partition, density = sample_phases(oracle, word, resolution, tseed)
         second_sizes.append(density.denominator)
         if weights_well_estimated(dist, sample1, resolution, reference):
             first_event_hits += 1

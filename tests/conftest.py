@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from seqfree import CopySet, IntervalPartition, SampleSet, Text, Word
+from seqfree import CopySet, IntervalPartition, ReferencePartition, SampleSet, Text, Word
 from seqfree.core import gather_columns, role_prefix_counts
 from seqfree.uniform import PrefixGrid
 
@@ -178,6 +178,13 @@ def validate_partition(partition: IntervalPartition, sample: SampleSet,
             assert weight > cap
         else:
             assert weight <= cap
+
+
+def reference_labels(reference: ReferencePartition) -> tuple:
+    """The class of every interval of a reference partition, left to right:
+    "single", "small" or "medium", read off its two flags."""
+    return tuple("single" if single else "small" if small else "medium"
+                 for single, small in zip(reference.single.tolist(), reference.small.tolist()))
 
 
 def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> np.ndarray:

@@ -325,14 +325,20 @@ class TestSampleSet:
             SampleSet(2, [3], [1], [1])
 
 
-def sampler_cases(n: int) -> tuple[Text, dict]:
-    """A text of length n, and a uniform and a weighted sampler over it
-    with the normalized weights each gives the multinomial."""
+def weighted_instance(n: int) -> tuple[Text, Distribution]:
+    """A text of length n and integer weights over it, zero at both ends."""
     rng = np.random.default_rng(n)
     text = Text(rng.integers(1, 4, size=n, dtype=np.int32))
     nums = rng.integers(0, 5, size=n, dtype=np.int64)
     nums[[0, -1]] = 0
-    dist = Distribution.from_numerators(nums)
+    return text, Distribution.from_numerators(nums)
+
+
+def sampler_cases(n: int) -> tuple[Text, dict]:
+    """The text of `weighted_instance`, and a uniform and a weighted
+    sampler over it with the normalized weights each gives the
+    multinomial."""
+    text, dist = weighted_instance(n)
     uniform = np.full(n, 1.0 / n)
     return text, {
         "uniform": (UniformSampler(text), uniform / float(uniform.sum())),
@@ -382,15 +388,14 @@ class TestSamplers:
         assert a.positions.tolist() == b.positions.tolist()
         assert a.multiplicities.tolist() == b.multiplicities.tolist()
         # A Poissonized draw, from a fresh sampler and twice from one.
-        text, cases = sampler_cases(N_POISSON)
-        sampler, _ = cases["weighted"]
-        first = WeightedSampler(text, sampler.dist).draw(6000, 9)
+        text, dist = weighted_instance(N_POISSON)
+        sampler = WeightedSampler(text, dist)
+        first = WeightedSampler(text, dist).draw(6000, 9)
         assert_same_sample(sampler.draw(6000, 9), first)
         assert_same_sample(sampler.draw(6000, 9), first)
 
     def test_shortfall_cdf_built_once_on_first_poissonized_draw(self):
-        text, cases = sampler_cases(N_POISSON)
-        sampler = WeightedSampler(text, cases["weighted"][0].dist)
+        sampler = WeightedSampler(*weighted_instance(N_POISSON))
         sampler.draw(N_POISSON, 1)  # not above n: one multinomial
         assert "_cdf" not in vars(sampler)
         sampler.draw(6000, 9)

@@ -62,6 +62,7 @@ from conftest import (
     positive_rational_weights,
     random_repeat_free_word,
     random_text_ids,
+    reference_labels,
     validate_partition,
 )
 
@@ -185,21 +186,22 @@ def dense_partition_reference(sample: SampleSet, resolution: Fraction) -> tuple:
 
 
 def per_position_reference(dist: Distribution, resolution: Fraction) -> tuple:
-    """(boundaries, labels) of the reference partition, walked over every
-    position one at a time: the construction `ReferencePartition.from_weights`
-    replaces."""
+    """(boundaries, single flags, small flags) of the reference partition,
+    as lists, walked over every position one at a time: the construction
+    `ReferencePartition.from_weights` replaces."""
     weights = dist.numerators().tolist()
     n = dist.n
     unit = resolution.denominator * dist.common_denominator()
     single = 8 * resolution.numerator
     run = 4 * resolution.numerator
-    bounds, labels = [0], []
+    bounds, singles, smalls = [0], [], []
     start = 1
     while start <= n:
         w = weights[start - 1]
         if single * w > unit:
             bounds.append(start)
-            labels.append("single")
+            singles.append(True)
+            smalls.append(False)
             start += 1
             continue
         end, total = start, w
@@ -210,9 +212,10 @@ def per_position_reference(dist: Distribution, resolution: Fraction) -> tuple:
             total += nxt
             end += 1
         bounds.append(end)
-        labels.append("small" if single * total < unit else "medium")
+        singles.append(False)
+        smalls.append(single * total < unit)
         start = end + 1
-    return bounds, tuple(labels)
+    return bounds, singles, smalls
 
 
 def edge_case_weights(rng, count: int):
@@ -251,7 +254,7 @@ def loop_sentinel_reference(partition: IntervalPartition, density: DensityEstima
     split and assembly, built one interval at a time."""
     bounds, source = [0], []
     for u in range(1, partition.count + 1):
-        end = partition.upper(u)
+        end = int(partition.boundaries[u])
         if partition.heavy[u - 1]:
             bounds += [2 * end - 1, 2 * end]
             source += [u, u]
@@ -268,6 +271,22 @@ def loop_sentinel_reference(partition: IntervalPartition, density: DensityEstima
             for src, end in zip(source, bounds[1:])
         ])
     return bounds, source, rows
+
+
+# (n, largest count, share of zeros, heavy positions, heavy count) of
+# inputs shaped like the benchmark's `oracles` instances and `df-weighted`
+# phase one, at k = 3 and accuracy 1/2 (resolution 600): a phase-one
+# sample of the first doubles, of the second walks.
+WORKLOAD_SHAPES = ((2000, 4000, 0.05, 3, 20000), (10**5, 20, 0.1, 5, 3500))
+
+
+def workload_shaped_instance(rng, n, most, zeros, heavy, weight) -> tuple:
+    """(text, weights): integer weights with some zeros and a few heavy
+    positions, over a text of four symbols."""
+    counts = rng.integers(1, most + 1, size=n)
+    counts[rng.random(n) < zeros] = 0
+    counts[rng.choice(n, size=heavy, replace=False)] = weight
+    return random_text_ids(rng, n, 4), Distribution.from_numerators(counts)
 
 
 def edge_case_samples(rng, count: int):
@@ -445,9 +464,25 @@ class TestIntervalPartition:
 
     def test_accessors(self):
         p = IntervalPartition(4, np.array([0, 1, 4]), np.array([True, False]))
-        assert p.lower(1) == 1 and p.upper(1) == 1
-        assert p.lower(2) == 2 and p.upper(2) == 4
+        assert p.count == 2
         assert list(p.intervals()) == [(1, 1, True), (2, 4, False)]
+
+    def test_intervals_are_python_scalars_of_boundaries_and_flags(self, rng, monkeypatch):
+        # The benchmark passes the ends to `Distribution.interval_weight`
+        # and tests the flags for truth, on partitions from either side of
+        # the cover.
+        doubled = record_cover_forms(monkeypatch)
+        res = interval_resolution(3, Fraction(1, 2))
+        for shape in WORKLOAD_SHAPES:
+            t, d = workload_shaped_instance(rng, *shape)
+            p = IntervalPartition.from_sample(WeightedSampler(t, d).draw(first_sample_size(res), 1), res)
+            triples = list(p.intervals())
+            assert [type(v) for triple in triples for v in triple] == [int, int, bool] * p.count
+            assert triples == [(int(p.boundaries[u - 1]) + 1, int(p.boundaries[u]), bool(p.heavy[u - 1]))
+                               for u in range(1, p.count + 1)]
+            assert any(heavy for _, _, heavy in triples)
+            assert sum(d.interval_weight(lo, hi) for lo, hi, _ in triples) == 1
+        assert doubled == [True, False]
 
 
 class TestReferencePartition:
@@ -455,15 +490,15 @@ class TestReferencePartition:
         d = Distribution.uniform(8)
         r = ReferencePartition.from_weights(d, Fraction(1))
         assert r.boundaries.tolist() == [0, 2, 4, 6, 8]
-        assert set(r.labels) == {"medium"}
+        assert set(reference_labels(r)) == {"medium"}
 
     def test_pointmass_is_single(self):
         d = Distribution.from_fractions(
             [Fraction(9, 10)] + [Fraction(1, 70)] * 7
         )
         r = ReferencePartition.from_weights(d, Fraction(1))
-        assert r.labels[0] == "single"
-        assert r.lower(1) == r.upper(1) == 1
+        assert reference_labels(r)[0] == "single"
+        assert r.boundaries[:2].tolist() == [0, 1]
 
     def test_single_position(self):
         r = ReferencePartition.from_weights(Distribution.uniform(1), Fraction(1))
@@ -474,13 +509,13 @@ class TestReferencePartition:
         # and alone already reaches the medium band
         d = Distribution.from_fractions([Fraction(1, 8), Fraction(7, 8)])
         r = ReferencePartition.from_weights(d, Fraction(1))
-        assert r.labels == ("medium", "single")
+        assert reference_labels(r) == ("medium", "single")
 
     def test_uniform_thousand_at_production_resolution_all_single(self):
         d = Distribution.uniform(1000)
         r = ReferencePartition.from_weights(d, Fraction(400))
         assert r.count == 1000
-        assert set(r.labels) == {"single"}
+        assert set(reference_labels(r)) == {"single"}
 
     def test_class_count_caps(self, rng):
         for _ in range(25):
@@ -490,31 +525,34 @@ class TestReferencePartition:
             )
             res = Fraction(int(rng.integers(1, 6)))
             r = ReferencePartition.from_weights(d, res)
-            counts = collections.Counter(r.labels)
+            labels = reference_labels(r)
+            counts = collections.Counter(labels)
             assert counts["single"] + counts["medium"] <= 8 * res
             assert counts["small"] <= 8 * res + 1
             # a small interval stops only at a too-heavy next position,
             # so it is followed by a single or ends the text
             for u in range(1, r.count):
-                if r.labels[u - 1] == "small":
-                    assert r.labels[u] == "single"
+                if labels[u - 1] == "small":
+                    assert labels[u] == "single"
 
     def test_matches_per_position_reference(self, rng):
         seen = {"zero weight": 0, "single at 1": 0, "single at n": 0,
                 "run at cap": 0, "object numerators": 0}
         for d, res in edge_case_weights(rng, 3000):
             r = ReferencePartition.from_weights(d, res)
-            bounds, labels = per_position_reference(d, res)
+            bounds, single, small = per_position_reference(d, res)
             assert r.boundaries.tolist() == bounds
-            assert r.labels == labels
+            assert r.single.dtype == r.small.dtype == bool
+            assert r.single.tolist() == single
+            assert r.small.tolist() == small
             nums = d.numerators()
             cap = res.denominator * d.common_denominator() // (4 * res.numerator)
             totals = np.diff(d.numerator_prefix()[bounds])
             seen["zero weight"] += bool(np.any(nums == 0))
-            seen["single at 1"] += labels[0] == "single"
-            seen["single at n"] += labels[-1] == "single" and d.n > 1
+            seen["single at 1"] += single[0]
+            seen["single at n"] += single[-1] and d.n > 1
             seen["run at cap"] += any(
-                label != "single" and total == cap for label, total in zip(labels, totals)
+                not one and total == cap for one, total in zip(single, totals)
             )
             seen["object numerators"] += nums.dtype == object
         assert all(seen.values()), seen
@@ -570,33 +608,24 @@ class TestGreedyCover:
                        (Distribution.uniform(20_001), Fraction(7, 3)),
                        (point_mass, Fraction(2))):
             r = ReferencePartition.from_weights(d, res)
-            bounds, labels = per_position_reference(d, res)
+            bounds, single, small = per_position_reference(d, res)
             assert r.boundaries.tolist() == bounds
-            assert r.labels == labels
-            assert r.small.tolist() == [label == "small" for label in labels]
-        assert r.labels[0] == r.labels[-1] == "single"  # the point masses
+            assert r.single.tolist() == single
+            assert r.small.tolist() == small
+        assert r.single[0] and r.single[-1]  # the point masses
         assert doubled == [False] * 3
 
     def test_workload_shaped_inputs_take_their_side(self, rng, monkeypatch):
-        # Shaped like the benchmark's `oracles` instances and `df-weighted`
-        # phase one: integer weights with some zeros and a few heavy
-        # positions, k = 3 and accuracy 1/2 (resolution 600).
         res = interval_resolution(3, Fraction(1, 2))
         assert res == 600 and first_sample_size(res) == 855_185
-
-        def instance(n, most, zeros, heavy, weight):
-            counts = rng.integers(1, most + 1, size=n)
-            counts[rng.random(n) < zeros] = 0
-            counts[rng.choice(n, size=heavy, replace=False)] = weight
-            return random_text_ids(rng, n, 4), Distribution.from_numerators(counts)
-
+        oracles, phase_one = WORKLOAD_SHAPES
         doubled = record_cover_forms(monkeypatch)
-        t, d = instance(2000, 4000, 0.05, 3, 20000)
+        t, d = workload_shaped_instance(rng, *oracles)
         assert 1850 <= np.count_nonzero(d.numerators()) <= 1950
         ReferencePartition.from_weights(d, res)
         IntervalPartition.from_sample(WeightedSampler(t, d).draw(first_sample_size(res), 1), res)
         assert doubled == [True, True]
-        t, d = instance(10**5, 20, 0.1, 5, 3500)
+        t, d = workload_shaped_instance(rng, *phase_one)
         IntervalPartition.from_sample(WeightedSampler(t, d).draw(first_sample_size(res), 1), res)
         assert doubled == [True, True, False]
 
@@ -628,16 +657,18 @@ class TestGreedyCover:
         assert peak <= 6 * 8 * listed, peak / listed
         walked, flags = distfree._cover_by_walk(*args)
         assert r.boundaries.tolist() == walked.tolist()
-        assert [label == "single" for label in r.labels] == flags.tolist()
+        assert r.single.tolist() == flags.tolist()
 
 
 class TestWeightsWellEstimated:
     def test_census_passes(self):
         t = text_of("abababab")
         for d in (Distribution.uniform(8), over_denominator(NEAR_INT64, 8)):
-            assert weights_well_estimated(d, census(d, t), Fraction(1))
+            ref = ReferencePartition.from_weights(d, Fraction(1))
+            assert weights_well_estimated(d, census(d, t), Fraction(1), ref)
         d = over_denominator(PAST_INT64, 8)
-        assert weights_well_estimated(d, near_census(d, t), Fraction(1))
+        ref = ReferencePartition.from_weights(d, Fraction(1))
+        assert weights_well_estimated(d, near_census(d, t), Fraction(1), ref)
 
     def test_factor_bounds_are_inclusive(self):
         # two singles of true weight 1/4 and 3/4, eight draws: the first
@@ -645,7 +676,7 @@ class TestWeightsWellEstimated:
         d = Distribution.from_fractions([Fraction(1, 4), Fraction(3, 4)])
         t = text_of("ab")
         ref = ReferencePartition.from_weights(d, Fraction(1))
-        assert ref.labels == ("single", "single")
+        assert reference_labels(ref) == ("single", "single")
         for counts, ok in (([1, 7], True), ([0, 8], False),
                            ([3, 5], True), ([4, 4], False)):
             s = SampleSet.from_counts(np.array(counts), t)
@@ -657,7 +688,7 @@ class TestWeightsWellEstimated:
         d = Distribution.from_fractions([Fraction(1, 16), Fraction(15, 16)])
         t = text_of("ab")
         ref = ReferencePartition.from_weights(d, Fraction(1))
-        assert ref.labels == ("small", "single")
+        assert reference_labels(ref) == ("small", "single")
         for counts, ok in (([16, 16], True), ([17, 15], False)):
             s = SampleSet.from_counts(np.array(counts), t)
             assert weights_well_estimated(d, s, Fraction(1), ref) is ok, counts
@@ -668,7 +699,8 @@ class TestWeightsWellEstimated:
         s = SampleSet.from_counts(
             np.array([8, 0, 0, 0, 0, 0, 0, 0]), t
         )
-        assert not weights_well_estimated(d, s, Fraction(1))
+        ref = ReferencePartition.from_weights(d, Fraction(1))
+        assert not weights_well_estimated(d, s, Fraction(1), ref)
 
     def test_matches_fraction_loop_at_the_int64_limit(self, monkeypatch):
         # D = 2**40: at 2**20 draws every product fits int64; at 2**22,
@@ -678,7 +710,7 @@ class TestWeightsWellEstimated:
         d = Distribution.from_numerators([2**38 + 1, 3 * 2**38 - 1])
         t = text_of("ab")
         ref = ReferencePartition.from_weights(d, Fraction(1))
-        assert ref.labels == ("single", "single")
+        assert reference_labels(ref) == ("single", "single")
         for size, dtype in ((2**20, np.int64), (2**22, object)):
             outcomes = set()
             for factor in (Fraction(1, 2), Fraction(3, 2)):
@@ -692,15 +724,21 @@ class TestWeightsWellEstimated:
                     outcomes.add(want)
             assert outcomes == {True, False}
 
-    def test_explicit_reference_matches_implicit(self):
+    def test_reads_the_given_reference(self):
+        # A census passes on the reference of its own weights. On that of
+        # the mirrored weights, the small interval [1, 7] holds the point
+        # mass and breaks the small cap.
         d = Distribution.from_fractions(
             [Fraction(9, 10)] + [Fraction(1, 70)] * 7
         )
+        mirrored = Distribution.from_fractions([Fraction(1, 70)] * 7 + [Fraction(9, 10)])
         t = text_of("abcdefgh")
         s = census(d, t)
         ref = ReferencePartition.from_weights(d, Fraction(1))
         assert weights_well_estimated(d, s, Fraction(1), ref)
-        assert weights_well_estimated(d, s, Fraction(1))
+        ref = ReferencePartition.from_weights(mirrored, Fraction(1))
+        assert reference_labels(ref) == ("small", "single")
+        assert not weights_well_estimated(d, s, Fraction(1), ref)
 
 
 class TestSymbolDensityEstimate:
@@ -780,17 +818,22 @@ class TestDensitiesWellEstimated:
 
     def test_census_passes(self):
         for t, d, w, s, part in self._setups():
-            assert densities_well_estimated(t, d, w, s, part, Fraction(2))
+            exact = exact_symbol_density(t, d, w, part)
+            assert densities_well_estimated(t, d, w, s, part, Fraction(2), exact)
 
     def test_collapsed_sample_fails(self):
         for t, d, w, s, part in self._setups():
             bad = SampleSet.from_counts(np.array([4, 0, 0, 0]), t)
-            assert not densities_well_estimated(t, d, w, bad, part, Fraction(2))
+            exact = exact_symbol_density(t, d, w, part)
+            assert not densities_well_estimated(t, d, w, bad, part, Fraction(2), exact)
 
     def test_precomputed_exact_path(self):
+        # The estimate is held to `exact` alone: each census fails against
+        # the exact densities of a point mass at position 1.
+        point_mass = Distribution.from_numerators([1, 0, 0, 0])
         for t, d, w, s, part in self._setups():
-            exact = exact_symbol_density(t, d, w, part)
-            assert densities_well_estimated(t, d, w, s, part, Fraction(2), exact)
+            exact = exact_symbol_density(t, point_mass, w, part)
+            assert not densities_well_estimated(t, d, w, s, part, Fraction(2), exact)
 
     def test_bound_is_inclusive(self):
         # true role and prefix weights 1/2 at the first end; six of eight
@@ -799,9 +842,10 @@ class TestDensitiesWellEstimated:
         w = word_of("ab", t)
         d = Distribution.uniform(2)
         part = IntervalPartition(2, np.array([0, 1, 2]), np.array([False, False]))
+        exact = exact_symbol_density(t, d, w, part)
         for counts, ok in (([6, 2], True), ([7, 1], False)):
             s = SampleSet.from_counts(np.array(counts), t)
-            assert densities_well_estimated(t, d, w, s, part, Fraction(4)) is ok, counts
+            assert densities_well_estimated(t, d, w, s, part, Fraction(4), exact) is ok, counts
 
     def test_prefix_miss_alone_fails(self):
         # Every role density is exact, but the draws of the symbol outside
@@ -811,8 +855,10 @@ class TestDensitiesWellEstimated:
         w = word_of("a", t)
         part = IntervalPartition(3, np.array([0, 1, 2, 3]), np.array([False] * 3))
         s = SampleSet.from_counts(np.array([4, 0, 2]), t)
-        assert not densities_well_estimated(t, Distribution.uniform(3), w, s, part, Fraction(4))
-        assert densities_well_estimated(t, Distribution.uniform(3), w, s, part, Fraction(3))
+        d = Distribution.uniform(3)
+        exact = exact_symbol_density(t, d, w, part)
+        assert not densities_well_estimated(t, d, w, s, part, Fraction(4), exact)
+        assert densities_well_estimated(t, d, w, s, part, Fraction(3), exact)
 
 
 class TestExactlyWithin:
@@ -1079,7 +1125,7 @@ def phase_runs(rng, count: int):
         consts = DEFAULT_CONSTANTS.relaxed(int(rng.choice([50, 100, 200, 400])))
         res = interval_resolution(w.k, Fraction(1, 5), consts)
         seed = int(rng.integers(0, 2**31))
-        _, part, density = sample_phases(WeightedSampler(t, d), w, res, seed, consts)
+        _, part, density = sample_phases(WeightedSampler(t, d), w, res, seed)
         yield t, w, d, res, consts, seed, part, density
 
 
@@ -1175,7 +1221,7 @@ class TestEstimateDistance:
         consts = DEFAULT_CONSTANTS.relaxed(10)
         res = interval_resolution(w.k, 0.5, consts)
         for seed in (0, 5):
-            sample1, part, density = sample_phases(o, w, res, seed, consts)
+            sample1, part, density = sample_phases(o, w, res, seed)
             assert sample1.size == first_sample_size(res, consts)
             assert density.denominator == second_sample_size(res, w.k, part.count, consts)
             assert part.heavy[0]
@@ -1197,7 +1243,7 @@ class TestEstimateDistance:
         w = Word(np.array([1, 2, 2], dtype=np.int32))
         res = interval_resolution(w.k, Fraction(1, 2))
         for seed in (1, 2):
-            _, part, density = sample_phases(o, w, res, seed, DEFAULT_CONSTANTS)
+            _, part, density = sample_phases(o, w, res, seed)
             drawn = o.draw(second_sample_size(res, w.k, part.count), subseed(seed, 2))
             want = symbol_density_estimate(drawn, part, w)
             assert density.denominator == want.denominator == drawn.size
@@ -1286,7 +1332,7 @@ class TestGoodEventFrequencies:
         second_hits = 0
         trials = 20
         for seed in range(trials):
-            sample1, part, density = sample_phases(o, w, res, seed, DEFAULT_CONSTANTS)
+            sample1, part, density = sample_phases(o, w, res, seed)
             if weights_well_estimated(d, sample1, res, ref):
                 first_hits += 1
             if densities_within(density, exact_symbol_density(t, d, w, part), res):

@@ -12,7 +12,10 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SOURCE = TESTS.parent / "src" / "seqfree"
 BENCH = TESTS.parent / "perfbench"
-LIBRARY = ("core.py", "exact.py", "uniform.py", "distfree.py")
+# The modules whose every function must have a caller. The text generators
+# of `harness/generators.py` are features in their own right.
+LIBRARY = ("core.py", "exact.py", "uniform.py", "distfree.py",
+           "harness/cli.py", "harness/experiments.py", "harness/fileio.py")
 
 
 def exported(tree: ast.Module) -> set:
