@@ -11,14 +11,20 @@ Weights over positions are always exact: integer numerators over their
 least common denominator, which the ground-truth oracles read, next to a
 64-bit float view for the estimator path.
 Estimators never touch a text directly; they see it only through a
-sampling oracle returning (position, symbol) pairs. A uniform draw of s
-positions with s <= n / SPARSE_DRAW_RATIO allocates O(s) memory and reads
-only the drawn positions of the text. Every other draw counts draws at
-all n positions, in one of two dense regimes with the same law: when s
-exceeds n and the margin m = POISSON_MARGIN * sqrt(s) has
-m * SPARSE_DRAW_RATIO <= n, as for the distribution-free estimator on a
-short text, Poisson bulk counts plus the shortfall as categorical draws;
-otherwise one multinomial over all n positions.
+sampling oracle returning (position, symbol) pairs. A draw falls in one
+of three regimes, all with the law of s independent draws:
+- sparse: a uniform draw of s <= n / SPARSE_DRAW_RATIO positions
+  allocates O(s) memory and reads only the drawn positions of the text;
+- Poissonized: when s exceeds n and the margin m = POISSON_MARGIN *
+  sqrt(s) has m * SPARSE_DRAW_RATIO <= n, as for the distribution-free
+  estimator on a short text, Poisson bulk counts at all n positions plus
+  the shortfall as categorical draws;
+- multinomial: every other draw, one multinomial over all n positions.
+`Sampler.draw` returns the draws as a `SampleSet`; the estimators read a
+sample only through its tallies at a few prefix lengths, and
+`Sampler.draw_tallies` hands out exactly those tallies, from the same
+generator calls, without building a `SampleSet` (`tally_positions`
+counts both).
 """
 
 from __future__ import annotations
@@ -333,6 +339,38 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
     return Text(text.ids[keep], text.alphabet), Distribution.from_numerators(weights[keep])
 
 
+def tally_positions(positions: np.ndarray, symbols: np.ndarray,
+                    multiplicities: Optional[np.ndarray], ends,
+                    word_symbols) -> tuple[np.ndarray, np.ndarray]:
+    """Draws within each prefix of length `ends[j]`, from sorted 1-based
+    drawn positions, the symbol at each, and their multiplicities; None
+    counts each position once, so that repeated positions are repeat draws.
+
+    Returns, per entry of `word_symbols`, the draws at positions carrying
+    it, as a (len(word_symbols), len(ends)) array, and all draws, as a
+    (len(ends),) array; both int64. Locates the ends once and counts each
+    distinct symbol once, over the drawn positions only: with
+    multiplicities, in one cumulative buffer; without, the totals are the
+    cut indices, and a symbol's row the cut indices among its own draws.
+    """
+    word_symbols = [int(symbol) for symbol in word_symbols]
+    cut = positions.searchsorted(ends, side="right").astype(np.int64, copy=False)
+    if multiplicities is None:
+        totals = cut
+        by_symbol = {symbol: np.flatnonzero(symbols == symbol).searchsorted(cut)
+                     for symbol in set(word_symbols)}
+    else:
+        cumulative = np.zeros(positions.size + 1, dtype=np.int64)
+        by_symbol = {}
+        for symbol in dict.fromkeys(word_symbols):
+            np.cumsum(np.where(symbols == symbol, multiplicities, 0), out=cumulative[1:])
+            by_symbol[symbol] = cumulative[cut]
+        np.cumsum(multiplicities, out=cumulative[1:])
+        totals = cumulative[cut]
+    rows = np.array([by_symbol[symbol] for symbol in word_symbols], dtype=np.int64)
+    return rows.reshape(len(word_symbols), cut.size), totals
+
+
 class SampleSet:
     """Multiset of (position, symbol) draws, stored as sparse sorted
     positions with their symbols and multiplicities.
@@ -372,23 +410,10 @@ class SampleSet:
     def tally(self, ends: np.ndarray, symbols=()) -> tuple[np.ndarray, np.ndarray]:
         """Draws within each prefix of length `ends[j]`: per entry of
         `symbols` those at positions carrying it, as a (len(symbols),
-        len(ends)) array, and all of them, as a (len(ends),) array.
-
-        Locates the ends once and sums each distinct symbol once, over the
-        drawn positions only; both arrays are int64.
-        """
-        symbols = [int(symbol) for symbol in symbols]
-        cut = self.positions.searchsorted(ends, side="right")
-        cumulative = np.zeros(self.positions.size + 1, dtype=np.int64)
-        by_symbol = {}
-        for symbol in symbols:
-            if symbol not in by_symbol:
-                np.cumsum(np.where(self.symbols == symbol, self.multiplicities, 0),
-                          out=cumulative[1:])
-                by_symbol[symbol] = cumulative[cut]
-        np.cumsum(self.multiplicities, out=cumulative[1:])
-        rows = np.array([by_symbol[symbol] for symbol in symbols], dtype=np.int64)
-        return rows.reshape(len(symbols), cut.size), cumulative[cut]
+        len(ends)) array, and all of them, as a (len(ends),) array; both
+        int64 (`tally_positions`). The estimators never build the sample
+        they tally: `Sampler.draw_tallies` hands out the same arrays."""
+        return tally_positions(self.positions, self.symbols, self.multiplicities, ends, symbols)
 
     def __repr__(self) -> str:
         return f"SampleSet(n={self.n}, size={self.size})"
@@ -397,9 +422,10 @@ class SampleSet:
 class Sampler:
     """Draws positions i.i.d. from fixed position weights over a text.
 
-    Deterministic given (size, seed). Returns a SampleSet built from one
-    count vector over all n positions, distributed as the multinomial of
-    `size` independent draws tallied by position. With the margin
+    Deterministic given (size, seed). `draw` returns a SampleSet built
+    from one count vector over all n positions (`_counts`), distributed
+    as the multinomial of `size` independent draws tallied by position;
+    `draw_tallies` tallies the same counts without building it. With the margin
     m = POISSON_MARGIN * sqrt(size), a draw with size > n and
     m * SPARSE_DRAW_RATIO <= n is Poissonized: bulk counts
     Poisson((size - m) * p) at every position, drawn again in the rare case
@@ -424,17 +450,25 @@ class Sampler:
         return self._text.n
 
     def draw(self, size: int, seed) -> SampleSet:
+        return SampleSet.from_counts(self._counts(size, np.random.default_rng(seed)), self._text)
+
+    def draw_tallies(self, size: int, seed, ends, symbols) -> tuple[np.ndarray, np.ndarray]:
+        """Exactly `self.draw(size, seed).tally(ends, symbols)`, from the
+        same generator calls, without building the SampleSet."""
+        counts = self._counts(size, np.random.default_rng(seed))
+        hit = np.flatnonzero(counts)
+        return tally_positions(hit + 1, self._text.ids[hit], counts[hit], ends, symbols)
+
+    def _counts(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw counts at all n positions: Poissonized or one multinomial."""
         if size < 0:
             raise ValueError("sample size must be non-negative")
         if size > MAX_DRAWS:
             raise ValueError(f"sample size must be at most {MAX_DRAWS}")
-        rng = np.random.default_rng(seed)
         margin = POISSON_MARGIN * math.sqrt(size)
         if size > self.n and margin * SPARSE_DRAW_RATIO <= self.n:
-            counts = self._poissonized(rng, size, margin)
-        else:
-            counts = rng.multinomial(size, self._pvals)
-        return SampleSet.from_counts(counts, self._text)
+            return self._poissonized(rng, size, margin)
+        return rng.multinomial(size, self._pvals)
 
     def _poissonized(self, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
         while True:
@@ -457,10 +491,11 @@ class Sampler:
 
 
 class UniformSampler(Sampler):
-    """A draw of size <= n / SPARSE_DRAW_RATIO tallies `size` uniform
-    positions with `np.unique` and reads only those of the text, which has
-    the same law as the multinomial. A larger draw is dense (`Sampler`),
-    and its n weights are built on its first use."""
+    """A draw of size <= n / SPARSE_DRAW_RATIO takes `size` uniform
+    positions and reads only those of the text: `draw` tallies them with
+    `np.unique`, `draw_tallies` sorts them, and either has the law of the
+    multinomial. A larger draw is dense (`Sampler`), and its n weights are
+    built on its first use."""
 
     def __init__(self, text: Text) -> None:
         if text.n < 1:
@@ -472,12 +507,28 @@ class UniformSampler(Sampler):
         weights = np.full(self.n, 1.0 / self.n)
         return weights / float(weights.sum())
 
+    def _sparse_positions(self, size: int, seed) -> Optional[np.ndarray]:
+        """The 0-based positions of a sparse draw, unsorted; None when the
+        draw is dense (size * ratio > n) or the size invalid."""
+        if not 0 <= size <= self.n // SPARSE_DRAW_RATIO:
+            return None
+        return np.random.default_rng(seed).integers(0, self.n, size)
+
     def draw(self, size: int, seed) -> SampleSet:
-        if not 0 <= size <= self.n // SPARSE_DRAW_RATIO:  # size * ratio > n, or invalid
+        positions = self._sparse_positions(size, seed)
+        if positions is None:
             return super().draw(size, seed)
-        positions = np.random.default_rng(seed).integers(0, self.n, size)
         hit, counts = np.unique(positions, return_counts=True)
         return SampleSet(self.n, hit + 1, self._text.ids[hit], counts)
+
+    def draw_tallies(self, size: int, seed, ends, symbols) -> tuple[np.ndarray, np.ndarray]:
+        positions = self._sparse_positions(size, seed)
+        if positions is None:
+            return super().draw_tallies(size, seed, ends, symbols)
+        positions.sort()
+        drawn = self._text.ids[positions]
+        positions += 1
+        return tally_positions(positions, drawn, None, ends, symbols)
 
 
 class WeightedSampler(Sampler):

@@ -10,7 +10,8 @@ pointer doubling over the positions, unless many positions share each
 interval; then it walks, one bisection per interval. Phase two
 estimates, per word role, the cumulative weight of matching positions up
 to every interval boundary: `sample_phases` hands out only those tallies,
-a `DensityEstimate` over the phase-two size, never the phase-two draw.
+a `DensityEstimate` over the phase-two size, drawn by
+`Sampler.draw_tallies` without ever materialising the phase-two draw.
 The copy recursion (`exact.running_maximum`) runs on those tallies,
 lagged at heavy intervals: there each role reads the previous role's
 measure one column back, as the separator rewrite of the paper would
@@ -312,17 +313,20 @@ def sample_phases(
 
     Phase one draws `first_sample_size` positions on stream 1 of `seed`
     and partitions them; phase two draws `second_sample_size` positions,
-    sized by that partition, on stream 2, and tallies them at its
-    boundaries (`symbol_density_estimate`). Both estimators and the event
-    diagnostics draw through here, so one seed gives all of them the same
-    samples. Returns (phase-one sample, partition, phase-two density);
-    the density's denominator is the phase-two size.
+    sized by that partition, on stream 2, as tallies at its boundaries
+    (`Sampler.draw_tallies`, the tallies `symbol_density_estimate` takes
+    of `oracle.draw` on that stream, with no `SampleSet` built). Both
+    estimators and the event diagnostics draw through here, so one seed
+    gives all of them the same samples. Returns (phase-one sample,
+    partition, phase-two density); the density's denominator is the
+    phase-two size. Only phase one builds a `SampleSet`: its partition
+    reads the drawn positions.
     """
     sample1 = oracle.draw(first_sample_size(resolution), subseed(seed, 1))
     partition = IntervalPartition.from_sample(sample1, resolution)
     second = second_sample_size(resolution, word.k, partition.count)
-    density = symbol_density_estimate(oracle.draw(second, subseed(seed, 2)), partition, word)
-    return sample1, partition, density
+    tallies = oracle.draw_tallies(second, subseed(seed, 2), partition.boundaries[1:], word.ids)
+    return sample1, partition, DensityEstimate(*tallies, second)
 
 
 @dataclass
@@ -413,8 +417,8 @@ def light_weight_violations(
 class DensityEstimate:
     """Per-role and total cumulative weights up to each interval boundary,
     as integer numerators over `denominator`: phase-two draw counts over
-    the sample size (`symbol_density_estimate`), or true weights over
-    their common denominator (`exact_symbol_density`)."""
+    the sample size (`sample_phases`, `symbol_density_estimate`), or true
+    weights over their common denominator (`exact_symbol_density`)."""
 
     role_tallies: np.ndarray  # (k, U): int64 counts, or numerators in their dtype
     prefix_tallies: np.ndarray  # (U,), likewise
@@ -424,7 +428,8 @@ class DensityEstimate:
 def symbol_density_estimate(
     sample: SampleSet, partition: IntervalPartition, word: Word
 ) -> DensityEstimate:
-    """Tally phase-two draws by word role and by interval prefix."""
+    """Tally phase-two draws by word role and by interval prefix, as
+    `sample_phases` draws them, for a sample drawn by the caller."""
     if sample.size < 1:
         raise ValueError("density estimation needs a non-empty sample")
     if sample.n != partition.n:

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SampleSet, Sampler, Word, as_fraction, draw_count
+from .core import SampleSet, Sampler, Word, as_fraction, draw_count, exact_dtype
 from .exact import final_measure
 
 Number = Union[int, float]
@@ -76,12 +76,15 @@ def prefix_grid(n: int, spacing) -> PrefixGrid:
     if sp * n <= 1:
         # Consecutive columns then differ by at most one: every length.
         return PrefixGrid(n, sp, np.arange(1, n + 1, dtype=np.int64))
-    # ceil(r * sp * n) in integers; r = ceil(1/sp) already reaches n.
-    columns = sorted({
-        min(-(-r * sp.numerator * n // sp.denominator), n)
-        for r in range(1, math.ceil(1 / sp) + 1)
-    })
-    return PrefixGrid(n, sp, np.array(columns, dtype=np.int64))
+    # ceil(r p n / q) for sp = p/q, in integers; r = ceil(q/p) <= q//p + 1
+    # already reaches n, so no product passes (q//p + 1) p n.
+    p, q = sp.numerator, sp.denominator
+    steps = np.arange(1, -(-q // p) + 1, dtype=exact_dtype((q // p + 1) * p * n))
+    columns = np.minimum(-(-steps * (p * n) // q), n)
+    # With sp n > 1 the columns increase strictly until one reaches n; the
+    # rest repeat it.
+    columns = columns[: columns.searchsorted(n) + 1]
+    return PrefixGrid(n, sp, columns.astype(np.int64, copy=False))
 
 
 @dataclass
@@ -154,13 +157,16 @@ def estimate_distance_uniform(
     probability at least 2/3 over the draw. The reported raw value is
     exact given the sample: by linearity of the copy measure, dividing
     the integer tally measure by the sample size equals the measure of
-    the count-scale matrix divided by n, with no float rounding.
+    the count-scale matrix divided by n, with no float rounding. The
+    tallies come from `Sampler.draw_tallies` at the grid columns, equal
+    to `tally_prefix_counts` of `oracle.draw(plan.sample_size, seed)`
+    without building that sample: a sparse draw costs its draws, a sort
+    and the tally, independently of n.
     """
     plan = uniform_plan(word.k, accuracy)
     grid = prefix_grid(oracle.n, plan.spacing)
-    sample = oracle.draw(plan.sample_size, seed)
-    matrix = tally_prefix_counts(sample, word, grid)
-    measure = copies_from_counts(matrix.tallies)
+    tallies, _ = oracle.draw_tallies(plan.sample_size, seed, grid.columns, word.ids)
+    measure = copies_from_counts(tallies)
     raw = Fraction(int(measure), plan.sample_size)
     clamped = min(max(raw, Fraction(0)), Fraction(1))
     return UniformEstimate(

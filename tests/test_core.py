@@ -353,6 +353,23 @@ def assert_same_sample(got: SampleSet, want: SampleSet) -> None:
     assert got.multiplicities.tolist() == want.multiplicities.tolist()
 
 
+def assert_same_tallies(got: tuple, want: tuple) -> None:
+    """Equal (role rows, totals) pairs, int64 and shapes included."""
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert g.shape == w.shape and g.tolist() == w.tolist()
+
+
+# A word that repeats a symbol and holds one absent from the text, and
+# tally ends that finish at n, for comparing `draw_tallies` with `draw`.
+TALLY_WORD = [2, 1, 2, 3, 9]
+
+
+def tally_ends(n: int) -> np.ndarray:
+    return np.array([1, 2, 7, n // 3, n // 2, n - 1, n], dtype=np.int64)
+
+
 # Text length of the sparse/dense pins: uniform draws of up to N_SPARSE //
 # SPARSE_DRAW_RATIO positions are sparse, and no dense draw is Poissonized.
 N_SPARSE = 1000
@@ -555,10 +572,14 @@ class TestSamplers:
         text, cases = sampler_cases(N_SPARSE)
         sampler, pvals = cases["weighted"]
         redrawn = 0
+        ends = tally_ends(N_SPARSE)
         for seed in range(10):
             counts, attempts = poissonized_stream(1500, pvals, seed, margin_factor=-1)
             redrawn += attempts > 1
-            assert_same_sample(sampler.draw(1500, seed), SampleSet.from_counts(counts, text))
+            want = SampleSet.from_counts(counts, text)
+            assert_same_sample(sampler.draw(1500, seed), want)
+            assert_same_tallies(sampler.draw_tallies(1500, seed, ends, TALLY_WORD),
+                                want.tally(ends, TALLY_WORD))
         assert redrawn >= 5
 
     def test_sparse_draws_allocate_independently_of_n(self):
@@ -574,14 +595,60 @@ class TestSamplers:
             call()
             return tracemalloc.get_traced_memory()[1] - held
 
+        # The 30 columns of the uniform estimator's grid at accuracy 0.3, k = 3.
+        ends = np.arange(1, 31, dtype=np.int64) * n // 30
         tracemalloc.start()
         try:
             sparse = allocated(lambda: UniformSampler(text).draw(size, 1))
+            tallies = allocated(lambda: UniformSampler(text).draw_tallies(size, 1, ends, [1, 2, 1]))
             dense = allocated(lambda: UniformSampler(text).draw(n, 1))
         finally:
             tracemalloc.stop()
         assert sparse < limit
+        assert tallies < limit
         assert dense > 8 * n  # the n multinomial weights: the guard sees numpy
+
+
+class TestDrawTallies:
+    """`draw_tallies` is `draw(...).tally(...)` without the SampleSet, in
+    every regime (and, in `test_poissonized_bulk_redrawn_when_over_size`,
+    after a redrawn Poisson bulk)."""
+
+    @pytest.mark.parametrize("n, kind, size", [
+        pytest.param(n, kind, size, id=f"{kind}-{n}-{size}")
+        for n, kind, size in [
+            # sparse uniform draws, up to the largest
+            (N_SPARSE, "uniform", 0),
+            (N_SPARSE, "uniform", 1),
+            (N_SPARSE, "uniform", 100),
+            (N_SPARSE, "uniform", N_SPARSE // SPARSE_DRAW_RATIO),
+            # one multinomial
+            (N_SPARSE, "uniform", N_SPARSE // SPARSE_DRAW_RATIO + 1),
+            (N_SPARSE, "uniform", 5000),
+            (N_SPARSE, "weighted", 0),
+            (N_SPARSE, "weighted", 10),
+            (N_SPARSE, "weighted", 5000),
+            (N_POISSON, "uniform", N_POISSON),
+            (N_POISSON, "weighted", 10_001),
+            # Poissonized
+            (N_POISSON, "uniform", N_POISSON + 1),
+            (N_POISSON, "uniform", 10_000),
+            (N_POISSON, "weighted", N_POISSON + 1),
+            (N_POISSON, "weighted", 10_000),
+        ]
+    ])
+    def test_equals_the_tally_of_the_draw(self, n, kind, size):
+        _, cases = sampler_cases(n)
+        sampler, _ = cases[kind]
+        for seed in (0, 7, subseed(3, 2)):
+            want = sampler.draw(size, seed).tally(tally_ends(n), TALLY_WORD)
+            assert_same_tallies(sampler.draw_tallies(size, seed, tally_ends(n), TALLY_WORD), want)
+
+    def test_invalid_sizes_rejected(self):
+        sampler = UniformSampler(text_of("abcd"))
+        for size in (-1, core.MAX_DRAWS + 1):
+            with pytest.raises(ValueError):
+                sampler.draw_tallies(size, 0, [4], [1])
 
 
 class TestPrefixCounts:

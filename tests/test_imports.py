@@ -3,8 +3,9 @@ there: read by its code, or re-exported through its `__all__`. Every
 function of the library modules has a caller in the package or the
 benchmark, or is exported. The package runs one copy recursion, and none
 of it goes through the separator rewrite, which only the tests and the
-benchmark keep as the reference for the recursion's lag. Phase two of the
-distribution-free estimator is tallied in one place."""
+benchmark keep as the reference for the recursion's lag. The estimators
+take their tallies from the sampler, and only the second-event diagnostic
+tallies a sample."""
 
 import ast
 from pathlib import Path
@@ -122,11 +123,23 @@ def is_recursion(node: ast.AST) -> bool:
         and isinstance(node.value.value, ast.Name) and node.value.value.id == "np")
 
 
-def is_tally_call(node: ast.AST) -> bool:
-    """Whether the node calls `symbol_density_estimate`, by bare name or
-    as an attribute."""
-    return isinstance(node, ast.Call) and "symbol_density_estimate" in (
-        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+def calls_of(name: str):
+    """A predicate: whether a node calls `name`, by bare name or as an
+    attribute. A call on `super()` is an override reaching the method it
+    overrides, not a caller, and does not count."""
+    def matches(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call) and (
+                getattr(func.value.func, "id", None) == "super"):
+            return False
+        return name in (getattr(func, "id", None), getattr(func, "attr", None))
+    return matches
+
+
+is_tally_call = calls_of("symbol_density_estimate")
+is_draw_tallies_call = calls_of("draw_tallies")
 
 
 def separator_calls(tree: ast.Module) -> list:
@@ -175,20 +188,24 @@ def test_detects_recursions_and_separator_calls():
                                      (9, "assemble_sentinel_density")]
 
 
-# `sample_phases` tallies the phase-two draw for the estimators and the
-# event diagnostics; `densities_well_estimated` takes a sample from its
-# caller, the benchmark's diagnostics replay.
-TALLY_CALLERS = {"sample_phases", "densities_well_estimated"}
+# The estimators draw their tallies with no SampleSet in between: the
+# uniform estimator at its grid columns, `sample_phases` phase two at the
+# interval boundaries, for both distribution-free estimators and the event
+# diagnostics. `densities_well_estimated` tallies a sample from its caller,
+# the benchmark's diagnostics replay.
+TALLY_CALLERS = {
+    is_tally_call: {("distfree.py", "densities_well_estimated")},
+    is_draw_tallies_call: {("distfree.py", "sample_phases"),
+                           ("uniform.py", "estimate_distance_uniform")},
+}
 
 
 def test_phase_two_is_tallied_in_one_place():
     trees = package_trees()
-    callers = [(module, function) for module, tree in trees.items()
-               for function, _ in enclosing_sites(tree, is_tally_call)]
-    assert ("distfree.py", "sample_phases") in callers
-    stray = [f"{module}: {function}" for module, function in callers
-             if function not in TALLY_CALLERS]
-    assert not stray, stray
+    for matches, allowed in TALLY_CALLERS.items():
+        callers = {(module, function) for module, tree in trees.items()
+                   for function, _ in enclosing_sites(tree, matches)}
+        assert callers == allowed, sorted(callers)
 
 
 def test_detects_tally_calls():
@@ -201,3 +218,19 @@ def test_detects_tally_calls():
         "top = symbol_density_estimate(1)\n"
     )
     assert enclosing_sites(tree, is_tally_call) == [("sample_phases", 2), ("f", 4), (None, 6)]
+
+
+def test_detects_draw_tallies_calls():
+    tree = ast.parse(
+        "def estimate_distance_uniform(oracle, g):\n"
+        "    return oracle.draw_tallies(1, 2, g, (1,))\n"
+        "class S(Sampler):\n"
+        "    def draw_tallies(self, *args):\n"
+        "        return super().draw_tallies(*args)\n"
+        "    def draw(self, size, seed):\n"
+        "        return self.draw_tallies(size, seed, (), ())\n"
+        "alias = Sampler.draw_tallies\n"
+        "top = draw_tallies(1)\n"
+    )
+    assert enclosing_sites(tree, is_draw_tallies_call) == [
+        ("estimate_distance_uniform", 2), ("draw", 7), (None, 9)]

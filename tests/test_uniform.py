@@ -22,7 +22,7 @@ from seqfree import (
     uniform_distance,
     uniform_plan,
 )
-from seqfree.core import SampleSet
+from seqfree.core import INT64_MAX, SampleSet
 from seqfree.uniform import tally_prefix_counts
 
 from conftest import (
@@ -83,6 +83,17 @@ class TestPrefixGrid:
                     columns.append(j)
                 r += 1
             assert prefix_grid(n, spacing).columns.tolist() == columns
+
+    def test_products_past_int64_take_python_integers(self):
+        # (q // p + 1) p n passes int64 for spacing p/q here, so the columns
+        # are worked out on Python integers, and still come out as int64.
+        n, spacing = 10**4, Fraction(10**15 + 1, 10**16 + 7)
+        p, q = spacing.numerator, spacing.denominator
+        assert (q // p + 1) * p * n > INT64_MAX
+        columns = sorted({min(math.ceil(r * spacing * n), n)
+                          for r in range(1, math.ceil(1 / spacing) + 1)})
+        got = prefix_grid(n, spacing).columns
+        assert got.dtype == np.int64 and got.tolist() == columns
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -289,6 +300,24 @@ class TestEstimateDistanceUniform:
         a = estimate_distance_uniform(oracle, w, 0.3, 5)
         b = estimate_distance_uniform(oracle, w, 0.3, 5)
         assert a.raw == b.raw and a.estimate == b.estimate
+
+    @pytest.mark.parametrize("n", [2_500, 10**4, 10**5])
+    def test_raw_is_the_measure_of_the_drawn_sample(self, n):
+        """The estimator's tallies are those of the sample `draw` returns,
+        for 2,832 draws: Poissonized at n = 2,500, one multinomial at 10^4,
+        sparse at 10^5."""
+        rng = np.random.default_rng(n)
+        t = Text(rng.integers(1, 4, size=n, dtype=np.int32))
+        w = Word([1, 2, 1])
+        oracle = UniformSampler(t)
+        plan = uniform_plan(w.k, Fraction(3, 10))
+        grid = prefix_grid(n, plan.spacing)
+        assert plan.sample_size == 2832
+        for seed in range(3):
+            sample = oracle.draw(plan.sample_size, seed)
+            measure = copies_from_counts(tally_prefix_counts(sample, w, grid).tallies)
+            est = estimate_distance_uniform(oracle, w, Fraction(3, 10), seed)
+            assert est.raw == Fraction(measure, plan.sample_size)
 
     def test_sample_accounting(self):
         t = text_of("ab" * 30)
