@@ -65,6 +65,17 @@ def as_fraction(value: WeightLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact number")
 
 
+def checked_accuracy(k: int, accuracy) -> Fraction:
+    """`accuracy` as a Fraction; ValueError unless k >= 1 and
+    0 < accuracy < 1, where every estimator's plan is defined."""
+    if k < 1:
+        raise ValueError("word length must be at least 1")
+    acc = as_fraction(accuracy)
+    if not 0 < acc < 1:
+        raise ValueError("accuracy must lie in (0, 1)")
+    return acc
+
+
 def subseed(seed: int, stream: int) -> np.random.SeedSequence:
     """Derive an independent child seed for one stage of a pipeline."""
     return np.random.SeedSequence(entropy=(int(seed), int(stream)))

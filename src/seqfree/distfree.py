@@ -48,6 +48,7 @@ from .core import (
     Text,
     Word,
     as_fraction,
+    checked_accuracy,
     draw_count,
     exact_dtype,
     gather_columns,
@@ -63,7 +64,7 @@ class EstimatorConstants:
 
     The defaults back the 2/3 guarantee. Only `resolution_factor` is a
     field: `relaxed` scales it down for smoke tests, and any result
-    produced that way is off-spec and callers must label it so.
+    produced that way is off-spec; `report_fields` is its label.
     """
 
     resolution_factor: Fraction = Fraction(100)
@@ -78,9 +79,16 @@ class EstimatorConstants:
             raise ValueError("relaxation factor must be positive")
         return replace(self, resolution_factor=self.resolution_factor / f)
 
-    @property
-    def is_production(self) -> bool:
-        return self == DEFAULT_CONSTANTS
+    def report_fields(self) -> dict:
+        """The fields that label a report made with these constants: none
+        at production, else `off_spec_constants` and the relaxation
+        factor, the X of `relaxed(X)` (exact, so its float is X's)."""
+        if self == DEFAULT_CONSTANTS:
+            return {}
+        return {
+            "off_spec_constants": True,
+            "relaxed_constants": float(DEFAULT_CONSTANTS.resolution_factor / self.resolution_factor),
+        }
 
 
 DEFAULT_CONSTANTS = EstimatorConstants()
@@ -90,12 +98,7 @@ def interval_resolution(
     k: int, accuracy, constants: EstimatorConstants = DEFAULT_CONSTANTS
 ) -> Fraction:
     """Target inverse interval weight: intervals aim for weight <= 1/res."""
-    if k < 1:
-        raise ValueError("word length must be at least 1")
-    acc = as_fraction(accuracy)
-    if not 0 < acc < 1:
-        raise ValueError("accuracy must lie in (0, 1)")
-    res = constants.resolution_factor * k / acc
+    res = constants.resolution_factor * k / checked_accuracy(k, accuracy)
     if res <= 1:
         raise ValueError("interval resolution must exceed 1; relaxation too aggressive")
     return res
@@ -530,16 +533,17 @@ def separator_violations(
 
 @dataclass(frozen=True)
 class DistFreeEstimate:
-    """Result of one distribution-free estimation run."""
+    """Result of one distribution-free estimation run. `raw` lies in
+    [0, 1] unclamped: role tallies that count each phase-two draw at most
+    once per role have a measure in [0, draws] (`exact.final_measure`)."""
 
-    estimate: float  # clamped to [0, 1]
-    raw: Fraction  # exact pre-clamp value given the samples
+    estimate: float  # float(raw)
+    raw: Fraction  # exact value given the samples
     resolution: Fraction
     first_size: int
     second_size: int
     intervals: int
     seed: int
-    production: bool
 
 
 def estimate_distance(
@@ -562,16 +566,14 @@ def estimate_distance(
     sample1, partition, density = sample_phases(oracle, word, resolution, seed)
     measure = final_measure([density.role_tallies], lag=partition.heavy)
     raw = Fraction(int(measure), density.denominator)
-    clamped = min(max(raw, Fraction(0)), Fraction(1))
     return DistFreeEstimate(
-        estimate=float(clamped),
+        estimate=float(raw),
         raw=raw,
         resolution=resolution,
         first_size=sample1.size,
         second_size=density.denominator,
         intervals=partition.count,
         seed=seed,
-        production=constants.is_production,
     )
 
 

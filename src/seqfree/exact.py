@@ -138,7 +138,13 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
 
 def final_measure(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray):
     """The last entry of the last role's measure, in the counts' dtype:
-    the copy measure of the whole text, 0 when there are no blocks."""
+    the copy measure of the whole text, 0 when there are no blocks.
+
+    On non-negative counts that never decrease it lies between 0 and the
+    last role's final count: each entry is the role's count less a
+    non-negative shortfall, and by induction over the roles it is either
+    that count or at least an earlier entry of the previous role's measure.
+    """
     value = 0
     for measure in running_maximum(count_blocks, lag):
         value = measure[-1, -1]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from ..core import Distribution, UniformSampler, WeightedSampler, as_fraction
@@ -128,29 +127,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _constants(args) -> EstimatorConstants:
-    factor = args.relaxed_constants
-    if factor == 1.0:
-        return DEFAULT_CONSTANTS
-    return DEFAULT_CONSTANTS.relaxed(as_fraction(factor))
+    return DEFAULT_CONSTANTS.relaxed(as_fraction(args.relaxed_constants))
 
 
-def _echo_relaxation(args, payload: dict) -> None:
-    if args.relaxed_constants != 1.0:
-        payload["relaxed_constants"] = args.relaxed_constants
-
-
-def _load_instance(args, weights=True):
+def _load_instance(args):
     text = load_text(args.text)
     word = load_word(args.word, text.alphabet)
     dist: Optional[Distribution] = None
-    if weights and getattr(args, "weights", None):
+    if getattr(args, "weights", None):
         dist = load_weights(args.weights, text.n)
     return text, word, dist
 
 
 def cmd_exact(args) -> dict:
     text, word, dist = _load_instance(args)
-    payload = {"command": "exact", "n": text.n, "k": word.k}
+    payload = {"n": text.n, "k": word.k}
     if dist is None:
         distance = uniform_distance(text, word)
         payload["copies"] = int(distance * text.n)
@@ -177,12 +168,11 @@ def _estimate_report(args, text, word, run, fields, samples_of) -> dict:
     results = [run(s) for s in seeds]
     median_raw = median_low([result.raw for result in results])
     payload = {
-        "command": args.command,
         "n": text.n,
         "k": word.k,
         "delta": float(as_fraction(args.delta)),
         "seed": args.seed,
-        "estimate": float(min(max(median_raw, Fraction(0)), Fraction(1))),
+        "estimate": float(median_raw),
         "raw": fraction_str(median_raw),
         "repeats": args.repeats,
     }
@@ -199,7 +189,7 @@ def _estimate_report(args, text, word, run, fields, samples_of) -> dict:
 
 
 def cmd_estimate_uniform(args) -> dict:
-    text, word, _ = _load_instance(args, weights=False)
+    text, word, _ = _load_instance(args)
     oracle = UniformSampler(text)
     accuracy = as_fraction(args.delta)
     return _estimate_report(
@@ -240,7 +230,7 @@ def cmd_estimate_df(args) -> dict:
         samples,
     )
     payload["weights"] = "file" if dist is not None else "uniform"
-    _echo_relaxation(args, payload)
+    payload.update(constants.report_fields())
     return payload
 
 
@@ -259,8 +249,6 @@ def cmd_sweep(args) -> dict:
         dist=dist,
         constants=_constants(args),
     )
-    report["command"] = "sweep"
-    _echo_relaxation(args, report)
     if args.jsonl:
         lines = [
             dict(result, accuracy=row["accuracy"])
@@ -272,24 +260,19 @@ def cmd_sweep(args) -> dict:
 
 
 def cmd_lowerbound(args) -> dict:
-    report = concentration_experiment(
+    return concentration_experiment(
         args.kd, as_fraction(args.delta), args.n, args.trials, args.seed
     )
-    report["command"] = "lowerbound"
-    return report
 
 
 def cmd_diagnose(args) -> dict:
     text, word, dist = _load_instance(args)
     if dist is None:
         dist = Distribution.uniform(text.n)
-    report = event_diagnostics(
+    return event_diagnostics(
         text, word, dist, as_fraction(args.delta), args.trials, args.seed,
         _constants(args),
     )
-    report["command"] = "diagnose-events"
-    _echo_relaxation(args, report)
-    return report
 
 
 def main(argv=None) -> int:
@@ -300,6 +283,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
+        payload["command"] = args.command
         blob = canonical_json(payload)
         sys.stdout.write(blob)
         if args.out:

@@ -22,6 +22,7 @@ from ..core import (
     WeightedSampler,
     Word,
     as_fraction,
+    checked_accuracy,
     subseed,
 )
 from ..distfree import (
@@ -101,10 +102,11 @@ def estimator_sweep(
         raise ValueError("estimator kind must be 'uniform' or 'df'")
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    checked = [checked_accuracy(word.k, accuracy) for accuracy in accuracies]
     if kind == "uniform":
         if dist is not None:
             raise ValueError("the uniform estimator takes no weights")
-        if not constants.is_production:
+        if constants != DEFAULT_CONSTANTS:
             raise ValueError("the uniform estimator takes no estimator constants")
         oracle = UniformSampler(text)
         truth = uniform_distance(text, word)
@@ -129,14 +131,11 @@ def estimator_sweep(
                 "intervals": result.intervals,
             }
     rows = []
-    for accuracy in accuracies:
-        acc = as_fraction(accuracy)
-        if not 0 < acc < 1:
-            raise ValueError("every accuracy must lie in (0, 1)")
+    for acc in checked:
         results = []
         for t, tseed in enumerate(trial_seeds(seed, trials)):
             result, samples = run(acc, tseed)
-            error = abs(min(max(result.raw, Fraction(0)), Fraction(1)) - truth)
+            error = abs(result.raw - truth)
             results.append({
                 "trial": t,
                 "seed": tseed,
@@ -155,7 +154,7 @@ def estimator_sweep(
             row["mean_abs_error"] = sum(r["error"] for r in results) / trials
             row["max_abs_error"] = max(r["error"] for r in results)
         rows.append(row)
-    report = {
+    return {
         "experiment": "error-sweep",
         "estimator": kind,
         "n": text.n,
@@ -164,10 +163,8 @@ def estimator_sweep(
         "truth": fraction_str(truth),
         "seed": seed,
         "rows": rows,
+        **constants.report_fields(),
     }
-    if not constants.is_production:
-        report["off_spec_constants"] = True
-    return report
 
 
 def concentration_experiment(
@@ -294,6 +291,5 @@ def event_diagnostics(
     if trials > 0:
         report["first_event_rate"] = first_event_hits / trials
         report["second_event_rate"] = second_event_hits / trials
-    if not constants.is_production:
-        report["off_spec_constants"] = True
+    report.update(constants.report_fields())
     return report

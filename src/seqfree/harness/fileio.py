@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from ..core import Alphabet, Distribution, Text, Word, as_fraction
 
@@ -20,8 +19,8 @@ def read_tokens(path: str) -> list[str]:
         return handle.read().split()
 
 
-def load_text(path: str, alphabet: Optional[Alphabet] = None) -> Text:
-    return Text.from_tokens(read_tokens(path), alphabet)
+def load_text(path: str) -> Text:
+    return Text.from_tokens(read_tokens(path))
 
 
 def load_word(path: str, alphabet: Alphabet) -> Word:

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SampleSet, Sampler, Word, as_fraction, draw_count, exact_dtype
+from .core import SampleSet, Sampler, Word, as_fraction, checked_accuracy, draw_count, exact_dtype
 from .exact import final_measure
 
 Number = Union[int, float]
@@ -40,12 +40,7 @@ def uniform_plan(k: int, accuracy) -> EstimatorPlan:
     of the count matrix accurate to one spacing with failure probability
     1/3 overall.
     """
-    if k < 1:
-        raise ValueError("word length must be at least 1")
-    acc = as_fraction(accuracy)
-    if not 0 < acc < 1:
-        raise ValueError("accuracy must lie in (0, 1)")
-    spacing = acc / (3 * k)
+    spacing = checked_accuracy(k, accuracy) / (3 * k)
     grid_size = math.ceil(1 / spacing)
     # A spacing whose square underflows would need unboundedly many draws.
     spread = 2 * float(spacing) ** 2
@@ -136,10 +131,12 @@ def copies_from_counts(matrix) -> Number:
 
 @dataclass(frozen=True)
 class UniformEstimate:
-    """Result of one uniform-weights estimation run."""
+    """Result of one uniform-weights estimation run. `raw` lies in [0, 1]
+    unclamped: tallies that count each draw at most once per role have a
+    measure in [0, sample size] (`exact.final_measure`)."""
 
-    estimate: float  # clamped to [0, 1]
-    raw: Fraction  # exact pre-clamp value, tallies measure over sample size
+    estimate: float  # float(raw)
+    raw: Fraction  # exact value, tallies measure over sample size
     sample_size: int
     spacing: Fraction
     grid_size: int
@@ -166,11 +163,9 @@ def estimate_distance_uniform(
     plan = uniform_plan(word.k, accuracy)
     grid = prefix_grid(oracle.n, plan.spacing)
     tallies, _ = oracle.draw_tallies(plan.sample_size, seed, grid.columns, word.ids)
-    measure = copies_from_counts(tallies)
-    raw = Fraction(int(measure), plan.sample_size)
-    clamped = min(max(raw, Fraction(0)), Fraction(1))
+    raw = Fraction(int(final_measure([tallies], lag=False)), plan.sample_size)
     return UniformEstimate(
-        estimate=float(clamped),
+        estimate=float(raw),
         raw=raw,
         sample_size=plan.sample_size,
         spacing=plan.spacing,

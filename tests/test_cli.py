@@ -297,15 +297,20 @@ class TestEstimateCommands:
         assert wc["command"] == "estimate-df-wc"
 
     def test_relaxed_constants_echoed(self, instance, capsys):
-        code, out, _ = run_cli(
-            ["estimate-df", "--text", instance["text"],
-             "--word", instance["word"], "--delta", "0.5",
-             "--relaxed-constants", "50"],
-            capsys,
-        )
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["relaxed_constants"] == 50.0
+        files = ["--text", instance["text"], "--word", instance["word"], "--delta", "0.5"]
+        for command in ("estimate-df", "estimate-df-wc"):
+            code, out, _ = run_cli([command, "--relaxed-constants", "50"] + files, capsys)
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["off_spec_constants"] is True
+            assert payload["relaxed_constants"] == 50.0
+            # At factor 1 the constants are the production ones: no label.
+            for flag in (["--relaxed-constants", "1"], []):
+                code, out, _ = run_cli([command] + flag + files, capsys)
+                payload = json.loads(out)
+                assert code == 0, command
+                assert "off_spec_constants" not in payload
+                assert "relaxed_constants" not in payload
 
 
 class TestSweepCommand:

@@ -364,9 +364,13 @@ class TestParameters:
     def test_relaxed_constants(self):
         relaxed = DEFAULT_CONSTANTS.relaxed(50)
         assert relaxed.resolution_factor == 2
-        assert not relaxed.is_production
-        assert DEFAULT_CONSTANTS.is_production
         assert interval_resolution(2, 0.5, relaxed) == 8
+        # Off-spec reports are labelled with the factor, as the float it was.
+        for factor in (399, 2.5):
+            assert DEFAULT_CONSTANTS.relaxed(factor).report_fields() == {
+                "off_spec_constants": True, "relaxed_constants": float(factor)}
+        assert DEFAULT_CONSTANTS.relaxed(1) == DEFAULT_CONSTANTS
+        assert DEFAULT_CONSTANTS.relaxed(1).report_fields() == {}
         with pytest.raises(ValueError):
             DEFAULT_CONSTANTS.relaxed(0)
 
@@ -1211,7 +1215,6 @@ class TestEstimateDistance:
         b = estimate_distance(o, w, 0.5, 11)
         assert a.raw == b.raw and a.estimate == b.estimate
         assert a.first_size == 550_661
-        assert a.production
 
     def test_sizes_are_those_of_sample_phases(self):
         t = Text(np.tile(np.array([1, 2, 2], dtype=np.int32), 50))

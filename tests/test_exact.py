@@ -29,6 +29,7 @@ from seqfree.exact import (
     EXPANSION_LIMIT,
     TextExpansion,
     expand_text,
+    final_measure,
     running_maximum,
 )
 
@@ -481,6 +482,19 @@ class TestRunningMaximumLag:
             assert np.array_equal(blocked, whole)
             changed += not np.array_equal(whole, next(running_maximum([counts], False)))
         assert changed > 0
+
+    def test_final_measure_within_total(self, rng):
+        # The estimators' raw values need no clamp: on nondecreasing,
+        # non-negative role tallies, each at most a total tally column by
+        # column, the measure lies in [0, total], lagged or not.
+        for _ in range(300):
+            k, width = int(rng.integers(1, 6)), int(rng.integers(1, 15))
+            steps = rng.integers(0, 4, size=width)
+            total = int(steps.sum())
+            counts = np.cumsum(rng.integers(0, steps + 1, size=(k, width)), axis=1)
+            flags = rng.integers(0, 2, size=width).astype(bool)
+            for lag in (True, False, flags):
+                assert 0 <= final_measure(split_columns(counts, rng), lag) <= total
 
 
 class TestBlockedRecursion:

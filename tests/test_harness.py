@@ -232,6 +232,7 @@ class TestEstimatorSweep:
             constants=DEFAULT_CONSTANTS.relaxed(50),
         )
         assert report["off_spec_constants"] is True
+        assert report["relaxed_constants"] == 50.0
 
     def test_validation(self):
         t = periodic_text(10, 2)
@@ -240,8 +241,10 @@ class TestEstimatorSweep:
             estimator_sweep("nope", t, w, [Fraction(1, 2)], 1, 0)
         with pytest.raises(ValueError):
             estimator_sweep("uniform", t, w, [Fraction(1, 2)], -1, 0)
-        with pytest.raises(ValueError):
-            estimator_sweep("uniform", t, w, [Fraction(3, 2)], 1, 0)
+        # every accuracy is checked before any trial runs, and with none
+        for kind, trials in (("uniform", 1), ("df", 0)):
+            with pytest.raises(ValueError):
+                estimator_sweep(kind, t, w, [Fraction(1, 2), Fraction(3, 2)], trials, 0)
         with pytest.raises(ValueError):
             estimator_sweep(
                 "uniform", t, w, [Fraction(1, 2)], 1, 0,
@@ -299,6 +302,7 @@ class TestEventDiagnostics:
         assert report["light_weight_violations"] == 0
         assert report["density_bound_violations"] == 0
         assert report["off_spec_constants"] is True
+        assert report["relaxed_constants"] == 50.0
         assert report["second_sample_range"][0] >= 1
 
     def test_deterministic(self):

@@ -5,7 +5,7 @@ benchmark, or is exported. The package runs one copy recursion, and none
 of it goes through the separator rewrite, which only the tests and the
 benchmark keep as the reference for the recursion's lag. The estimators
 take their tallies from the sampler, and only the second-event diagnostic
-tallies a sample."""
+tallies a sample. Each report label has one writer."""
 
 import ast
 from pathlib import Path
@@ -234,3 +234,50 @@ def test_detects_draw_tallies_calls():
     )
     assert enclosing_sites(tree, is_draw_tallies_call) == [
         ("estimate_distance_uniform", 2), ("draw", 7), (None, 9)]
+
+
+def is_off_spec_label(node: ast.AST) -> bool:
+    """Whether the node is the string literal "off_spec_constants"."""
+    return isinstance(node, ast.Constant) and node.value == "off_spec_constants"
+
+
+def stores_command_key(node: ast.AST) -> bool:
+    """Whether the node stores a "command" key: as a subscript assigned
+    to, or as a key of a dict display."""
+    def is_command(key) -> bool:
+        return isinstance(key, ast.Constant) and key.value == "command"
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, ast.Store) and is_command(node.slice)
+    return isinstance(node, ast.Dict) and any(map(is_command, node.keys))
+
+
+# The off-spec label of relaxed constants is written by
+# `EstimatorConstants.report_fields`, which every relaxed report takes it
+# from; the command name of a CLI report, by `cli.main` alone.
+LABEL_WRITERS = {
+    is_off_spec_label: {("distfree.py", "report_fields")},
+    stores_command_key: {("harness/cli.py", "main")},
+}
+
+
+def test_each_report_label_has_one_writer():
+    trees = package_trees()
+    for matches, allowed in LABEL_WRITERS.items():
+        writers = {(module, function) for module, tree in trees.items()
+                   for function, _ in enclosing_sites(tree, matches)}
+        assert writers == allowed, sorted(writers)
+
+
+def test_detects_label_writers():
+    tree = ast.parse(
+        "def report_fields():\n"
+        "    return {'off_spec_constants': True, **extra}\n"
+        "def f(report, args):\n"
+        "    report['command'] = args.command\n"
+        "    report.update({'command': 'x', 'k': 'off_spec_constants'})\n"
+        "    return report['command'], report.get('off_spec_constants')\n"
+        "top = {'command': 1}\n"
+    )
+    assert enclosing_sites(tree, is_off_spec_label) == [
+        ("report_fields", 2), ("f", 5), ("f", 6)]
+    assert enclosing_sites(tree, stores_command_key) == [("f", 4), ("f", 5), (None, 7)]

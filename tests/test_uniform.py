@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seqfree import (
+    DEFAULT_CONSTANTS,
+    Distribution,
     Text,
     UniformSampler,
+    WeightedSampler,
     Word,
     copies_from_counts,
     copy_count,
     copy_count_table,
+    estimate_distance,
     estimate_distance_uniform,
     prefix_grid,
     uniform_distance,
@@ -327,12 +331,28 @@ class TestEstimateDistanceUniform:
         assert est.raw.denominator in {1, *(d for d in range(2, 1098) if 1097 % d == 0)}
         assert est.raw == Fraction(est.raw.numerator, est.raw.denominator)
 
-    def test_clamped_to_unit_interval(self, rng):
-        for seed in range(10):
-            t = random_text_ids(rng, 50, 2)
-            w = random_word_ids(rng, 2, 2)
-            est = estimate_distance_uniform(UniformSampler(t), w, 0.5, seed)
-            assert 0.0 <= est.estimate <= 1.0
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=50),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.integers(0, 4), min_size=50, max_size=50),
+        st.sampled_from([Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]),
+        st.integers(0, 2**32),
+    )
+    def test_raw_in_unit_interval(self, ids, word_ids, numerators, accuracy, seed):
+        # Neither estimator clamps: the measure of tallies over their draw
+        # count already lies in [0, 1]. The distribution-free one runs at
+        # relaxed constants, on rational weights with zeros.
+        t, w = Text(ids), Word(word_ids)
+        numerators = numerators[: t.n]
+        if sum(numerators) == 0:
+            numerators[0] = 1
+        weighted = WeightedSampler(t, Distribution.from_numerators(numerators))
+        for est in (
+            estimate_distance_uniform(UniformSampler(t), w, accuracy, seed),
+            estimate_distance(weighted, w, accuracy, seed, DEFAULT_CONSTANTS.relaxed(50)),
+        ):
+            assert 0 <= est.raw <= 1
+            assert est.estimate == float(est.raw)
 
     def test_periodic_text_statistical(self):
         t = Text(np.tile(np.array([1, 2], dtype=np.int32), 5_000))
