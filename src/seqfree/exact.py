@@ -7,8 +7,9 @@ The copy recursion, `running_maximum`, walks the text in column blocks of
 `core.COPY_BLOCK` and carries a few values per role from one block to the
 next, so `copy_count` and `exact_weighted_distance` hold O(k * COPY_BLOCK)
 counts at a time, never a count row over the whole text. Both lag it
-one column everywhere, exact for every word; the estimators lag it
-nowhere (uniform) or at heavy intervals (distribution-free). The
+one column everywhere, exact for every word; the estimators lag it at
+the grid columns that cover one position (uniform) or at heavy
+intervals (distribution-free). The
 separator rewrite (`interleave_sentinel`) and the multiplicity expansion
 (`expand_text`) are kept as independent reference oracles only.
 

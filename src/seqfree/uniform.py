@@ -9,8 +9,9 @@ requested accuracy of the true distance with probability at least 2/3.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -20,6 +21,13 @@ from .core import SampleSet, Sampler, Word, as_fraction, checked_accuracy, draw_
 from .exact import final_measure
 
 Number = Union[int, float]
+
+# Plans and grids depend only on (k, accuracy) and (n, spacing), so each is
+# built once and shared: a sweep or a run of `--repeats` calls the
+# estimator many times at the same (n, k, accuracy). `typed` keeps 0.1 and
+# the Fraction equal to the double nearest it apart, which `as_fraction`
+# reads differently.
+PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,10 @@ class EstimatorPlan:
     sample_size: int
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
 def uniform_plan(k: int, accuracy) -> EstimatorPlan:
-    """Parameters for the uniform estimator at word length k.
+    """Parameters for the uniform estimator at word length k, built once
+    per (k, accuracy).
 
     The grid spacing is accuracy/(3k): one third of the error budget per
     source (grid coarseness costs (k-1) gaps, count noise costs (2k-1)
@@ -50,19 +60,40 @@ def uniform_plan(k: int, accuracy) -> EstimatorPlan:
 
 @dataclass(frozen=True)
 class PrefixGrid:
-    """Increasing prefix lengths ending at n, with bounded gaps."""
+    """Increasing prefix lengths ending at n, with bounded gaps.
+
+    `lag` flags the columns that cover exactly one position (the empty
+    prefix counting as column zero), where the estimator's recursion reads
+    the previous role one column back, so that one position never serves
+    two consecutive roles; it is `False` when no column does and `True`
+    when all do. Grids are shared, so `columns` and the flags are
+    read-only.
+    """
 
     n: int
     spacing: Fraction
     columns: np.ndarray  # int64, strictly increasing, last entry n
+    lag: bool | np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = np.array(self.columns, dtype=np.int64)
+        columns.flags.writeable = False
+        single = np.diff(columns, prepend=0) == 1
+        single.flags.writeable = False
+        # A plain bool keeps `running_maximum` off its per-column branch.
+        lag = single if single.any() and not single.all() else bool(single.all())
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "lag", lag)
 
     @property
     def size(self) -> int:
         return int(self.columns.size)
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE, typed=True)
 def prefix_grid(n: int, spacing) -> PrefixGrid:
-    """Columns at ceil(r * spacing * n), capped at n and deduplicated."""
+    """Columns at ceil(r * spacing * n), capped at n and deduplicated;
+    built once per (n, spacing)."""
     if n < 1:
         raise ValueError("grid needs n >= 1")
     sp = as_fraction(spacing)
@@ -113,8 +144,10 @@ def copies_from_counts(matrix) -> Number:
     measure in place, the empty prefix counting as a zero column. With
     exact counts on the full grid this equals the copy count for words
     without adjacent equal symbols; on coarse grids it stays within (k-1)
-    times the largest gap. The distribution-free estimator runs the same
-    recursion lagged at its heavy intervals instead.
+    times the largest gap. It stays lag-free whatever the grid: the
+    uniform estimator runs the same recursion lagged at its grid's
+    single-position columns, the distribution-free one at its heavy
+    intervals.
     The measure scales linearly: doubling every entry doubles the result,
     which lets callers run it on raw integer tallies.
     """
@@ -158,12 +191,22 @@ def estimate_distance_uniform(
     tallies come from `Sampler.draw_tallies` at the grid columns, equal
     to `tally_prefix_counts` of `oracle.draw(plan.sample_size, seed)`
     without building that sample: a sparse draw costs its draws, a sort
-    and the tally, independently of n.
+    and the tally, independently of n. The plan and grid are built once
+    per (n, k, accuracy) and reused by later calls.
+
+    The recursion is lagged at the grid's single-position columns
+    (`PrefixGrid.lag`), the uniform analogue of the distribution-free
+    estimator's heavy intervals: there the draws at one position cannot
+    serve both roles of an adjacent repeat, and on a grid of every
+    prefix length the lagged measure of exact counts is the copy count
+    for every word. On words without adjacent equal symbols the lag
+    changes nothing, so their raw value equals `copies_from_counts` of
+    the tallies; coarse grids, with no such column, run lag-free.
     """
     plan = uniform_plan(word.k, accuracy)
     grid = prefix_grid(oracle.n, plan.spacing)
     tallies, _ = oracle.draw_tallies(plan.sample_size, seed, grid.columns, word.ids)
-    raw = Fraction(int(final_measure([tallies], lag=False)), plan.sample_size)
+    raw = Fraction(int(final_measure([tallies], lag=grid.lag)), plan.sample_size)
     return UniformEstimate(
         estimate=float(raw),
         raw=raw,

@@ -252,6 +252,22 @@ class TestEstimateCommands:
         assert payload["samples"] == direct.sample_size == 1097
         assert payload["repeats"] == 1
 
+    @pytest.mark.parametrize("tokens", ["a a a", "a"])
+    def test_uniform_repeat_word_on_a_short_text_is_within_delta(self, tokens, tmp_path, capsys):
+        # Every prefix length is a grid column here, and the draws at one
+        # position must not serve both roles of "a a".
+        text, word = tmp_path / "text.txt", tmp_path / "word.txt"
+        text.write_text(tokens + "\n")
+        word.write_text("a a\n")
+        files = ["--text", str(text), "--word", str(word)]
+        _, out, _ = run_cli(["exact"] + files, capsys)
+        truth = Fraction(json.loads(out)["distance"])
+        for seed in range(5):
+            code, out, _ = run_cli(["estimate-uniform", "--delta", "0.3", "--seed", str(seed)]
+                                   + files, capsys)
+            assert code == 0
+            assert abs(Fraction(json.loads(out)["raw"]) - truth) <= Fraction(3, 10), seed
+
     def test_df_single_run_fields(self, instance, capsys):
         code, out, _ = run_cli(
             ["estimate-df", "--text", instance["text"],

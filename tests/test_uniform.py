@@ -27,7 +27,8 @@ from seqfree import (
     uniform_plan,
 )
 from seqfree.core import INT64_MAX, SampleSet
-from seqfree.uniform import tally_prefix_counts
+from seqfree.exact import final_measure
+from seqfree.uniform import PrefixGrid, tally_prefix_counts
 
 from conftest import (
     ceil_scaled_log,
@@ -396,3 +397,146 @@ class TestEstimateDistanceUniform:
             if np.all(np.abs(est - exact) <= budget):
                 hits += 1
         assert hits >= math.ceil(0.75 * trials)
+
+
+def with_adjacent_repeat(rng, k: int, alphabet: int) -> Word:
+    """A random word of length k >= 2 whose roles j and j + 1 share their
+    symbol at one random j."""
+    ids = random_word_ids(rng, k, alphabet).ids.copy()
+    j = int(rng.integers(0, k - 1))
+    ids[j + 1] = ids[j]
+    return Word(ids)
+
+
+class TestSinglePositionLag:
+    """The uniform estimator lags its recursion at the grid columns that
+    cover one position, so the draws there cannot serve two consecutive
+    roles of an adjacent repeat."""
+
+    def test_lag_flags_single_position_columns(self):
+        mixed = prefix_grid(10, Fraction(3, 20))
+        assert mixed.columns.tolist() == [2, 3, 5, 6, 8, 9, 10]
+        assert mixed.lag.tolist() == [False, True, False, True, False, True, True]
+        # every length is a column, or none is a single position
+        assert prefix_grid(4, Fraction(1, 9)).lag is True
+        assert prefix_grid(100, Fraction(1, 4)).lag is False
+        assert prefix_grid(10**7, Fraction(1, 30)).lag is False
+        assert PrefixGrid(5, Fraction(1, 5), np.array([1, 3, 5])).lag.tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("tokens, truth", [("a a a", Fraction(2, 3)), ("a", 0)])
+    def test_repeat_word_on_a_short_text(self, tokens, truth):
+        # Lag-free, one draw position served both roles of "a a": raw was
+        # 1 on both texts for every seed.
+        t = text_of(tokens.replace(" ", ""))
+        w = word_of("aa", t)
+        for seed in range(20):
+            est = estimate_distance_uniform(UniformSampler(t), w, Fraction(3, 10), seed)
+            assert abs(est.raw - truth) <= Fraction(3, 10), seed
+
+    def test_small_repeat_word_family(self):
+        # 150 instances with n <= 24 and an adjacent repeat, 15 seeds each:
+        # every instance is within the accuracy on at least 10 seeds, the
+        # 2/3 guarantee.
+        rng = np.random.default_rng(2222)
+        accuracy, seeds = Fraction(3, 10), 15
+        short = []
+        for case in range(150):
+            n = int(rng.integers(1, 25))
+            t = random_text_ids(rng, n, int(rng.integers(1, 4)))
+            w = with_adjacent_repeat(rng, int(rng.integers(2, 5)), 3)
+            truth = uniform_distance(t, w)
+            oracle = UniformSampler(t)
+            hits = sum(abs(estimate_distance_uniform(oracle, w, accuracy, seed).raw - truth)
+                       <= accuracy for seed in range(seeds))
+            if 3 * hits < 2 * seeds:
+                short.append((case, hits))
+        assert not short, short
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=40),
+        st.lists(st.integers(1, 3), min_size=2, max_size=5),
+        st.integers(0, 3),
+    )
+    def test_lagged_measure_is_the_copy_count_on_every_length(self, ids, word_ids, repeat):
+        # On the grid of every prefix length the grid's lag is exact on
+        # exact counts, adjacent repeats included.
+        j = repeat % (len(word_ids) - 1)
+        word_ids[j + 1] = word_ids[j]
+        t, w = Text(ids), Word(word_ids)
+        g = prefix_grid(t.n, Fraction(1, t.n))
+        assert final_measure([exact_count_matrix(t, w, g)], lag=g.lag) == copy_count(t, w)
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=60),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.sampled_from([Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]),
+        st.integers(0, 2**32),
+    )
+    def test_lag_leaves_repeat_free_words_alone(self, ids, word_ids, accuracy, seed):
+        # A single-position column adds draws to one symbol only, so the lag
+        # cannot move a repeat-free word's measure: raw is the lag-free
+        # measure of the drawn sample, on fine, mixed and coarse grids.
+        word_ids = [s for i, s in enumerate(word_ids) if i == 0 or s != word_ids[i - 1]]
+        t, w = Text(ids), Word(word_ids)
+        oracle = UniformSampler(t)
+        plan = uniform_plan(w.k, accuracy)
+        grid = prefix_grid(t.n, plan.spacing)
+        sample = oracle.draw(plan.sample_size, seed)
+        measure = copies_from_counts(tally_prefix_counts(sample, w, grid).tallies)
+        est = estimate_distance_uniform(oracle, w, accuracy, seed)
+        assert est.raw == Fraction(measure, plan.sample_size)
+
+
+class TestPlanCache:
+    def test_repeated_calls_reuse_the_plan_and_grid(self):
+        t = Text(np.tile(np.array([1, 2], dtype=np.int32), 40))
+        w = Word([1, 2])
+        oracle = UniformSampler(t)
+        estimate_distance_uniform(oracle, w, Fraction(2, 7), 0)
+        plans, grids = uniform_plan.cache_info(), prefix_grid.cache_info()
+        estimate_distance_uniform(oracle, w, Fraction(2, 7), 1)
+        assert uniform_plan.cache_info().hits == plans.hits + 1
+        assert prefix_grid.cache_info().hits == grids.hits + 1
+        assert uniform_plan.cache_info().misses == plans.misses
+        assert prefix_grid.cache_info().misses == grids.misses
+        plan = uniform_plan(2, Fraction(2, 7))
+        assert plan is uniform_plan(2, Fraction(2, 7))
+        assert prefix_grid(80, plan.spacing) is prefix_grid(80, plan.spacing)
+
+    def test_shared_grids_reject_writes(self):
+        for grid in (prefix_grid(10, Fraction(3, 20)),
+                     PrefixGrid(3, Fraction(1, 3), np.array([1, 3]))):
+            with pytest.raises(ValueError):
+                grid.columns[0] = 7
+            with pytest.raises(ValueError):
+                grid.lag[0] = False
+        cols = np.array([2, 4])
+        grid = PrefixGrid(4, Fraction(1, 2), cols)
+        cols[0] = 1  # the grid holds its own copy
+        assert grid.columns.tolist() == [2, 4] and grid.lag is False
+
+    def test_cached_results_equal_fresh_ones(self):
+        for k, accuracy in [(2, 0.3), (3, "0.25"), (3, "1/7"), (1, Fraction(9, 10)),
+                            (2, np.float64(0.1)), (4, 0.1), (4, Fraction(1, 10))]:
+            assert uniform_plan(k, accuracy) == uniform_plan.__wrapped__(k, accuracy)
+        assert uniform_plan(3, 0.1) == uniform_plan(3, Fraction(1, 10))
+        # the double nearest 0.1 is not 1/10, and gets its own plan
+        nearest = Fraction(0.1)
+        assert nearest == 0.1 and hash(nearest) == hash(0.1)
+        assert uniform_plan(3, 0.1).spacing == Fraction(1, 90)
+        assert uniform_plan(3, nearest).spacing == nearest / 9
+        for n, spacing in [(7, 1), (10, 0.34), (100, "1/4"), (10, Fraction(3, 20)),
+                           (4, Fraction(1, 9))]:
+            cached, fresh = prefix_grid(n, spacing), prefix_grid.__wrapped__(n, spacing)
+            assert (cached.n, cached.spacing) == (fresh.n, fresh.spacing)
+            assert cached.columns.tolist() == fresh.columns.tolist()
+            assert np.array_equal(cached.lag, fresh.lag)
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        for _ in range(2):
+            for k, accuracy in [(2, 0), (2, 1), (0, 0.5), (2, "x"), (2, Fraction(1, 10**400))]:
+                with pytest.raises(ValueError):
+                    uniform_plan(k, accuracy)
+            for n, spacing in [(0, Fraction(1, 2)), (5, 0), (5, -0.5)]:
+                with pytest.raises(ValueError):
+                    prefix_grid(n, spacing)
