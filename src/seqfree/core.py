@@ -20,11 +20,12 @@ of three regimes, all with the law of s independent draws:
   estimator on a short text, Poisson bulk counts at all n positions plus
   the shortfall as categorical draws;
 - multinomial: every other draw, one multinomial over all n positions.
-`Sampler.draw` returns the draws as a `SampleSet`; the estimators read a
-sample only through its tallies at a few prefix lengths, and
-`Sampler.draw_tallies` hands out exactly those tallies, from the same
-generator calls, without building a `SampleSet` (`tally_positions`
-counts both).
+Each sampler draws through one hook, `Sampler._drawn`, which returns the
+sorted drawn positions with their symbols and multiplicities; the sparse
+uniform draw is the one override. On it `Sampler.draw` builds a
+`SampleSet`, and `Sampler.draw_tallies` hands out the sample's tallies at
+a few prefix lengths, the only way the estimators read a sample, without
+building it (`tally_positions` counts both).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # The most draws one `Sampler.draw` takes: numpy counts draws in int64.
 MAX_DRAWS = INT64_MAX
 
-# `UniformSampler.draw` tallies `size` drawn positions when size * ratio <= n.
+# `UniformSampler` draws `size` positions sparsely when size * ratio <= n.
 # The sparse draw measured faster up to about size = 3n; the switch sits at
 # n/4 so that the larger draws keep a dense stream, and the runs on short
 # texts (the README example, the distribution-free tests) their outputs.
@@ -409,15 +410,6 @@ class SampleSet:
                 raise ValueError("multiplicities must be positive")
         self.size = int(self.multiplicities.sum())
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, text: Text) -> "SampleSet":
-        """Build from a dense per-position draw-count vector."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.size != text.n:
-            raise ValueError("count vector and text disagree on length")
-        hit = np.flatnonzero(counts)
-        return cls(text.n, hit + 1, text.ids[hit], counts[hit])
-
     def tally(self, ends: np.ndarray, symbols=()) -> tuple[np.ndarray, np.ndarray]:
         """Draws within each prefix of length `ends[j]`: per entry of
         `symbols` those at positions carrying it, as a (len(symbols),
@@ -433,53 +425,63 @@ class SampleSet:
 class Sampler:
     """Draws positions i.i.d. from fixed position weights over a text.
 
-    Deterministic given (size, seed). `draw` returns a SampleSet built
-    from one count vector over all n positions (`_counts`), distributed
-    as the multinomial of `size` independent draws tallied by position;
-    `draw_tallies` tallies the same counts without building it. With the margin
-    m = POISSON_MARGIN * sqrt(size), a draw with size > n and
-    m * SPARSE_DRAW_RATIO <= n is Poissonized: bulk counts
-    Poisson((size - m) * p) at every position, drawn again in the rare case
-    that they total more than `size`, plus the shortfall as that many
-    categorical draws (sorted uniforms located in the cumulative weights).
-    Given their total N, Poisson counts are Multinomial(N, p), so the sum
-    is Multinomial(size, p). Every other draw is one multinomial, which
-    keeps its random stream.
+    Deterministic given (size, seed). Every draw goes through one hook,
+    `_drawn`, which returns the sorted 1-based drawn positions, the symbol
+    at each, and their multiplicities, or None when each listed position
+    counts once (repeats being repeat draws). `draw` builds a SampleSet
+    from them, with repeats collapsed, and `draw_tallies` tallies them
+    (`tally_positions`); neither is overridden, so `draw_tallies` is
+    `draw(...).tally(...)` from the same generator calls.
+
+    Here `_drawn` counts draws at all n positions, distributed as the
+    multinomial of `size` independent draws from the weights `_pvals`,
+    which a subclass supplies. With the margin m = POISSON_MARGIN *
+    sqrt(size), a draw with size > n and m * SPARSE_DRAW_RATIO <= n is
+    Poissonized: bulk counts Poisson((size - m) * p) at every position,
+    drawn again in the rare case that they total more than `size`, plus
+    the shortfall as that many categorical draws (sorted uniforms located
+    in the cumulative weights). Given their total N, Poisson counts are
+    Multinomial(N, p), so the sum is Multinomial(size, p). Every other
+    draw is one multinomial, which keeps its random stream.
     """
 
-    def __init__(self, text: Text, pvals: np.ndarray) -> None:
+    def __init__(self, text: Text) -> None:
         if text.n < 1:
             raise ValueError("cannot sample from an empty text")
         self._text = text
-        total = float(pvals.sum())
-        if total <= 0:
-            raise ValueError("sampling weights must have positive total")
-        self._pvals = pvals / total
 
     @property
     def n(self) -> int:
         return self._text.n
 
     def draw(self, size: int, seed) -> SampleSet:
-        return SampleSet.from_counts(self._counts(size, np.random.default_rng(seed)), self._text)
+        positions, symbols, multiplicities = self._drawn(size, seed)
+        if multiplicities is None:
+            positions, first, multiplicities = np.unique(
+                positions, return_index=True, return_counts=True)
+            symbols = symbols[first]
+        return SampleSet(self.n, positions, symbols, multiplicities)
 
     def draw_tallies(self, size: int, seed, ends, symbols) -> tuple[np.ndarray, np.ndarray]:
         """Exactly `self.draw(size, seed).tally(ends, symbols)`, from the
         same generator calls, without building the SampleSet."""
-        counts = self._counts(size, np.random.default_rng(seed))
-        hit = np.flatnonzero(counts)
-        return tally_positions(hit + 1, self._text.ids[hit], counts[hit], ends, symbols)
+        return tally_positions(*self._drawn(size, seed), ends, symbols)
 
-    def _counts(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw counts at all n positions: Poissonized or one multinomial."""
+    def _drawn(self, size: int, seed) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Draw counts at all n positions, Poissonized or one multinomial,
+        as the drawn positions, their symbols and their counts."""
         if size < 0:
             raise ValueError("sample size must be non-negative")
         if size > MAX_DRAWS:
             raise ValueError(f"sample size must be at most {MAX_DRAWS}")
+        rng = np.random.default_rng(seed)
         margin = POISSON_MARGIN * math.sqrt(size)
         if size > self.n and margin * SPARSE_DRAW_RATIO <= self.n:
-            return self._poissonized(rng, size, margin)
-        return rng.multinomial(size, self._pvals)
+            counts = self._poissonized(rng, size, margin)
+        else:
+            counts = rng.multinomial(size, self._pvals)
+        hit = np.flatnonzero(counts)
+        return hit + 1, self._text.ids[hit], counts[hit]
 
     def _poissonized(self, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
         while True:
@@ -503,50 +505,31 @@ class Sampler:
 
 class UniformSampler(Sampler):
     """A draw of size <= n / SPARSE_DRAW_RATIO takes `size` uniform
-    positions and reads only those of the text: `draw` tallies them with
-    `np.unique`, `draw_tallies` sorts them, and either has the law of the
-    multinomial. A larger draw is dense (`Sampler`), and its n weights are
-    built on its first use."""
-
-    def __init__(self, text: Text) -> None:
-        if text.n < 1:
-            raise ValueError("cannot sample from an empty text")
-        self._text = text
+    positions, sorts them and reads only those of the text, which has the
+    law of the multinomial. A larger draw is dense (`Sampler`), and its n
+    weights are built on its first use."""
 
     @functools.cached_property
     def _pvals(self) -> np.ndarray:
         weights = np.full(self.n, 1.0 / self.n)
         return weights / float(weights.sum())
 
-    def _sparse_positions(self, size: int, seed) -> Optional[np.ndarray]:
-        """The 0-based positions of a sparse draw, unsorted; None when the
-        draw is dense (size * ratio > n) or the size invalid."""
+    def _drawn(self, size: int, seed) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         if not 0 <= size <= self.n // SPARSE_DRAW_RATIO:
-            return None
-        return np.random.default_rng(seed).integers(0, self.n, size)
-
-    def draw(self, size: int, seed) -> SampleSet:
-        positions = self._sparse_positions(size, seed)
-        if positions is None:
-            return super().draw(size, seed)
-        hit, counts = np.unique(positions, return_counts=True)
-        return SampleSet(self.n, hit + 1, self._text.ids[hit], counts)
-
-    def draw_tallies(self, size: int, seed, ends, symbols) -> tuple[np.ndarray, np.ndarray]:
-        positions = self._sparse_positions(size, seed)
-        if positions is None:
-            return super().draw_tallies(size, seed, ends, symbols)
+            return super()._drawn(size, seed)
+        positions = np.random.default_rng(seed).integers(0, self.n, size)
         positions.sort()
-        drawn = self._text.ids[positions]
+        symbols = self._text.ids[positions]
         positions += 1
-        return tally_positions(positions, drawn, None, ends, symbols)
+        return positions, symbols, None
 
 
 class WeightedSampler(Sampler):
     def __init__(self, text: Text, dist: Distribution) -> None:
         if dist.n != text.n:
             raise ValueError("weights and text disagree on length")
-        super().__init__(text, dist.floats)
+        super().__init__(text)
+        self._pvals = dist.floats / float(dist.floats.sum())
 
 
 def role_prefix_counts(

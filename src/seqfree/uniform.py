@@ -58,7 +58,7 @@ def uniform_plan(k: int, accuracy) -> EstimatorPlan:
     return EstimatorPlan(spacing, grid_size, sample_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixGrid:
     """Increasing prefix lengths ending at n, with bounded gaps.
 
@@ -67,13 +67,13 @@ class PrefixGrid:
     the previous role one column back, so that one position never serves
     two consecutive roles; it is `False` when no column does and `True`
     when all do. Grids are shared, so `columns` and the flags are
-    read-only.
+    read-only, and two grids are equal only when they are the same object.
     """
 
     n: int
     spacing: Fraction
     columns: np.ndarray  # int64, strictly increasing, last entry n
-    lag: bool | np.ndarray = field(init=False, repr=False, compare=False)
+    lag: bool | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         columns = np.array(self.columns, dtype=np.int64)

@@ -136,6 +136,15 @@ def sample_from_pairs(n: int, pairs) -> SampleSet:
     )
 
 
+def sample_from_counts(counts, text: Text) -> SampleSet:
+    """A sample from a dense per-position draw-count vector over the text."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size != text.n:
+        raise ValueError("count vector and text disagree on length")
+    hit = np.flatnonzero(counts)
+    return SampleSet(text.n, hit + 1, text.ids[hit], counts[hit])
+
+
 def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
     """Occurrences of the role's symbol among the first `length` positions."""
     if not 1 <= role <= word.k:

@@ -25,7 +25,7 @@ from seqfree import core
 from seqfree.core import POISSON_MARGIN, SPARSE_DRAW_RATIO, drop_zero_weight
 from seqfree.exact import interleave_sentinel
 
-from conftest import prefix_count, sample_from_pairs
+from conftest import prefix_count, sample_from_counts, sample_from_pairs
 
 
 @st.composite
@@ -315,7 +315,7 @@ class TestSampleSet:
 
     def test_from_counts(self):
         t = text_of("abc")
-        s = SampleSet.from_counts(np.array([0, 2, 1]), t)
+        s = sample_from_counts(np.array([0, 2, 1]), t)
         assert s.positions.tolist() == [2, 3]
         assert s.symbols.tolist() == [2, 3]
         assert s.size == 3
@@ -446,6 +446,10 @@ class TestSamplers:
         with pytest.raises(ValueError):
             UniformSampler(Text.from_tokens([]))
 
+    def test_weights_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="disagree on length"):
+            WeightedSampler(text_of("abc"), Distribution.uniform(4))
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             UniformSampler(text_of("ab")).draw(-1, 0)
@@ -481,7 +485,7 @@ class TestSamplers:
         sampler, _ = cases["uniform"]
         size = N_SPARSE // SPARSE_DRAW_RATIO  # the largest sparse draw
         idx = np.random.default_rng(seed).integers(0, N_SPARSE, size)
-        want = SampleSet.from_counts(np.bincount(idx, minlength=N_SPARSE), text)
+        want = sample_from_counts(np.bincount(idx, minlength=N_SPARSE), text)
         assert_same_sample(sampler.draw(size, seed), want)
 
     @pytest.mark.parametrize("n, kind, size, poissonized", [
@@ -513,7 +517,7 @@ class TestSamplers:
                 counts = poissonized_stream(size, pvals, seed)[0]
             else:
                 counts = np.random.default_rng(seed).multinomial(size, pvals)
-            want = SampleSet.from_counts(counts, text)
+            want = sample_from_counts(counts, text)
             assert_same_sample(sampler.draw(size, seed), want)
 
     def test_uniform_sparse_draws_pass_chisquare(self):
@@ -576,7 +580,7 @@ class TestSamplers:
         for seed in range(10):
             counts, attempts = poissonized_stream(1500, pvals, seed, margin_factor=-1)
             redrawn += attempts > 1
-            want = SampleSet.from_counts(counts, text)
+            want = sample_from_counts(counts, text)
             assert_same_sample(sampler.draw(1500, seed), want)
             assert_same_tallies(sampler.draw_tallies(1500, seed, ends, TALLY_WORD),
                                 want.tally(ends, TALLY_WORD))

@@ -63,6 +63,7 @@ from conftest import (
     random_repeat_free_word,
     random_text_ids,
     reference_labels,
+    sample_from_counts,
     validate_partition,
 )
 
@@ -79,7 +80,7 @@ def census(dist: Distribution, text: Text) -> SampleSet:
     """Sample whose empirical weights equal the true weights exactly."""
     d = dist.common_denominator()
     counts = np.array([int(w * d) for w in dist.fractions], dtype=np.int64)
-    return SampleSet.from_counts(counts, text)
+    return sample_from_counts(counts, text)
 
 
 # Common denominators on either side of the int64 limit. Just below it
@@ -101,7 +102,7 @@ def near_census(dist: Distribution, text: Text, size: int = 2**40) -> SampleSet:
     """Sample whose empirical weights are the true weights rounded down
     to multiples of 1/size, then renormalized."""
     counts = np.array([int(w * size) for w in dist.fractions], dtype=np.int64)
-    return SampleSet.from_counts(counts, text)
+    return sample_from_counts(counts, text)
 
 
 def record_exact_dtypes(monkeypatch) -> list:
@@ -319,7 +320,7 @@ def edge_case_samples(rng, count: int):
             counts = rng.integers(0, limit + 1, size=n)
             counts[rng.integers(0, n, size=2)] = limit
             res = Fraction(int(counts.sum()), limit)
-        yield t, SampleSet.from_counts(counts.astype(np.int64), t), res
+        yield t, sample_from_counts(counts.astype(np.int64), t), res
 
 
 class TestParameters:
@@ -391,7 +392,7 @@ class TestParameters:
 class TestIntervalPartition:
     def test_hand_example_all_light(self):
         t = text_of("aaaa")
-        s = SampleSet.from_counts(np.array([2, 1, 1, 4]), t)
+        s = sample_from_counts(np.array([2, 1, 1, 4]), t)
         p = IntervalPartition.from_sample(s, Fraction(2))
         assert p.boundaries.tolist() == [0, 3, 4]
         assert p.heavy.tolist() == [False, False]
@@ -399,7 +400,7 @@ class TestIntervalPartition:
 
     def test_hand_example_with_heavy_singleton(self):
         t = text_of("aaaa")
-        s = SampleSet.from_counts(np.array([0, 4, 0, 0]), t)
+        s = sample_from_counts(np.array([0, 4, 0, 0]), t)
         p = IntervalPartition.from_sample(s, Fraction(2))
         assert p.boundaries.tolist() == [0, 1, 2, 4]
         assert p.heavy.tolist() == [False, True, False]
@@ -407,14 +408,14 @@ class TestIntervalPartition:
 
     def test_census_with_unit_resolution_is_single_interval(self):
         t = text_of("abcabc")
-        s = SampleSet.from_counts(np.ones(6, dtype=np.int64), t)
+        s = sample_from_counts(np.ones(6, dtype=np.int64), t)
         p = IntervalPartition.from_sample(s, Fraction(1))
         assert p.boundaries.tolist() == [0, 6]
         assert p.heavy.tolist() == [False]
 
     def test_unsampled_suffix_folds_into_last_interval(self):
         t = text_of("abcd")
-        s = SampleSet.from_counts(np.array([5, 0, 0, 0]), t)
+        s = sample_from_counts(np.array([5, 0, 0, 0]), t)
         p = IntervalPartition.from_sample(s, Fraction(2))
         assert p.boundaries[-1] == 4
         assert not p.heavy[-1]
@@ -443,7 +444,7 @@ class TestIntervalPartition:
             counts = rng.integers(0, 10, size=n)
             if counts.sum() == 0:
                 counts[0] = 1
-            s = SampleSet.from_counts(counts.astype(np.int64), t)
+            s = sample_from_counts(counts.astype(np.int64), t)
             res = Fraction(int(rng.integers(2, 9)))
             p = IntervalPartition.from_sample(s, res)
             validate_partition(p, s, res)
@@ -595,7 +596,7 @@ class TestGreedyCover:
             counts = rng.multinomial(50_000, np.full(n, 1 / n))
             counts[rng.integers(0, n, size=trial)] += 50_000  # heavy positions
             counts[n - 200 * trial:] = 0  # an unsampled suffix
-            s = SampleSet.from_counts(counts, t)
+            s = sample_from_counts(counts, t)
             res = Fraction(int(rng.integers(10, 40)))
             p = IntervalPartition.from_sample(s, res)
             bounds, heavy = dense_partition_reference(s, res)
@@ -683,7 +684,7 @@ class TestWeightsWellEstimated:
         assert reference_labels(ref) == ("single", "single")
         for counts, ok in (([1, 7], True), ([0, 8], False),
                            ([3, 5], True), ([4, 4], False)):
-            s = SampleSet.from_counts(np.array(counts), t)
+            s = sample_from_counts(np.array(counts), t)
             assert weights_well_estimated(d, s, Fraction(1), ref) is ok, counts
 
     def test_small_cap_is_inclusive(self):
@@ -694,13 +695,13 @@ class TestWeightsWellEstimated:
         ref = ReferencePartition.from_weights(d, Fraction(1))
         assert reference_labels(ref) == ("small", "single")
         for counts, ok in (([16, 16], True), ([17, 15], False)):
-            s = SampleSet.from_counts(np.array(counts), t)
+            s = sample_from_counts(np.array(counts), t)
             assert weights_well_estimated(d, s, Fraction(1), ref) is ok, counts
 
     def test_collapsed_sample_fails(self):
         d = Distribution.uniform(8)
         t = text_of("abababab")
-        s = SampleSet.from_counts(
+        s = sample_from_counts(
             np.array([8, 0, 0, 0, 0, 0, 0, 0]), t
         )
         ref = ReferencePartition.from_weights(d, Fraction(1))
@@ -720,7 +721,7 @@ class TestWeightsWellEstimated:
             for factor in (Fraction(1, 2), Fraction(3, 2)):
                 edge = factor * size * d.interval_weight(1, 1)
                 for drawn in range(math.floor(edge) - 1, math.ceil(edge) + 2):
-                    s = SampleSet.from_counts(np.array([drawn, size - drawn]), t)
+                    s = sample_from_counts(np.array([drawn, size - drawn]), t)
                     want = all(w / 2 <= Fraction(c, size) <= 3 * w / 2
                                for c, w in zip((drawn, size - drawn), d.fractions))
                     assert weights_well_estimated(d, s, Fraction(1), ref) is want
@@ -749,7 +750,7 @@ class TestSymbolDensityEstimate:
     def test_hand_example(self):
         t = text_of("ab")
         w = word_of("ab", t)
-        s = SampleSet.from_counts(np.array([1, 3]), t)
+        s = sample_from_counts(np.array([1, 3]), t)
         part = IntervalPartition(2, np.array([0, 1, 2]), np.array([False, True]))
         est = symbol_density_estimate(s, part, w)
         # densities [[1/4, 1/4], [0, 3/4]] and prefix weights [1/4, 1]
@@ -791,7 +792,7 @@ class TestSymbolDensityEstimate:
     def test_absent_symbol_row_zero(self):
         t = text_of("aaaa")
         w = Word(np.array([5]))
-        s = SampleSet.from_counts(np.ones(4, dtype=np.int64), t)
+        s = sample_from_counts(np.ones(4, dtype=np.int64), t)
         part = IntervalPartition.from_sample(s, Fraction(2))
         est = symbol_density_estimate(s, part, w)
         assert not est.role_tallies.any()
@@ -802,7 +803,7 @@ class TestSymbolDensityEstimate:
         part = IntervalPartition(2, np.array([0, 2]), np.array([False]))
         with pytest.raises(ValueError):
             symbol_density_estimate(SampleSet(2, [], [], []), part, w)
-        s3 = SampleSet.from_counts(np.ones(3, dtype=np.int64), text_of("aba"))
+        s3 = sample_from_counts(np.ones(3, dtype=np.int64), text_of("aba"))
         with pytest.raises(ValueError):
             symbol_density_estimate(s3, part, w)
 
@@ -827,7 +828,7 @@ class TestDensitiesWellEstimated:
 
     def test_collapsed_sample_fails(self):
         for t, d, w, s, part in self._setups():
-            bad = SampleSet.from_counts(np.array([4, 0, 0, 0]), t)
+            bad = sample_from_counts(np.array([4, 0, 0, 0]), t)
             exact = exact_symbol_density(t, d, w, part)
             assert not densities_well_estimated(t, d, w, bad, part, Fraction(2), exact)
 
@@ -848,7 +849,7 @@ class TestDensitiesWellEstimated:
         part = IntervalPartition(2, np.array([0, 1, 2]), np.array([False, False]))
         exact = exact_symbol_density(t, d, w, part)
         for counts, ok in (([6, 2], True), ([7, 1], False)):
-            s = SampleSet.from_counts(np.array(counts), t)
+            s = sample_from_counts(np.array(counts), t)
             assert densities_well_estimated(t, d, w, s, part, Fraction(4), exact) is ok, counts
 
     def test_prefix_miss_alone_fails(self):
@@ -858,7 +859,7 @@ class TestDensitiesWellEstimated:
         t = text_of("cca")
         w = word_of("a", t)
         part = IntervalPartition(3, np.array([0, 1, 2, 3]), np.array([False] * 3))
-        s = SampleSet.from_counts(np.array([4, 0, 2]), t)
+        s = sample_from_counts(np.array([4, 0, 2]), t)
         d = Distribution.uniform(3)
         exact = exact_symbol_density(t, d, w, part)
         assert not densities_well_estimated(t, d, w, s, part, Fraction(4), exact)
@@ -982,7 +983,7 @@ class TestSentinelLayerAgainstLoops:
             w = Word(rng.integers(1, 4, size=int(rng.integers(1, 4))).astype(np.int32))
             counts = rng.integers(0, 5, size=t.n)
             counts[0] += 1
-            density = symbol_density_estimate(SampleSet.from_counts(counts, t), part, w)
+            density = symbol_density_estimate(sample_from_counts(counts, t), part, w)
             sp = interleave_partition(part)
             out = assemble_sentinel_density(density, part, sp)
             bounds, source, rows = loop_sentinel_reference(part, density)

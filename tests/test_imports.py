@@ -5,7 +5,8 @@ benchmark, or is exported. The package runs one copy recursion, and none
 of it goes through the separator rewrite, which only the tests and the
 benchmark keep as the reference for the recursion's lag. The estimators
 take their tallies from the sampler, and only the second-event diagnostic
-tallies a sample. Each report label has one writer."""
+tallies a sample. `draw` and `draw_tallies` are written once, on
+`Sampler`, over the one draw hook. Each report label has one writer."""
 
 import ast
 from pathlib import Path
@@ -101,18 +102,23 @@ SEPARATOR_REFERENCE = {"interleave_partition", "assemble_sentinel_density", "exa
 
 
 def enclosing_sites(tree: ast.Module, matches) -> list:
-    """(enclosing function, line) of each node of the module that
-    `matches`; the function is None at module level."""
+    """(enclosing scope, line) of each node of the module that `matches`.
+    The scope is the innermost enclosing function, a method named with its
+    class as `Class.method`; in a class body outside its methods, the
+    class; None at module level."""
     found = []
 
-    def visit(node, function):
+    def visit(node, scope, in_class):
         for child in ast.iter_child_nodes(node):
             if matches(child):
-                found.append((function, child.lineno))
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            visit(child, inner)
+                found.append((scope, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if in_class else child.name
+                visit(child, inner, isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_class)
 
-    visit(tree, None)
+    visit(tree, None, False)
     return found
 
 
@@ -140,6 +146,13 @@ def calls_of(name: str):
 
 is_tally_call = calls_of("symbol_density_estimate")
 is_draw_tallies_call = calls_of("draw_tallies")
+is_tally_positions_call = calls_of("tally_positions")
+
+
+def defines_a_draw(node: ast.AST) -> bool:
+    """Whether the node defines a function named `draw` or `draw_tallies`."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+        node.name in ("draw", "draw_tallies"))
 
 
 def separator_calls(tree: ast.Module) -> list:
@@ -233,7 +246,46 @@ def test_detects_draw_tallies_calls():
         "top = draw_tallies(1)\n"
     )
     assert enclosing_sites(tree, is_draw_tallies_call) == [
-        ("estimate_distance_uniform", 2), ("draw", 7), (None, 9)]
+        ("estimate_distance_uniform", 2), ("S.draw", 7), (None, 9)]
+
+
+# Every sampler draws through the one hook `Sampler._drawn`: `draw` and
+# `draw_tallies` are written once, on `Sampler`, and drawn positions are
+# counted only by the sampler's tallies and the sample's.
+DRAW_PATH = {
+    defines_a_draw: {("core.py", "Sampler")},
+    is_tally_positions_call: {("core.py", "Sampler.draw_tallies"), ("core.py", "SampleSet.tally")},
+}
+
+
+def test_one_draw_path():
+    trees = package_trees()
+    for matches, allowed in DRAW_PATH.items():
+        sites = {(module, scope) for module, tree in trees.items()
+                 for scope, _ in enclosing_sites(tree, matches)}
+        assert sites == allowed, sorted(sites)
+
+
+def test_detects_draw_definitions_and_tally_positions_calls():
+    tree = ast.parse(
+        "class Sampler:\n"
+        "    def draw_tallies(self, size, seed, ends, symbols):\n"
+        "        return tally_positions(*self._drawn(size, seed), ends, symbols)\n"
+        "class UniformSampler(Sampler):\n"
+        "    if True:\n"
+        "        def draw(self, size, seed):\n"
+        "            return core.tally_positions(size, seed)\n"
+        "    def _drawn(self, size, seed):\n"
+        "        def inner():\n"
+        "            return tally_positions(1)\n"
+        "        return inner\n"
+        "def draw_tallies(sampler):\n"
+        "    return sampler.draw(1, 2)\n"
+    )
+    assert enclosing_sites(tree, defines_a_draw) == [
+        ("Sampler", 2), ("UniformSampler", 6), (None, 12)]
+    assert enclosing_sites(tree, is_tally_positions_call) == [
+        ("Sampler.draw_tallies", 3), ("UniformSampler.draw", 7), ("inner", 10)]
 
 
 def is_off_spec_label(node: ast.AST) -> bool:
@@ -255,7 +307,7 @@ def stores_command_key(node: ast.AST) -> bool:
 # `EstimatorConstants.report_fields`, which every relaxed report takes it
 # from; the command name of a CLI report, by `cli.main` alone.
 LABEL_WRITERS = {
-    is_off_spec_label: {("distfree.py", "report_fields")},
+    is_off_spec_label: {("distfree.py", "EstimatorConstants.report_fields")},
     stores_command_key: {("harness/cli.py", "main")},
 }
 

@@ -37,6 +37,7 @@ from conftest import (
     random_repeat_free_word,
     random_text_ids,
     random_word_ids,
+    sample_from_counts,
 )
 
 
@@ -99,6 +100,15 @@ class TestPrefixGrid:
                           for r in range(1, math.ceil(1 / spacing) + 1)})
         got = prefix_grid(n, spacing).columns
         assert got.dtype == np.int64 and got.tolist() == columns
+
+    def test_grids_compare_and_hash_by_identity(self):
+        # Grids are cached and shared; their ndarray columns neither compare
+        # to one bool nor hash.
+        grid = prefix_grid(10, Fraction(3, 20))
+        twin = PrefixGrid(10, Fraction(3, 20), [2, 3, 5, 6, 8, 9, 10])
+        assert grid.columns.tolist() == twin.columns.tolist()
+        assert grid != twin and grid == prefix_grid(10, Fraction(3, 20))
+        assert {grid: 1}.get(prefix_grid(10, Fraction(3, 20))) == 1 and twin not in {grid}
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -181,7 +191,7 @@ class TestTallyPrefixCounts:
         t = text_of("abcabc")
         w = word_of("abc", t)
         g = prefix_grid(6, Fraction(1, 3))
-        census = SampleSet.from_counts(np.ones(6, dtype=np.int64), t)
+        census = sample_from_counts(np.ones(6, dtype=np.int64), t)
         est = tally_prefix_counts(census, w, g)
         assert np.array_equal(est.tallies, exact_count_matrix(t, w, g))
 
@@ -197,7 +207,7 @@ class TestTallyPrefixCounts:
         t = text_of("aa")
         w = Word(np.array([7]))
         g = prefix_grid(2, Fraction(1, 2))
-        s = SampleSet.from_counts(np.array([3, 2]), t)
+        s = sample_from_counts(np.array([3, 2]), t)
         est = tally_prefix_counts(s, w, g)
         assert est.tallies.tolist() == [[0, 0]]
 
