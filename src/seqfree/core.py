@@ -8,8 +8,8 @@ inserts separators, so the estimators never see id 0. Positions are
 1-based in every public interface.
 
 Weights over positions are always exact: integer numerators over their
-least common denominator, which the ground-truth oracles read, next to a
-64-bit float view for the estimator path.
+least common denominator, which the ground-truth oracles read. Only a
+sampler turns them into floats, once, on its first dense draw.
 Estimators never touch a text directly; they see it only through a
 sampling oracle returning (position, symbol) pairs. A draw falls in one
 of three regimes, all with the law of s independent draws:
@@ -157,12 +157,20 @@ class Alphabet:
 
 
 def _as_symbol_array(symbols) -> np.ndarray:
-    arr = np.asarray(symbols, dtype=np.int32)
+    """The ids as int32, checked before the cast so that no id is
+    truncated or wrapped. int32 input costs one scan; empty input of any
+    dtype (`np.asarray([])` is float64) gives no ids."""
+    arr = np.asarray(symbols)
     if arr.ndim != 1:
         raise ValueError("symbol sequence must be one-dimensional")
-    if arr.size and int(arr.min()) < 0:
-        raise ValueError("symbol ids must be non-negative")
-    return arr
+    if arr.size:
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"symbol ids must be integers, not {arr.dtype}")
+        if int(arr.min()) < 0:
+            raise ValueError("symbol ids must be non-negative")
+        if arr.dtype != np.int32 and int(arr.max()) >= 2**31:
+            raise ValueError("symbol ids must be below 2**31")
+    return arr.astype(np.int32, copy=False)
 
 
 class _Symbols:
@@ -229,25 +237,18 @@ class Distribution:
     """Non-negative position weights of length n, summing to one.
 
     All weights are exact: integer numerators over their least common
-    denominator D (int64 when D fits, Python integers otherwise), next to
-    a float view for sampling. Fractions are built on demand. Fraction
-    and float totals within 1e-6 of one are normalized; anything further
-    off is rejected.
+    denominator D (int64 when D fits, Python integers otherwise); no float
+    copy is kept. Fractions are built on demand. Fraction and float
+    totals within 1e-6 of one are normalized; anything further off is
+    rejected.
     """
 
-    __slots__ = ("_floats", "_denominator", "_numerators", "_numerator_prefix")
+    __slots__ = ("_denominator", "_numerators", "_numerator_prefix")
 
     def __init__(self, numerators: np.ndarray, denominator: int) -> None:
         """Weights numerators[j] / denominator, for numerators with gcd one
-        that sum to the denominator (`from_numerators` builds them); each
-        float is the correctly rounded quotient."""
+        that sum to the denominator (`from_numerators` builds them)."""
         numerators.flags.writeable = False
-        if denominator < 2**53:
-            floats = numerators / float(denominator)
-        else:
-            floats = np.array([p / denominator for p in numerators.tolist()])
-        floats.flags.writeable = False
-        self._floats = floats
         self._numerators = numerators
         self._denominator = denominator
         self._numerator_prefix: Optional[np.ndarray] = None
@@ -297,11 +298,7 @@ class Distribution:
 
     @property
     def n(self) -> int:
-        return int(self._floats.size)
-
-    @property
-    def floats(self) -> np.ndarray:
-        return self._floats
+        return int(self._numerators.size)
 
     @property
     def fractions(self) -> tuple:
@@ -434,8 +431,9 @@ class Sampler:
     `draw(...).tally(...)` from the same generator calls.
 
     Here `_drawn` counts draws at all n positions, distributed as the
-    multinomial of `size` independent draws from the weights `_pvals`,
-    which a subclass supplies. With the margin m = POISSON_MARGIN *
+    multinomial of `size` independent draws from the float weights
+    `_pvals`, built on the first dense draw from the exact weights `_dist`
+    (uniform when None). With the margin m = POISSON_MARGIN *
     sqrt(size), a draw with size > n and m * SPARSE_DRAW_RATIO <= n is
     Poissonized: bulk counts Poisson((size - m) * p) at every position,
     drawn again in the rare case that they total more than `size`, plus
@@ -444,6 +442,8 @@ class Sampler:
     Multinomial(N, p), so the sum is Multinomial(size, p). Every other
     draw is one multinomial, which keeps its random stream.
     """
+
+    _dist: Optional[Distribution] = None
 
     def __init__(self, text: Text) -> None:
         if text.n < 1:
@@ -494,6 +494,19 @@ class Sampler:
         return counts
 
     @functools.cached_property
+    def _pvals(self) -> np.ndarray:
+        """The weights as floats summing to one, the only place they are
+        floats: each the correctly rounded quotient p / D, also where
+        float(D) overflows; 1 / n each when `_dist` is None."""
+        if self._dist is None:
+            weights = np.full(self.n, 1.0 / self.n)
+        elif (denom := self._dist.common_denominator()) < 2**53:
+            weights = self._dist.numerators() / float(denom)
+        else:
+            weights = np.array([p / denom for p in self._dist.numerators().tolist()])
+        return weights / float(weights.sum())
+
+    @functools.cached_property
     def _cdf(self) -> np.ndarray:
         """Cumulative weights of the shortfall draws, built on the first
         Poissonized draw. Scaled to end at exactly one, so a uniform in
@@ -506,13 +519,7 @@ class Sampler:
 class UniformSampler(Sampler):
     """A draw of size <= n / SPARSE_DRAW_RATIO takes `size` uniform
     positions, sorts them and reads only those of the text, which has the
-    law of the multinomial. A larger draw is dense (`Sampler`), and its n
-    weights are built on its first use."""
-
-    @functools.cached_property
-    def _pvals(self) -> np.ndarray:
-        weights = np.full(self.n, 1.0 / self.n)
-        return weights / float(weights.sum())
+    law of the multinomial. A larger draw is dense (`Sampler`)."""
 
     def _drawn(self, size: int, seed) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         if not 0 <= size <= self.n // SPARSE_DRAW_RATIO:
@@ -529,7 +536,7 @@ class WeightedSampler(Sampler):
         if dist.n != text.n:
             raise ValueError("weights and text disagree on length")
         super().__init__(text)
-        self._pvals = dist.floats / float(dist.floats.sum())
+        self._dist = dist
 
 
 def role_prefix_counts(

@@ -284,10 +284,9 @@ def main(argv=None) -> int:
     try:
         payload = args.handler(args)
         payload["command"] = args.command
-        blob = canonical_json(payload)
-        sys.stdout.write(blob)
-        if args.out:
+        if args.out:  # before stdout, so that a failed write prints no report
             write_report(args.out, payload)
+        sys.stdout.write(canonical_json(payload))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -232,6 +232,17 @@ class TestExitCodes:
         )
         assert code == 3 and "error:" in err
 
+    def test_failed_output_write_is_three_with_no_report(self, instance, capsys):
+        absent = str(instance["dir"] / "absent" / "r.json")
+        files = ["--text", instance["text"], "--word", instance["word"]]
+        for argv in (
+            ["exact", "--out", absent] + files,
+            ["sweep", "--estimator", "df", "--deltas", "0.5", "--trials", "1",
+             "--jsonl", absent] + files,
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3 and out == "" and err.startswith("error:"), argv
+
 
 class TestEstimateCommands:
     def test_uniform_matches_library_call(self, instance, capsys):

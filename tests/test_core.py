@@ -135,6 +135,17 @@ class TestTextAndWord:
         with pytest.raises(ValueError):
             Text(np.array([1, -2]))
 
+    @pytest.mark.parametrize("kind", [Text, Word])
+    def test_ids_that_int32_cannot_hold_rejected(self, kind):
+        # Cast first, 2**32 + 1 would wrap to 1 and 3.7 truncate to 3.
+        for ids in (np.array([2**32 + 1, 2], dtype=np.int64), np.array([2**31], dtype=np.uint64),
+                    [1, 2**31], np.array([3.7, 1.2]), [2**70]):
+            with pytest.raises(ValueError):
+                kind(ids)
+        assert kind(np.array([2**31 - 1, 2], dtype=np.int64)).ids.tolist() == [2**31 - 1, 2]
+        assert kind(np.array([1, 2], dtype=np.uint8)).ids.dtype == np.int32
+        assert Text(np.array([])).n == 0
+
     def test_shared_alphabet_aligns_symbols(self):
         t = text_of("abab")
         w = word_of("ba", t)
@@ -153,7 +164,8 @@ class TestDistribution:
             assert d.common_denominator() == ref.common_denominator() == n
             assert d.numerators().dtype == ref.numerators().dtype == np.int64
             assert np.array_equal(d.numerators(), ref.numerators())
-            assert np.array_equal(d.floats, ref.floats)
+            text = Text(np.ones(n, dtype=np.int32))
+            assert WeightedSampler(text, d)._pvals.tobytes() == UniformSampler(text)._pvals.tobytes()
             assert not d.numerators().flags.writeable
         with pytest.raises(ValueError):
             Distribution.uniform(0)
@@ -234,7 +246,6 @@ class TestDistribution:
             return
         exact, denom = reference_exact_form(weights)
         d = Distribution.from_fractions(weights)
-        assert d.floats.tobytes() == np.array([float(w) for w in exact]).tobytes()
         assert d.common_denominator() == denom
         assert d.numerators().tolist() == [w.numerator * (denom // w.denominator) for w in exact]
         assert d.numerators().dtype == (np.int64 if denom < 2**63 else object)
@@ -340,9 +351,10 @@ def sampler_cases(n: int) -> tuple[Text, dict]:
     multinomial."""
     text, dist = weighted_instance(n)
     uniform = np.full(n, 1.0 / n)
+    weighted = dist.numerators() / float(dist.common_denominator())
     return text, {
         "uniform": (UniformSampler(text), uniform / float(uniform.sum())),
-        "weighted": (WeightedSampler(text, dist), dist.floats / float(dist.floats.sum())),
+        "weighted": (WeightedSampler(text, dist), weighted / float(weighted.sum())),
     }
 
 
@@ -397,6 +409,17 @@ def poissonized_stream(size: int, pvals: np.ndarray, seed, margin_factor=POISSON
     return bulk + np.bincount(picks, minlength=pvals.size), attempts
 
 
+def allocated(call) -> tuple:
+    """Peak bytes allocated by `call` beyond those held before it, and what
+    it returned; tracemalloc must be tracing. numpy reports its buffers to
+    tracemalloc, so an O(n) step at n = 1e6 shows as megabytes, on any
+    machine."""
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    result = call()
+    return tracemalloc.get_traced_memory()[1] - held, result
+
+
 class TestSamplers:
     def test_determinism(self):
         t = text_of("abcabc")
@@ -410,6 +433,20 @@ class TestSamplers:
         first = WeightedSampler(text, dist).draw(6000, 9)
         assert_same_sample(sampler.draw(6000, 9), first)
         assert_same_sample(sampler.draw(6000, 9), first)
+
+    @given(fraction_weights())
+    @example([Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(0)])  # zero weights
+    @example([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**6)])  # near one
+    @example([Fraction(1, 2**64 + 13), Fraction(2**64 + 12, 2**64 + 13)])  # D > 2^63
+    @example([Fraction("1e-400"), Fraction(1, 2) - Fraction("1e-400"), Fraction(1, 2)])
+    def test_dense_weights_are_correctly_rounded_quotients(self, weights):
+        if abs(sum(weights) - 1) > Fraction(1, 10**6):
+            return  # rejected, as `test_from_fractions_matches_fraction_reference` checks
+        exact, _ = reference_exact_form(weights)
+        floats = np.array([float(w) for w in exact])
+        text = Text(np.ones(len(weights), dtype=np.int32))
+        sampler = WeightedSampler(text, Distribution.from_fractions(weights))
+        assert sampler._pvals.tobytes() == (floats / float(floats.sum())).tobytes()
 
     def test_shortfall_cdf_built_once_on_first_poissonized_draw(self):
         sampler = WeightedSampler(*weighted_instance(N_POISSON))
@@ -539,7 +576,8 @@ class TestSamplers:
         nums[:50] = 0
         dist = Distribution.from_numerators(nums)
         sampler = WeightedSampler(Text(np.ones(n, dtype=np.int32)), dist)
-        p = dist.floats / dist.floats.sum()
+        p = dist.numerators() / float(dist.common_denominator())
+        p /= p.sum()
         groups = np.arange(n) * 10 // n  # ten cells of 800 positions
         expected_group = size * np.bincount(groups, weights=p)
         pooled = np.zeros(n, dtype=np.int64)
@@ -587,30 +625,40 @@ class TestSamplers:
         assert redrawn >= 5
 
     def test_sparse_draws_allocate_independently_of_n(self):
-        # numpy reports its buffers to tracemalloc, so an O(n) step in a
-        # draw at n = 1e6 shows as megabytes here, on any machine.
         n, size, limit = 10**6, 2_832, 10**6
         text = Text(np.ones(n, dtype=np.int32))
-
-        def allocated(call) -> int:
-            """Peak bytes allocated by `call` beyond those held before it."""
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            call()
-            return tracemalloc.get_traced_memory()[1] - held
-
         # The 30 columns of the uniform estimator's grid at accuracy 0.3, k = 3.
         ends = np.arange(1, 31, dtype=np.int64) * n // 30
         tracemalloc.start()
         try:
-            sparse = allocated(lambda: UniformSampler(text).draw(size, 1))
-            tallies = allocated(lambda: UniformSampler(text).draw_tallies(size, 1, ends, [1, 2, 1]))
-            dense = allocated(lambda: UniformSampler(text).draw(n, 1))
+            sparse, _ = allocated(lambda: UniformSampler(text).draw(size, 1))
+            tallies, _ = allocated(
+                lambda: UniformSampler(text).draw_tallies(size, 1, ends, [1, 2, 1]))
+            dense, _ = allocated(lambda: UniformSampler(text).draw(n, 1))
         finally:
             tracemalloc.stop()
         assert sparse < limit
         assert tallies < limit
         assert dense > 8 * n  # the n multinomial weights: the guard sees numpy
+
+    def test_float_weights_built_once_on_the_first_dense_draw(self):
+        # Exact weights keep no float copy; the sampler builds its n float
+        # weights on its first dense draw and keeps them.
+        n = 10**6
+        text = Text(np.ones(n, dtype=np.int32))
+        tracemalloc.start()
+        try:
+            built, dist = allocated(lambda: Distribution.uniform(n))
+            build, sampler = allocated(lambda: WeightedSampler(text, dist))
+        finally:
+            tracemalloc.stop()
+        assert built < 12 * n  # the int64 numerators, no float view
+        assert build < 10**6
+        assert "_pvals" not in vars(sampler)
+        sampler.draw(n, 1)
+        pvals = vars(sampler)["_pvals"]
+        sampler.draw(n, 2)
+        assert vars(sampler)["_pvals"] is pvals
 
 
 class TestDrawTallies:
