@@ -132,13 +132,26 @@ class TestDeterminism:
         # 64633 misses the first event, so its failing branch is pinned too.
         ("diagnose-events-relaxed", ["diagnose-events", "--delta", "0.5", "--trials", "2",
                                      "--seed", "64633", "--relaxed-constants", "399"]),
+        ("estimate-uniform", ["estimate-uniform", "--delta", "0.3", "--seed", "3"]),
+        ("estimate-uniform-repeats", ["estimate-uniform", "--delta", "0.3", "--seed", "3",
+                                      "--repeats", "3"]),
+        ("estimate-df", ["estimate-df", "--delta", "0.5", "--seed", "3"]),
+        ("estimate-df-weights", ["estimate-df", "--delta", "0.5", "--seed", "3",
+                                 "--weights", "weights.txt", "--repeats", "3"]),
+        ("estimate-df-relaxed", ["estimate-df", "--delta", "0.5", "--seed", "3",
+                                 "--relaxed-constants", "10"]),
+        ("estimate-df-wc", ["estimate-df-wc", "--delta", "0.5", "--seed", "3",
+                            "--weights", "weights.txt"]),
     ])
-    def test_outputs_match_pinned_bytes(self, pin, argv, tmp_path, capsys):
+    def test_outputs_match_pinned_bytes(self, pin, argv, tmp_path, capsys, monkeypatch):
         # Pinned reports of an eight-position instance, so that a change
         # which keeps runs repeatable but moves their output is caught.
+        # Weighted runs read `weights.txt` from the instance's directory.
+        monkeypatch.chdir(tmp_path)
         text, word = tmp_path / "text.txt", tmp_path / "word.txt"
         text.write_text("a b a b b a a b\n")
         word.write_text("a b\n")
+        (tmp_path / "weights.txt").write_text("1/16\n1/16\n1/8\n1/8\n1/4\n1/8\n1/8\n1/8\n")
         jsonl = tmp_path / "trials.jsonl"
         argv = argv + ["--text", str(text), "--word", str(word)]
         if pin == "sweep-df":
