@@ -180,7 +180,8 @@ class _Symbols:
     __slots__ = ("ids", "alphabet")
 
     def __init__(self, symbols, alphabet: Optional[Alphabet] = None) -> None:
-        self.ids = _as_symbol_array(symbols)
+        # A read-only view: the caller's own int32 array stays writable.
+        self.ids = _as_symbol_array(symbols).view()
         self.ids.flags.writeable = False
         self.alphabet = alphabet
 

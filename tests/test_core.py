@@ -119,6 +119,15 @@ class TestTextAndWord:
         with pytest.raises(ValueError):
             t.ids[0] = 9
 
+    @pytest.mark.parametrize("kind", [Text, Word])
+    def test_callers_int32_array_stays_writable(self, kind):
+        ids = np.array([1, 2], dtype=np.int32)
+        symbols = kind(ids)
+        ids[0] = 5
+        assert ids.tolist() == [5, 2]
+        with pytest.raises(ValueError):
+            symbols.ids[0] = 9
+
     def test_word_rejects_empty(self):
         with pytest.raises(ValueError):
             Word.from_tokens([])
