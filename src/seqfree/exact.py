@@ -32,6 +32,7 @@ from .core import (
     Distribution,
     Text,
     Word,
+    as_fraction,
     contains_word,
     role_prefix_counts,
 )
@@ -258,7 +259,7 @@ def quantize_weights(dist: Distribution, step) -> QuantizedWeights:
     The result lives on the grid {scale * step * m : m integer} and is
     within L1 distance 2 * step * n of the original.
     """
-    step = Fraction(step) if not isinstance(step, Fraction) else step
+    step = as_fraction(step)
     if step <= 0:
         raise ValueError("grid step must be positive")
     original = dist.fractions
@@ -344,7 +345,7 @@ def expand_text(text: Text, dist: Distribution, base_weight) -> TextExpansion:
     expansion (for words without adjacent equal symbols). The expansion
     is materialized, so its length must stay within EXPANSION_LIMIT.
     """
-    base = Fraction(base_weight) if not isinstance(base_weight, Fraction) else base_weight
+    base = as_fraction(base_weight)
     if base <= 0:
         raise ValueError("base weight must be positive")
     if dist.n != text.n:

@@ -214,6 +214,14 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize_weights(d, 0)
 
+    def test_float_step_reads_as_its_decimal(self):
+        q = quantize_weights(Distribution.uniform(2), 0.1)
+        assert q.step == Fraction(1, 10)
+
+    def test_zero_denominator_step_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            quantize_weights(Distribution.uniform(2), "1/0")
+
     @given(
         st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=10),
         st.integers(min_value=1, max_value=40),
@@ -290,6 +298,11 @@ class TestExpansion:
         t = text_of("abc")
         e = expand_text(t, Distribution.uniform(3), Fraction(1, 3))
         assert e.expanded.ids.tolist() == t.ids.tolist()
+
+    def test_float_base_reads_as_its_decimal(self):
+        t = text_of("abab")
+        e = expand_text(t, Distribution.from_fractions([Fraction(1, 4)] * 4), 0.05)
+        assert e.expanded.n == 20
 
     def test_non_integer_multiplicity_rejected(self):
         t = text_of("ab")
