@@ -545,6 +545,10 @@ class DistFreeEstimate:
     intervals: int
     seed: int
 
+    @property
+    def draws(self) -> int:
+        return self.first_size + self.second_size
+
 
 def estimate_distance(
     oracle: Sampler,

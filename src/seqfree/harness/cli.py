@@ -12,17 +12,12 @@ import argparse
 import sys
 from typing import Optional
 
-from ..core import Distribution, UniformSampler, WeightedSampler, as_fraction
-from ..distfree import (
-    DEFAULT_CONSTANTS,
-    EstimatorConstants,
-    estimate_distance,
-    estimate_distance_repeat_free,
-)
+from ..core import Distribution, as_fraction
+from ..distfree import DEFAULT_CONSTANTS, EstimatorConstants
 from ..exact import exact_weighted_distance, uniform_distance
-from ..uniform import estimate_distance_uniform
 from .experiments import (
     concentration_experiment,
+    estimator,
     estimator_sweep,
     event_diagnostics,
     fraction_str,
@@ -81,18 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-uniform", parents=[common, estimate],
                        help="sampling estimator, uniform position weights")
     instance_flags(p, weights=False)
-    p.set_defaults(handler=cmd_estimate_uniform)
+    p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("estimate-df", parents=[common, relaxed, estimate],
                        help="sampling estimator, arbitrary position weights")
     instance_flags(p)
-    p.set_defaults(handler=cmd_estimate_df)
+    p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("estimate-df-wc", parents=[common, relaxed, estimate],
                        help="same estimator, specialized to words without "
                        "adjacent equal symbols")
     instance_flags(p)
-    p.set_defaults(handler=cmd_estimate_df)
+    p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("sweep", parents=[common, relaxed],
                        help="success-rate sweep over an accuracy grid")
@@ -127,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _constants(args) -> EstimatorConstants:
-    return DEFAULT_CONSTANTS.relaxed(as_fraction(args.relaxed_constants))
+    return DEFAULT_CONSTANTS.relaxed(as_fraction(getattr(args, "relaxed_constants", 1)))
 
 
 def _load_instance(args):
@@ -153,10 +148,17 @@ def cmd_exact(args) -> dict:
     return payload
 
 
-def _estimate_report(args, text, word, run, fields, samples_of) -> dict:
-    """Report of an estimate command: `run(seed)` is one estimator run,
-    `fields(result)` its command-specific report fields, and
-    `samples_of(result)` its number of draws.
+def _run_fields(kind: str, result) -> dict:
+    """The report fields of one run of the estimator `kind`."""
+    if kind == "uniform":
+        return {"samples": result.draws}
+    samples = {"first": result.first_size, "second": result.second_size, "total": result.draws}
+    return {"samples": samples, "intervals": result.intervals}
+
+
+def cmd_estimate(args) -> dict:
+    """`estimate-uniform`, `estimate-df` and `estimate-df-wc`, which
+    rejects a word with an adjacent repeat.
 
     The runs are aggregated by lower median. Each run succeeds
     independently with probability at least 2/3, so the median of 2t+1
@@ -164,73 +166,35 @@ def _estimate_report(args, text, word, run, fields, samples_of) -> dict:
     A single run's fields go into the report itself; repeated runs are
     listed, with their draws summed.
     """
+    text, word, dist = _load_instance(args)
+    kind = args.command.removeprefix("estimate-")
+    constants = _constants(args)
+    run = estimator(kind, text, word, dist, constants)
+    accuracy = as_fraction(args.delta)
     seeds = spread_seeds(args.seed, args.repeats)
-    results = [run(s) for s in seeds]
+    results = [run(accuracy, s) for s in seeds]
     median_raw = median_low([result.raw for result in results])
     payload = {
         "n": text.n,
         "k": word.k,
-        "delta": float(as_fraction(args.delta)),
+        "delta": float(accuracy),
         "seed": args.seed,
         "estimate": float(median_raw),
         "raw": fraction_str(median_raw),
         "repeats": args.repeats,
     }
     if args.repeats == 1:
-        payload.update(fields(results[0]))
+        payload.update(_run_fields(kind, results[0]))
     else:
         payload["runs"] = [
             {"seed": s, "estimate": result.estimate, "raw": fraction_str(result.raw),
-             **fields(result)}
+             **_run_fields(kind, result)}
             for s, result in zip(seeds, results)
         ]
-        payload["samples_total"] = sum(samples_of(result) for result in results)
-    return payload
-
-
-def cmd_estimate_uniform(args) -> dict:
-    text, word, _ = _load_instance(args)
-    oracle = UniformSampler(text)
-    accuracy = as_fraction(args.delta)
-    return _estimate_report(
-        args, text, word,
-        lambda s: estimate_distance_uniform(oracle, word, accuracy, s),
-        lambda result: {"samples": result.sample_size},
-        lambda result: result.sample_size,
-    )
-
-
-def cmd_estimate_df(args) -> dict:
-    """`estimate-df` and `estimate-df-wc`, which first rejects a word with
-    an adjacent repeat."""
-    text, word, dist = _load_instance(args)
-    oracle = WeightedSampler(text, dist) if dist is not None else UniformSampler(text)
-    accuracy = as_fraction(args.delta)
-    constants = _constants(args)
-    repeat_free = args.command == "estimate-df-wc"
-    runner = estimate_distance_repeat_free if repeat_free else estimate_distance
-
-    def samples(result) -> int:
-        return result.first_size + result.second_size
-
-    def fields(result) -> dict:
-        return {
-            "samples": {
-                "first": result.first_size,
-                "second": result.second_size,
-                "total": samples(result),
-            },
-            "intervals": result.intervals,
-        }
-
-    payload = _estimate_report(
-        args, text, word,
-        lambda s: runner(oracle, word, accuracy, s, constants),
-        fields,
-        samples,
-    )
-    payload["weights"] = "file" if dist is not None else "uniform"
-    payload.update(constants.report_fields())
+        payload["samples_total"] = sum(result.draws for result in results)
+    if kind != "uniform":
+        payload["weights"] = "file" if dist is not None else "uniform"
+        payload.update(constants.report_fields())
     return payload
 
 

@@ -31,6 +31,7 @@ from ..distfree import (
     ReferencePartition,
     densities_within,
     estimate_distance,
+    estimate_distance_repeat_free,
     exact_symbol_density,
     first_sample_size,
     interval_resolution,
@@ -83,6 +84,36 @@ def median_low(values: list) -> object:
     return ordered[(len(ordered) - 1) // 2]
 
 
+def estimator(
+    kind: str,
+    text: Text,
+    word: Word,
+    dist: Optional[Distribution] = None,
+    constants: EstimatorConstants = DEFAULT_CONSTANTS,
+):
+    """`run(accuracy, seed)`, one run of the estimator `kind` on the
+    instance: "uniform" (uniform weights), "df" (distribution-free) or
+    "df-wc" (distribution-free, words without adjacent equal symbols).
+
+    The one place that picks the sampler: `WeightedSampler` over `dist`,
+    or `UniformSampler` when `dist` is None, so that every unweighted run
+    draws a phase of at most n/4 positions sparsely.
+    """
+    if kind not in ("uniform", "df", "df-wc"):
+        raise ValueError("estimator kind must be 'uniform', 'df' or 'df-wc'")
+    if kind == "uniform" and dist is not None:
+        raise ValueError("the uniform estimator takes no weights")
+    if kind == "uniform" and constants != DEFAULT_CONSTANTS:
+        raise ValueError("the uniform estimator takes no estimator constants")
+    oracle = UniformSampler(text) if dist is None else WeightedSampler(text, dist)
+    if kind == "uniform":
+        return lambda accuracy, seed: estimate_distance_uniform(oracle, word, accuracy, seed)
+    if kind == "df":
+        return lambda accuracy, seed: estimate_distance(oracle, word, accuracy, seed, constants)
+    return lambda accuracy, seed: estimate_distance_repeat_free(
+        oracle, word, accuracy, seed, constants)
+
+
 def estimator_sweep(
     kind: str,
     text: Text,
@@ -93,49 +124,26 @@ def estimator_sweep(
     dist: Optional[Distribution] = None,
     constants: EstimatorConstants = DEFAULT_CONSTANTS,
 ) -> dict:
-    """Success-rate sweep of one estimator over an accuracy grid.
+    """Success-rate sweep of one estimator over an accuracy grid. Trial t
+    runs `estimator(kind, ...)` on seed `seed ^ t`.
 
     Truth comes from the exact oracles, so every row carries success
     counts and errors against it.
     """
-    if kind not in ("uniform", "df"):
-        raise ValueError("estimator kind must be 'uniform' or 'df'")
+    run = estimator(kind, text, word, dist, constants)
     if trials < 0:
         raise ValueError("trials must be non-negative")
     checked = [checked_accuracy(word.k, accuracy) for accuracy in accuracies]
-    if kind == "uniform":
-        if dist is not None:
-            raise ValueError("the uniform estimator takes no weights")
-        if constants != DEFAULT_CONSTANTS:
-            raise ValueError("the uniform estimator takes no estimator constants")
-        oracle = UniformSampler(text)
-        truth = uniform_distance(text, word)
-        weights_kind = "uniform"
-
-        def run(acc, tseed):
-            result = estimate_distance_uniform(oracle, word, acc, tseed)
-            return result, {"draws": result.sample_size}
-    else:
-        if dist is None:
-            dist = Distribution.uniform(text.n)
-        oracle = WeightedSampler(text, dist)
-        truth = exact_weighted_distance(text, word, dist)
-        weights_kind = "exact"
-
-        def run(acc, tseed):
-            result = estimate_distance(oracle, word, acc, tseed, constants)
-            return result, {
-                "first": result.first_size,
-                "second": result.second_size,
-                "total": result.first_size + result.second_size,
-                "intervals": result.intervals,
-            }
+    truth = uniform_distance(text, word) if dist is None else exact_weighted_distance(text, word, dist)
     rows = []
     for acc in checked:
         results = []
         for t, tseed in enumerate(trial_seeds(seed, trials)):
-            result, samples = run(acc, tseed)
+            result = run(acc, tseed)
             error = abs(result.raw - truth)
+            samples = {"draws": result.draws} if kind == "uniform" else {
+                "first": result.first_size, "second": result.second_size,
+                "total": result.draws, "intervals": result.intervals}
             results.append({
                 "trial": t,
                 "seed": tseed,
@@ -159,7 +167,7 @@ def estimator_sweep(
         "estimator": kind,
         "n": text.n,
         "k": word.k,
-        "weights": weights_kind,
+        "weights": "uniform" if kind == "uniform" else "exact",
         "truth": fraction_str(truth),
         "seed": seed,
         "rows": rows,

@@ -177,6 +177,10 @@ class UniformEstimate:
     k: int
     seed: int
 
+    @property
+    def draws(self) -> int:
+        return self.sample_size
+
 
 def estimate_distance_uniform(
     oracle: Sampler, word: Word, accuracy, seed: int

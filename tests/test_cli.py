@@ -12,6 +12,7 @@ from seqfree.harness.cli import main
 from seqfree.exact import bruteforce_distance
 from seqfree.harness.experiments import concentration_experiment, fraction_str
 from seqfree.harness.fileio import load_text, load_weights, load_word
+from seqfree.harness.generators import random_text
 from seqfree.uniform import estimate_distance_uniform
 
 
@@ -381,6 +382,28 @@ class TestSweepCommand:
         )
         assert code == 0 and err == ""
         assert json.loads(out)["truth"] == tiny_weight_truth(text, word, weights)
+
+    def test_unweighted_df_trial_is_the_estimate_df_run(self, tmp_path, capsys):
+        # Phase two draws 96 of 1,000 positions, at most n/4, which the
+        # unweighted sampler draws sparsely: trial t must draw as
+        # `estimate-df --seed 3^t` does.
+        text, word = tmp_path / "text.txt", tmp_path / "word.txt"
+        text.write_text(" ".join(map(str, random_text(1000, 3, 1).ids.tolist())) + "\n")
+        word.write_text("1 2\n")
+        instance = ["--text", str(text), "--word", str(word), "--relaxed-constants", "100"]
+        code, out, err = run_cli(
+            ["sweep", "--estimator", "df", "--deltas", "0.5", "--trials", "2",
+             "--seed", "3"] + instance,
+            capsys,
+        )
+        assert code == 0 and err == ""
+        trials = json.loads(out)["rows"][0]["results"]
+        for t, trial in enumerate(trials):
+            assert trial["samples"]["second"] * 4 <= 1000
+            code, out, err = run_cli(
+                ["estimate-df", "--delta", "0.5", "--seed", str(3 ^ t)] + instance, capsys)
+            assert code == 0 and err == ""
+            assert json.loads(out)["raw"] == trial["raw"]
 
     def test_sweep_zero_trials(self, instance, capsys):
         code, out, _ = run_cli(

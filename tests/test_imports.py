@@ -6,7 +6,9 @@ of it goes through the separator rewrite, which only the tests and the
 benchmark keep as the reference for the recursion's lag. The estimators
 take their tallies from the sampler, and only the second-event diagnostic
 tallies a sample. `draw` and `draw_tallies` are written once, on
-`Sampler`, over the one draw hook. Each report label has one writer."""
+`Sampler`, over the one draw hook. Each report label has one writer. In
+the harness, one function maps an estimator kind to its sampler and
+estimator."""
 
 import ast
 from pathlib import Path
@@ -129,9 +131,9 @@ def is_recursion(node: ast.AST) -> bool:
         and isinstance(node.value.value, ast.Name) and node.value.value.id == "np")
 
 
-def calls_of(name: str):
-    """A predicate: whether a node calls `name`, by bare name or as an
-    attribute. A call on `super()` is an override reaching the method it
+def calls_of(*names: str):
+    """A predicate: whether a node calls one of `names`, by bare name or as
+    an attribute. A call on `super()` is an override reaching the method it
     overrides, not a caller, and does not count."""
     def matches(node: ast.AST) -> bool:
         if not isinstance(node, ast.Call):
@@ -140,7 +142,8 @@ def calls_of(name: str):
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call) and (
                 getattr(func.value.func, "id", None) == "super"):
             return False
-        return name in (getattr(func, "id", None), getattr(func, "attr", None))
+        return any(name in (getattr(func, "id", None), getattr(func, "attr", None))
+                   for name in names)
     return matches
 
 
@@ -333,3 +336,42 @@ def test_detects_label_writers():
     assert enclosing_sites(tree, is_off_spec_label) == [
         ("report_fields", 2), ("f", 5), ("f", 6)]
     assert enclosing_sites(tree, stores_command_key) == [("f", 4), ("f", 5), (None, 7)]
+
+
+is_estimator_call = calls_of(
+    "estimate_distance_uniform", "estimate_distance", "estimate_distance_repeat_free")
+builds_a_sampler = calls_of("UniformSampler", "WeightedSampler")
+
+# Under `harness/`, `experiments.estimator` alone maps an estimator kind to
+# its sampler and estimator, for the CLI and the sweep alike;
+# `event_diagnostics` builds the sampler its trials draw the two phases from.
+ESTIMATOR_TABLE = {
+    is_estimator_call: {("harness/experiments.py", "estimator")},
+    builds_a_sampler: {("harness/experiments.py", "estimator"),
+                       ("harness/experiments.py", "event_diagnostics")},
+}
+
+
+def test_one_estimator_table_in_the_harness():
+    trees = {module: tree for module, tree in package_trees().items()
+             if module.startswith("harness/")}
+    assert "harness/cli.py" in trees and "harness/experiments.py" in trees
+    for matches, allowed in ESTIMATOR_TABLE.items():
+        sites = {(module, function) for module, tree in trees.items()
+                 for function, _ in enclosing_sites(tree, matches)}
+        assert sites == allowed, sorted(sites)
+
+
+def test_detects_estimator_calls_and_sampler_builds():
+    tree = ast.parse(
+        "def estimator(kind, text, word):\n"
+        "    oracle = core.UniformSampler(text)\n"
+        "    return lambda a, s: estimate_distance(oracle, word, a, s)\n"
+        "def cmd(args):\n"
+        "    run = distfree.estimate_distance_repeat_free\n"
+        "    return uniform.estimate_distance_uniform(WeightedSampler(t, d), w, a, 0)\n"
+        "top = estimate_distance_uniform(o, w, a, 1)\n"
+    )
+    assert enclosing_sites(tree, is_estimator_call) == [
+        ("estimator", 3), ("cmd", 6), (None, 7)]
+    assert enclosing_sites(tree, builds_a_sampler) == [("estimator", 2), ("cmd", 6)]
