@@ -11,7 +11,7 @@ of them so that reports are byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def estimator(
     word: Word,
     dist: Optional[Distribution] = None,
     constants: EstimatorConstants = DEFAULT_CONSTANTS,
-):
+) -> Callable:
     """`run(accuracy, seed)`, one run of the estimator `kind` on the
     instance: "uniform" (uniform weights), "df" (distribution-free) or
     "df-wc" (distribution-free, words without adjacent equal symbols).
