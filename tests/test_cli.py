@@ -398,6 +398,7 @@ class TestSweepCommand:
         )
         assert code == 0 and err == ""
         trials = json.loads(out)["rows"][0]["results"]
+        assert len(trials) == 2
         for t, trial in enumerate(trials):
             assert trial["samples"]["second"] * 4 <= 1000
             code, out, err = run_cli(
