@@ -23,7 +23,7 @@ from seqfree import (
     uniform_distance,
 )
 from seqfree import core
-from seqfree.core import SENTINEL, drop_zero_weight
+from seqfree.core import SENTINEL, drop_zero_weight, role_prefix_counts
 from seqfree.exact import (
     BRUTEFORCE_LIMIT,
     EXPANSION_LIMIT,
@@ -32,6 +32,7 @@ from seqfree.exact import (
     final_measure,
     running_maximum,
 )
+from seqfree.harness.generators import random_text
 
 from conftest import (
     branching_distance,
@@ -496,6 +497,35 @@ class TestRunningMaximumLag:
             changed += not np.array_equal(whole, next(running_maximum([counts], False)))
         assert changed > 0
 
+    # Role 1 carries a worst shortfall of 3 out of columns 0-2 under any
+    # lag: its shortfalls there are [3, 3, 2] lagged and [3, 2, 1] not.
+    # From column 3 on role 0 stays at 2, so role 1's shortfall is its
+    # count less 2 under any lag, and its measure is the same for every lag.
+    CARRIED = ([0, 1, 2], [3, 3, 3])
+    LATER = {
+        "equal": ([2, 2, 2, 2], [4, 5, 5, 5], [1, 2, 2, 2]),  # max shortfall 3
+        "below": ([2, 2, 2, 2], [3, 4, 4, 4], [0, 1, 1, 1]),  # max shortfall 2
+        "above": ([2, 2, 2, 2], [4, 5, 6, 6], [1, 2, 2, 2]),  # max shortfall 4
+    }
+
+    @pytest.mark.parametrize("case", sorted(LATER))
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_later_block_shortfall_against_carried_maximum(self, rng, case, dtype):
+        # A later block whose shortfalls stay at or below the carried
+        # maximum keeps it; one that passes it raises it.
+        later0, later1, measure1 = self.LATER[case]
+        counts = np.array(
+            [self.CARRIED[0] + later0, self.CARRIED[1] + later1], dtype=dtype)
+        want = np.array([counts[0], [0, 0, 0] + measure1], dtype=dtype)
+        for lag in (True, False, np.array([True, False, False, True, False, True, True])):
+            whole = next(running_maximum([counts], lag))
+            assert whole.dtype == counts.dtype and np.array_equal(whole, want)
+            splits = [np.split(counts, [3], axis=1)]
+            splits += [split_columns(counts, rng) for _ in range(10)]
+            for blocks in splits:
+                got = np.concatenate(list(running_maximum(blocks, lag)), axis=1)
+                assert got.dtype == counts.dtype and np.array_equal(got, whole)
+
     def test_final_measure_within_total(self, rng):
         # The estimators' raw values need no clamp: on nondecreasing,
         # non-negative role tallies, each at most a total tally column by
@@ -577,10 +607,10 @@ class TestBlockedRecursion:
     def test_allocation_is_independent_of_n(self):
         # numpy reports its buffers to tracemalloc, so a count row over the
         # text (8 MB in int64 at n = 1e6) shows here, on any machine.
+        # The six-symbol word takes two groups of counts.
         n = 10**6
         rng = np.random.default_rng(7)
-        t = random_text_ids(rng, n, 4)
-        w = Word([1, 2, 2, 3])
+        t = random_text_ids(rng, n, 6)
         d = Distribution.uniform(n)
 
         def allocated(call) -> int:
@@ -590,17 +620,83 @@ class TestBlockedRecursion:
             call()
             return tracemalloc.get_traced_memory()[1] - held
 
-        tracemalloc.start()
-        try:
-            copies = allocated(lambda: copy_count(t, w))
-            weighted = allocated(lambda: exact_weighted_distance(t, w, d))
-            table = allocated(lambda: copy_count_table(t, w))
-        finally:
-            tracemalloc.stop()
-        assert copies < 10**6 and weighted < 2 * 10**6
-        assert table > 8 * n * w.k  # the full table: the guard sees numpy
+        for w in (Word([1, 2, 2, 3]), Word([4, 1, 6, 2, 5, 3])):
+            tracemalloc.start()
+            try:
+                copies = allocated(lambda: copy_count(t, w))
+                weighted = allocated(lambda: exact_weighted_distance(t, w, d))
+                table = allocated(lambda: copy_count_table(t, w))
+            finally:
+                tracemalloc.stop()
+            assert copies < 10**6 and weighted < 2 * 10**6
+            assert table > 8 * n * w.k  # the full table: the guard sees numpy
 
     def test_benchmark_text_keeps_its_distance(self):
         # The value the whole-row kernel gave on the uniform-large text.
         text, word = load_workloads().uniform_inputs(1)
         assert uniform_distance(text, word) == Fraction(1248509, 5000000)
+
+    def test_eight_symbol_identity_word_keeps_its_count(self):
+        # Eight roles fill both groups of four counts; greedy copies agree.
+        text = random_text(10**6, 8, 1)
+        assert copy_count(text, Word(list(range(1, 9)))) == 123901
+
+    def test_block_fits_a_16_bit_count(self):
+        # The unweighted counts of one block are summed in 16-bit lanes.
+        assert 1 <= core.COPY_BLOCK < 2**16
+
+
+class TestPackedCounts:
+    """The unweighted counts of `role_prefix_counts` against the same
+    counts on unit weights, which take one cumsum per role, block by
+    block, at block sizes that put seams everywhere and at the largest
+    block a 16-bit count holds."""
+
+    TOP = 2**31 - 1
+
+    @staticmethod
+    def assert_unit_weights_agree(text: Text, word: Word) -> None:
+        packed = list(role_prefix_counts(text, word))
+        unit = list(role_prefix_counts(text, word, np.ones(text.n, np.int64)))
+        assert len(packed) == len(unit)
+        for got, want in zip(packed, unit):
+            assert got.dtype == np.int32 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def words(self, rng, symbols: np.ndarray):
+        """Words of five to eight distinct symbols, some of them absent
+        from the text, with adjacent repeats."""
+        for distinct in range(5, 9):
+            roles = rng.permutation(symbols)[:distinct]
+            repeats = rng.integers(1, 3, size=distinct)
+            yield Word(np.repeat(roles, repeats))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 2**16 - 1])
+    def test_unit_weights_agree(self, rng, block):
+        top = self.TOP
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "COPY_BLOCK", block)
+            # n = 1; the word's other symbols are absent.
+            self.assert_unit_weights_agree(Text([7]), Word([7]))
+            self.assert_unit_weights_agree(Text([7]), Word([7, 7, 1, 2, 3, 4, 5, 6]))
+            for base in (1, top - 9):
+                symbols = np.arange(base, base + 10)  # ids 8 and 9 up are absent
+                for _ in range(10):
+                    n = int(rng.integers(1, 40))
+                    text = Text(rng.choice(symbols[:8], size=n))
+                    for word in self.words(rng, symbols):
+                        self.assert_unit_weights_agree(text, word)
+
+    def test_full_block_counts(self, rng):
+        # One symbol counts nearly a whole block of 2**16 - 1, next to
+        # the lanes of seven others.
+        n = 2**16 + 5
+        ids = np.full(n, self.TOP - 3)
+        ids[rng.integers(0, n, size=50)] = self.TOP
+        text = Text(ids)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "COPY_BLOCK", 2**16 - 1)
+            for roles in ([1, 2, 3, self.TOP - 3, self.TOP, 4, 5, 6],
+                          [self.TOP - 3, self.TOP, self.TOP - 3],
+                          [self.TOP, 1, 2, 3, self.TOP - 3]):
+                self.assert_unit_weights_agree(text, Word(roles))
