@@ -554,17 +554,43 @@ def role_prefix_counts(
     dtype of `weights`.
     """
     n = text.n
-    if weights is None:
-        dtype = np.int32 if n < 2**31 else np.int64
-    else:
-        dtype = weights.dtype
-    roles = word.ids[:, None]
-    carry = np.zeros((roles.size, 1), dtype=dtype)
-    for start in range(0, n, COPY_BLOCK):
-        hits = text.ids[start : start + COPY_BLOCK] == roles
-        if weights is not None:
+    if weights is not None:
+        roles = word.ids[:, None]
+        carry = np.zeros((roles.size, 1), dtype=weights.dtype)
+        for start in range(0, n, COPY_BLOCK):
+            hits = text.ids[start : start + COPY_BLOCK] == roles
             hits = np.where(hits, weights[start : start + COPY_BLOCK], 0)
-        block = np.cumsum(hits, axis=1, dtype=dtype)
+            block = np.cumsum(hits, axis=1, dtype=weights.dtype)
+            block += carry
+            carry = block[:, -1:].copy()
+            yield block
+        return
+    # The hits of four symbols share one 64-bit cumsum, one 16-bit lane
+    # each: a lane counts at most one block, below 2**16, so no lane
+    # carries into the next. A short last group leaves its spare lanes zero.
+    dtype = np.int32 if n < 2**31 else np.int64
+    width = min(n, COPY_BLOCK)
+    symbols, lane_of = np.unique(word.ids, return_inverse=True)
+    groups = []
+    for g in range(0, symbols.size, 4):
+        lanes = np.zeros((width, 4), dtype=np.uint16)
+        members = [(i, int(lane) - g) for i, lane in enumerate(lane_of) if g <= lane < g + 4]
+        groups.append((symbols[g : g + 4].tolist(), lanes, lanes.view(np.uint64)[:, 0], members))
+    hit = np.empty(width, dtype=bool)
+    carry = np.zeros((word.k, 1), dtype=dtype)
+    for start in range(0, n, COPY_BLOCK):
+        ids = text.ids[start : start + COPY_BLOCK]
+        if ids.size < width:  # the last block
+            hit = hit[: ids.size]
+            groups = [(s, lanes[: ids.size], packed[: ids.size], m) for s, lanes, packed, m in groups]
+        block = np.empty((word.k, ids.size), dtype=dtype)
+        for group, lanes, packed, members in groups:
+            for lane, symbol in enumerate(group):
+                np.equal(ids, symbol, out=hit)
+                lanes[:, lane] = hit
+            np.add.accumulate(packed, out=packed)
+            for i, lane in members:
+                block[i] = lanes[:, lane]
         block += carry
         carry = block[:, -1:].copy()
         yield block

@@ -6,12 +6,14 @@ common denominator).
 The copy recursion, `running_maximum`, walks the text in column blocks of
 `core.COPY_BLOCK` and carries a few values per role from one block to the
 next, so `copy_count` and `exact_weighted_distance` hold O(k * COPY_BLOCK)
-counts at a time, never a count row over the whole text. Both lag it
-one column everywhere, exact for every word; the estimators lag it at
-the grid columns that cover one position (uniform) or at heavy
-intervals (distribution-free). The
-separator rewrite (`interleave_sentinel`) and the multiplicity expansion
-(`expand_text`) are kept as independent reference oracles only.
+counts at a time, never a count row over the whole text. A block that
+raises no role's worst shortfall, as most do once it has settled, costs
+one reduction per role instead of a running maximum. Both lag the
+recursion one column everywhere, exact for every word; the estimators
+lag it at the grid columns that cover one position (uniform) or at heavy
+intervals (distribution-free). The separator rewrite
+(`interleave_sentinel`) and the multiplicity expansion (`expand_text`)
+are kept as independent reference oracles only.
 
 Everything here is exact: the weighted distance reads integer numerators
 over the common denominator; the reference oracles use Fractions.
@@ -104,8 +106,10 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
     blocks. Lagged everywhere on full prefix counts it is exact for every
     word; lagged nowhere, for words without adjacent equal symbols. From
     block to block each role carries its last measure value, which a
-    lagged first column reads, and its shortfall maximum. Yields the
-    measure of each block.
+    lagged first column reads, and its shortfall maximum. A block whose
+    shortfalls all stay at or below the carried maximum takes one
+    reduction instead of the running maximum: the measure is the counts
+    less the carried value. Yields the measure of each block.
     """
     last = worst = None
     start = 0
@@ -128,12 +132,15 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
             else:
                 behind = np.concatenate((last[i - 1:i], measure[i - 1, :-1]))
                 np.subtract(counts[i], np.where(flags, behind, measure[i - 1]), out=shortfall)
-            # The carried maximum is at least 0, which clamps the whole
-            # running maximum.
-            shortfall[0] = max(shortfall[0], worst[i])
-            np.maximum.accumulate(shortfall, out=shortfall)
-            worst[i] = shortfall[-1]
-            np.subtract(counts[i], shortfall, out=shortfall)
+            if np.maximum.reduce(shortfall) > worst[i]:
+                # The carried maximum is at least 0, which clamps the whole
+                # running maximum.
+                shortfall[0] = max(shortfall[0], worst[i])
+                np.maximum.accumulate(shortfall, out=shortfall)
+                worst[i] = shortfall[-1]
+                np.subtract(counts[i], shortfall, out=shortfall)
+            else:  # no new shortfall: the carried maximum holds block-wide
+                np.subtract(counts[i], worst[i], out=shortfall)
         last = measure[:, -1].copy()
         yield measure
 
