@@ -107,9 +107,14 @@ POISSON_MARGIN = 10
 
 # `role_prefix_counts` walks a text in blocks of this many columns, so the
 # copy recursion carries a few values per role from block to block instead
-# of k count rows of length n + 1. At n = 10**7 and k = 3, 2**13 ran fastest
-# (0.21-0.24 s per `copy_count`, against 0.25-0.31 s at 2**12 and at 2**14
-# to 2**16); at k = 6 and k = 10 it was within 5% of the best size.
+# of k count rows of length n + 1. The unweighted counts sum one block in
+# 16-bit lanes, so a block must stay below 2**16 columns. At n = 10**7, a
+# `copy_count` (median of three best-of-five runs, 2-vCPU VM) took 94 ms at
+# k = 3 and 148 ms at k = 6 with 2**13 columns, 120 and 190 ms with 2**12,
+# and 81-88 and 137-152 ms with 2**14 to 2**16 - 1. The larger blocks save
+# per-block overhead but hold twice the counts or more: at 2**14 a six-role
+# word on n = 10**6 peaked at 1.5 MB unweighted and 3.1 MB weighted, against
+# 0.7 and 1.6 MB at 2**13, past the bounds of the allocation test.
 COPY_BLOCK = 2**13
 
 
@@ -580,9 +585,10 @@ def role_prefix_counts(
     carry = np.zeros((word.k, 1), dtype=dtype)
     for start in range(0, n, COPY_BLOCK):
         ids = text.ids[start : start + COPY_BLOCK]
-        if ids.size < width:  # the last block
+        if ids.size < width:  # the last block is shorter
             hit = hit[: ids.size]
-            groups = [(s, lanes[: ids.size], packed[: ids.size], m) for s, lanes, packed, m in groups]
+            groups = [(group, lanes[: ids.size], packed[: ids.size], members)
+                      for group, lanes, packed, members in groups]
         block = np.empty((word.k, ids.size), dtype=dtype)
         for group, lanes, packed, members in groups:
             for lane, symbol in enumerate(group):
