@@ -106,15 +106,16 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
     blocks. Lagged everywhere on full prefix counts it is exact for every
     word; lagged nowhere, for words without adjacent equal symbols. From
     block to block each role carries its last measure value, which a
-    lagged first column reads, and its shortfall maximum. A block whose
-    shortfalls all stay at or below the carried maximum takes one
-    reduction instead of the running maximum: the measure is the counts
-    less the carried value. Yields the measure of each block.
+    lagged first column reads, and its shortfall maximum. A block after
+    the first whose shortfalls all stay at or below the carried maximum
+    takes one reduction instead of the running maximum: the measure is
+    the counts less the carried value. Yields the measure of each block.
     """
     last = worst = None
     start = 0
     for counts in count_blocks:
-        if last is None:
+        first = last is None
+        if first:
             last = np.zeros(counts.shape[0], dtype=counts.dtype)
             worst = np.zeros_like(last)
         width = counts.shape[1]
@@ -132,15 +133,18 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
             else:
                 behind = np.concatenate((last[i - 1:i], measure[i - 1, :-1]))
                 np.subtract(counts[i], np.where(flags, behind, measure[i - 1]), out=shortfall)
-            if np.maximum.reduce(shortfall) > worst[i]:
+            # Only a later block tests for the skip: the first carries no
+            # maximum, and the estimators' recursions are one block.
+            if not first and np.maximum.reduce(shortfall) <= worst[i]:
+                # No new shortfall: the carried maximum holds block-wide.
+                np.subtract(counts[i], worst[i], out=shortfall)
+            else:
                 # The carried maximum is at least 0, which clamps the whole
                 # running maximum.
                 shortfall[0] = max(shortfall[0], worst[i])
                 np.maximum.accumulate(shortfall, out=shortfall)
                 worst[i] = shortfall[-1]
                 np.subtract(counts[i], shortfall, out=shortfall)
-            else:  # no new shortfall: the carried maximum holds block-wide
-                np.subtract(counts[i], worst[i], out=shortfall)
         last = measure[:, -1].copy()
         yield measure
 
