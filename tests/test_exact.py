@@ -673,14 +673,13 @@ class TestPackedCounts:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 2**16 - 1])
     def test_unit_weights_agree(self, rng, block):
-        top = self.TOP
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "COPY_BLOCK", block)
             # n = 1; the word's other symbols are absent.
             self.assert_unit_weights_agree(Text([7]), Word([7]))
             self.assert_unit_weights_agree(Text([7]), Word([7, 7, 1, 2, 3, 4, 5, 6]))
-            for base in (1, top - 9):
-                symbols = np.arange(base, base + 10)  # ids 8 and 9 up are absent
+            for base in (1, self.TOP - 9):
+                symbols = np.arange(base, base + 10)  # the last two are absent
                 for _ in range(10):
                     n = int(rng.integers(1, 40))
                     text = Text(rng.choice(symbols[:8], size=n))
