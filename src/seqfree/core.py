@@ -113,8 +113,8 @@ POISSON_MARGIN = 10
 # k = 3 and 148 ms at k = 6 with 2**13 columns, 120 and 190 ms with 2**12,
 # and 81-88 and 137-152 ms with 2**14 to 2**16 - 1. The larger blocks save
 # per-block overhead but hold twice the counts or more: at 2**14 a six-role
-# word on n = 10**6 peaked at 1.5 MB unweighted and 3.1 MB weighted, against
-# 0.7 and 1.6 MB at 2**13, past the bounds of the allocation test.
+# word on n = 10**6 peaks at 1.07 MB unweighted and 2.36 MB weighted, against
+# 0.54 and 1.18 MB at 2**13, past the bounds of the allocation test.
 COPY_BLOCK = 2**13
 
 
@@ -569,6 +569,7 @@ def role_prefix_counts(
             block += carry
             carry = block[:, -1:].copy()
             yield block
+            del hits, block  # before the next block is allocated
         return
     # The hits of four symbols share one 64-bit cumsum, one 16-bit lane
     # each: a lane counts at most one block, below 2**16, so no lane
@@ -600,6 +601,7 @@ def role_prefix_counts(
         block += carry
         carry = block[:, -1:].copy()
         yield block
+        del block  # before the next block is allocated
 
 
 def gather_columns(count_blocks: Iterable[np.ndarray], columns: np.ndarray) -> np.ndarray:

@@ -147,6 +147,8 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
                 np.subtract(counts[i], shortfall, out=shortfall)
         last = measure[:, -1].copy()
         yield measure
+        # Free this block before the next one is counted and measured.
+        counts = measure = shortfall = None
 
 
 def final_measure(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray):
@@ -161,6 +163,7 @@ def final_measure(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray):
     value = 0
     for measure in running_maximum(count_blocks, lag):
         value = measure[-1, -1]
+        del measure  # before the next block is measured
     return value
 
 

@@ -22,7 +22,8 @@ from .experiments import (
     event_diagnostics,
     fraction_str,
     median_low,
-    spread_seeds,
+    run_record,
+    trial_seeds,
 )
 from .fileio import (
     canonical_json,
@@ -148,14 +149,6 @@ def cmd_exact(args) -> dict:
     return payload
 
 
-def _run_fields(kind: str, result) -> dict:
-    """The report fields of one run of the estimator `kind`."""
-    if kind == "uniform":
-        return {"samples": result.draws}
-    samples = {"first": result.first_size, "second": result.second_size, "total": result.draws}
-    return {"samples": samples, "intervals": result.intervals}
-
-
 def cmd_estimate(args) -> dict:
     """`estimate-uniform`, `estimate-df` and `estimate-df-wc`, which
     rejects a word with an adjacent repeat.
@@ -163,16 +156,20 @@ def cmd_estimate(args) -> dict:
     The runs are aggregated by lower median. Each run succeeds
     independently with probability at least 2/3, so the median of 2t+1
     runs fails only when t+1 runs fail, which decays exponentially in t.
-    A single run's fields go into the report itself; repeated runs are
-    listed, with their draws summed.
+    Run r draws on seed `S ^ r`, so it equals the single run of
+    `--seed S^r`. A single run's record goes into the report itself;
+    repeated runs are listed, with their draws summed.
     """
+    if args.repeats < 1:
+        raise ValueError("--repeats must be at least 1")
     text, word, dist = _load_instance(args)
     kind = args.command.removeprefix("estimate-")
     constants = _constants(args)
     run = estimator(kind, text, word, dist, constants)
     accuracy = as_fraction(args.delta)
-    seeds = spread_seeds(args.seed, args.repeats)
+    seeds = trial_seeds(args.seed, args.repeats)
     results = [run(accuracy, s) for s in seeds]
+    records = [run_record(kind, s, result) for s, result in zip(seeds, results)]
     median_raw = median_low([result.raw for result in results])
     payload = {
         "n": text.n,
@@ -184,13 +181,9 @@ def cmd_estimate(args) -> dict:
         "repeats": args.repeats,
     }
     if args.repeats == 1:
-        payload.update(_run_fields(kind, results[0]))
+        payload.update(records[0])
     else:
-        payload["runs"] = [
-            {"seed": s, "estimate": result.estimate, "raw": fraction_str(result.raw),
-             **_run_fields(kind, result)}
-            for s, result in zip(seeds, results)
-        ]
+        payload["runs"] = records
         payload["samples_total"] = sum(result.draws for result in results)
     if kind != "uniform":
         payload["weights"] = "file" if dist is not None else "uniform"
@@ -231,8 +224,6 @@ def cmd_lowerbound(args) -> dict:
 
 def cmd_diagnose(args) -> dict:
     text, word, dist = _load_instance(args)
-    if dist is None:
-        dist = Distribution.uniform(text.n)
     return event_diagnostics(
         text, word, dist, as_fraction(args.delta), args.trials, args.seed,
         _constants(args),

@@ -2,7 +2,8 @@
 scale, plus the lower-bound concentration run.
 
 Every experiment is a pure function of its configuration and one master
-seed. Per-trial seeds are the master seed XORed with the trial index;
+seed. Per-trial seeds are the master seed XORed with the trial index, for
+sweeps, diagnostics and the repeated runs of one estimate command alike;
 multi-stage pipelines split those further into independent streams.
 Reports are JSON-ready dicts; wall-clock times are deliberately kept out
 of them so that reports are byte-reproducible.
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Optional
-
-import numpy as np
 
 from ..core import (
     Distribution,
@@ -60,28 +59,34 @@ def trial_seeds(master: int, trials: int) -> list[int]:
     return [master ^ t for t in range(trials)]
 
 
-def spread_seeds(seed: int, repeats: int) -> list[int]:
-    """Independent integer seeds for repeated runs of one estimator call.
-
-    A single repeat keeps the caller's seed untouched so that one CLI run
-    equals one library call.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    if repeats == 1:
-        return [seed]
-    return [
-        int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
-        for r in range(repeats)
-    ]
-
-
 def median_low(values: list) -> object:
     """Deterministic median: the lower middle of the sorted values."""
     if not values:
         raise ValueError("median of nothing")
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
+
+
+def sampler(text: Text, dist: Optional[Distribution]):
+    """The oracle every harness run draws from: `WeightedSampler` over
+    `dist`, or `UniformSampler` when `dist` is None, so that every
+    unweighted run draws a phase of at most n/4 positions sparsely."""
+    return UniformSampler(text) if dist is None else WeightedSampler(text, dist)
+
+
+def run_record(kind: str, seed: int, result) -> dict:
+    """The report fields of one run of the estimator `kind` on `seed`:
+    the total draws as `samples` for "uniform"; for the distribution-free
+    kinds both phase sizes and their total as `samples`, beside the
+    interval count."""
+    record = {"seed": seed, "estimate": result.estimate, "raw": fraction_str(result.raw)}
+    if kind == "uniform":
+        record["samples"] = result.draws
+    else:
+        record["samples"] = {
+            "first": result.first_size, "second": result.second_size, "total": result.draws}
+        record["intervals"] = result.intervals
+    return record
 
 
 def estimator(
@@ -93,11 +98,8 @@ def estimator(
 ) -> Callable:
     """`run(accuracy, seed)`, one run of the estimator `kind` on the
     instance: "uniform" (uniform weights), "df" (distribution-free) or
-    "df-wc" (distribution-free, words without adjacent equal symbols).
-
-    The one place that picks the sampler: `WeightedSampler` over `dist`,
-    or `UniformSampler` when `dist` is None, so that every unweighted run
-    draws a phase of at most n/4 positions sparsely.
+    "df-wc" (distribution-free, words without adjacent equal symbols),
+    drawing from `sampler(text, dist)`.
     """
     if kind not in ("uniform", "df", "df-wc"):
         raise ValueError("estimator kind must be 'uniform', 'df' or 'df-wc'")
@@ -105,7 +107,7 @@ def estimator(
         raise ValueError("the uniform estimator takes no weights")
     if kind == "uniform" and constants != DEFAULT_CONSTANTS:
         raise ValueError("the uniform estimator takes no estimator constants")
-    oracle = UniformSampler(text) if dist is None else WeightedSampler(text, dist)
+    oracle = sampler(text, dist)
     if kind == "uniform":
         return lambda accuracy, seed: estimate_distance_uniform(oracle, word, accuracy, seed)
     if kind == "df":
@@ -141,18 +143,12 @@ def estimator_sweep(
         for t, tseed in enumerate(trial_seeds(seed, trials)):
             result = run(acc, tseed)
             error = abs(result.raw - truth)
-            samples = {"draws": result.draws} if kind == "uniform" else {
-                "first": result.first_size, "second": result.second_size,
-                "total": result.draws, "intervals": result.intervals}
             results.append({
                 "trial": t,
-                "seed": tseed,
-                "estimate": result.estimate,
-                "raw": fraction_str(result.raw),
+                **run_record(kind, tseed, result),
                 "truth": fraction_str(truth),
                 "error": float(error),
                 "within": bool(error <= acc),
-                "samples": samples,
             })
         row = {"accuracy": float(acc), "trials": trials, "results": results}
         if trials > 0:
@@ -167,7 +163,7 @@ def estimator_sweep(
         "estimator": kind,
         "n": text.n,
         "k": word.k,
-        "weights": "uniform" if kind == "uniform" else "exact",
+        "weights": "uniform" if dist is None else "exact",
         "truth": fraction_str(truth),
         "seed": seed,
         "rows": rows,
@@ -238,14 +234,17 @@ def concentration_experiment(
 def event_diagnostics(
     text: Text,
     word: Word,
-    dist: Distribution,
+    dist: Optional[Distribution],
     accuracy,
     trials: int,
     seed: int,
     constants: EstimatorConstants = DEFAULT_CONSTANTS,
 ) -> dict:
     """Frequencies of the two good-sample events, with the bounds they
-    are supposed to imply checked exactly whenever they hold.
+    are supposed to imply checked exactly whenever they hold. Trial t
+    draws from `sampler(text, dist)` on seed `seed ^ t`, as the
+    distribution-free estimator does; the exact references take uniform
+    weights when `dist` is None.
 
     Conditioned on the first event, every light interval of the sampled
     partition must carry true weight below 6/resolution. Conditioned on
@@ -256,12 +255,14 @@ def event_diagnostics(
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    oracle = sampler(text, dist)
+    if dist is None:
+        dist = Distribution.uniform(text.n)
     resolution = interval_resolution(word.k, accuracy, constants)
     first = first_sample_size(resolution, constants)
     reference = ReferencePartition.from_weights(dist, resolution)
     quantized = Distribution.from_numerators(
         quantized_numerators(dist, quantization_step(text.n, resolution, constants)))
-    oracle = WeightedSampler(text, dist)
     density_cap = constants.step_factor / resolution + Fraction(1, 2) / resolution
     first_event_hits = 0
     second_event_hits = 0

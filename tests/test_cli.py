@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from seqfree.core import Text, UniformSampler, Word
+from seqfree.harness import experiments
 from seqfree.harness.cli import main
 from seqfree.exact import bruteforce_distance
 from seqfree.harness.experiments import concentration_experiment, fraction_str
@@ -191,6 +192,13 @@ class TestExitCodes:
             code, out, err = run_cli(argv + ["--relaxed-constants", "10"], capsys)
             assert code == 2 and out == "" and err, argv[0]
 
+    def test_fewer_than_one_repeat_is_two(self, instance, capsys):
+        files = ["--text", instance["text"], "--word", instance["word"]]
+        for repeats in ("0", "-1"):
+            code, out, err = run_cli(
+                ["estimate-uniform", "--delta", "0.5", "--repeats", repeats] + files, capsys)
+            assert code == 2 and out == "" and err.startswith("error:"), repeats
+
     def test_unreachable_sample_size_is_two(self, instance, capsys):
         # accuracies whose sample sizes overflow a float or int64
         files = ["--text", instance["text"], "--word", instance["word"]]
@@ -327,6 +335,22 @@ class TestEstimateCommands:
             r["samples"]["total"] for r in payload["runs"]
         )
 
+    def test_repeated_runs_are_the_runs_of_the_xored_seeds(self, instance, capsys):
+        # Run r of `--repeats 3 --seed 5` is the single run of `--seed 5^r`.
+        files = ["--text", instance["text"], "--word", instance["word"], "--delta", "0.3"]
+        code, out, _ = run_cli(["estimate-uniform", "--seed", "5", "--repeats", "3"] + files,
+                               capsys)
+        assert code == 0
+        runs = json.loads(out)["runs"]
+        assert [run["seed"] for run in runs] == [5, 4, 7]
+        for run in runs:
+            code, out, _ = run_cli(["estimate-uniform", "--seed", str(run["seed"])] + files,
+                                   capsys)
+            assert code == 0
+            single = json.loads(out)
+            assert run == {key: single[key] for key in run}
+            assert set(run) == {"seed", "estimate", "raw", "samples"}
+
     def test_wc_agrees_with_general_on_repeat_free_word(self, instance, capsys):
         base = ["--text", instance["text"], "--word", instance["word"],
                 "--delta", "0.5", "--seed", "4"]
@@ -450,6 +474,30 @@ class TestLowerboundCommand:
 
 
 class TestDiagnoseCommand:
+    @pytest.mark.parametrize("weights, sampler", [
+        (False, "UniformSampler"), (True, "WeightedSampler")])
+    def test_draws_from_the_estimate_df_sampler(self, instance, weights, sampler,
+                                                 capsys, monkeypatch):
+        # Without `--weights`, `estimate-df` draws from the uniform sampler,
+        # which draws a phase of at most n/4 positions sparsely.
+        drawn_from = []
+
+        def recording(oracle, *args, **kwargs):
+            drawn_from.append(type(oracle).__name__)
+            return sample_phases(oracle, *args, **kwargs)
+
+        sample_phases = experiments.sample_phases
+        monkeypatch.setattr(experiments, "sample_phases", recording)
+        argv = ["diagnose-events", "--text", instance["text"], "--word", instance["word"],
+                "--delta", "0.5", "--trials", "2", "--relaxed-constants", "50"]
+        if weights:
+            path = instance["dir"] / "weights.txt"
+            path.write_text("1/60\n" * 60)
+            argv += ["--weights", str(path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert drawn_from == [sampler, sampler]
+
     def test_smoke(self, instance, capsys):
         code, out, _ = run_cli(
             ["diagnose-events", "--text", instance["text"],

@@ -15,7 +15,6 @@ from seqfree.harness.experiments import (
     event_diagnostics,
     fraction_str,
     median_low,
-    spread_seeds,
     trial_seeds,
 )
 from seqfree.harness.fileio import (
@@ -138,16 +137,6 @@ class TestTrialHelpers:
     def test_trial_seeds(self):
         assert trial_seeds(12, 4) == [12, 13, 14, 15]
 
-    def test_spread_seeds_single_repeat_is_identity(self):
-        assert spread_seeds(7, 1) == [7]
-
-    def test_spread_seeds_many(self):
-        a = spread_seeds(7, 3)
-        assert a == spread_seeds(7, 3)
-        assert len(set(a)) == 3
-        with pytest.raises(ValueError):
-            spread_seeds(7, 0)
-
     def test_median_low(self):
         assert median_low([3, 1, 2]) == 2
         assert median_low([4, 1, 3, 2]) == 2
@@ -176,7 +165,7 @@ class TestEstimatorSweep:
         report = estimator_sweep("uniform", t, w, [Fraction(3, 10)], 10, 0)
         row = report["rows"][0]
         assert row["successes"] >= 9
-        assert all(r["samples"]["draws"] == 1097 for r in row["results"])
+        assert all(r["samples"] == 1097 for r in row["results"])
         assert report["weights"] == "uniform"
         assert "off_spec_constants" not in report
 
@@ -201,6 +190,15 @@ class TestEstimatorSweep:
             assert r["samples"]["total"] == (
                 r["samples"]["first"] + r["samples"]["second"]
             )
+
+    def test_df_without_weights_is_labelled_uniform(self):
+        t = periodic_text(20, 2)
+        report = estimator_sweep("df", t, identity_word(2), [Fraction(1, 2)], 2, 1)
+        assert report["weights"] == "uniform"
+        assert report["truth"] == "1/2"
+        for r in report["rows"][0]["results"]:
+            assert r["samples"]["total"] == r["samples"]["first"] + r["samples"]["second"]
+            assert r["intervals"] >= 1
 
     def test_df_float_weights_get_exact_truth(self):
         t = periodic_text(12, 2)

@@ -6,9 +6,10 @@ of it goes through the separator rewrite, which only the tests and the
 benchmark keep as the reference for the recursion's lag. The estimators
 take their tallies from the sampler, and only the second-event diagnostic
 tallies a sample. `draw` and `draw_tallies` are written once, on
-`Sampler`, over the one draw hook. Each report label has one writer. In
-the harness, one function maps an estimator kind to its sampler and
-estimator."""
+`Sampler`, over the one draw hook. Each report label has one writer, and
+one function writes the record of an estimator run. In the harness, one
+function maps an estimator kind to its estimator, and one builds the
+sampler every run draws from."""
 
 import ast
 from pathlib import Path
@@ -296,22 +297,31 @@ def is_off_spec_label(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and node.value == "off_spec_constants"
 
 
-def stores_command_key(node: ast.AST) -> bool:
-    """Whether the node stores a "command" key: as a subscript assigned
-    to, or as a key of a dict display."""
-    def is_command(key) -> bool:
-        return isinstance(key, ast.Constant) and key.value == "command"
-    if isinstance(node, ast.Subscript):
-        return isinstance(node.ctx, ast.Store) and is_command(node.slice)
-    return isinstance(node, ast.Dict) and any(map(is_command, node.keys))
+def stores_key(name: str):
+    """A predicate: whether a node stores the key `name`, as a subscript
+    assigned to or as a key of a dict display."""
+    def is_name(key) -> bool:
+        return isinstance(key, ast.Constant) and key.value == name
 
+    def matches(node: ast.AST) -> bool:
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, ast.Store) and is_name(node.slice)
+        return isinstance(node, ast.Dict) and any(map(is_name, node.keys))
+    return matches
+
+
+stores_command_key = stores_key("command")
+stores_samples_key = stores_key("samples")
 
 # The off-spec label of relaxed constants is written by
 # `EstimatorConstants.report_fields`, which every relaxed report takes it
-# from; the command name of a CLI report, by `cli.main` alone.
+# from; the command name of a CLI report, by `cli.main` alone; the draws
+# of an estimator run, for the estimate commands and the sweep alike, by
+# `experiments.run_record`.
 LABEL_WRITERS = {
     is_off_spec_label: {("distfree.py", "EstimatorConstants.report_fields")},
     stores_command_key: {("harness/cli.py", "main")},
+    stores_samples_key: {("harness/experiments.py", "run_record")},
 }
 
 
@@ -338,17 +348,30 @@ def test_detects_label_writers():
     assert enclosing_sites(tree, stores_command_key) == [("f", 4), ("f", 5), (None, 7)]
 
 
+def test_detects_samples_key_stores():
+    tree = ast.parse(
+        "def run_record(result):\n"
+        "    record = {'seed': 1}\n"
+        "    record['samples'] = result.draws\n"
+        "    return record\n"
+        "def sweep(result):\n"
+        "    row = {'trial': 0, 'samples': {'draws': result.draws}}\n"
+        "    return row['samples'], row.get('samples'), {'samples_total': 1}\n"
+        "top = dict(samples=1)\n"
+    )
+    assert enclosing_sites(tree, stores_samples_key) == [("run_record", 3), ("sweep", 6)]
+
+
 is_estimator_call = calls_of(
     "estimate_distance_uniform", "estimate_distance", "estimate_distance_repeat_free")
 builds_a_sampler = calls_of("UniformSampler", "WeightedSampler")
 
 # Under `harness/`, `experiments.estimator` alone maps an estimator kind to
-# its sampler and estimator, for the CLI and the sweep alike;
-# `event_diagnostics` builds the sampler its trials draw the two phases from.
+# its estimator, for the CLI and the sweep alike, and `experiments.sampler`
+# alone builds the sampler that they and the event diagnostics draw from.
 ESTIMATOR_TABLE = {
     is_estimator_call: {("harness/experiments.py", "estimator")},
-    builds_a_sampler: {("harness/experiments.py", "estimator"),
-                       ("harness/experiments.py", "event_diagnostics")},
+    builds_a_sampler: {("harness/experiments.py", "sampler")},
 }
 
 
@@ -375,3 +398,15 @@ def test_detects_estimator_calls_and_sampler_builds():
     assert enclosing_sites(tree, is_estimator_call) == [
         ("estimator", 3), ("cmd", 6), (None, 7)]
     assert enclosing_sites(tree, builds_a_sampler) == [("estimator", 2), ("cmd", 6)]
+
+
+def test_detects_sampler_builds_beside_the_sampler_pick():
+    tree = ast.parse(
+        "def sampler(text, dist):\n"
+        "    return UniformSampler(text) if dist is None else core.WeightedSampler(text, dist)\n"
+        "def event_diagnostics(text, dist):\n"
+        "    oracle = sampler(text, dist)\n"
+        "    return oracle, WeightedSampler(text, Distribution.uniform(text.n))\n"
+    )
+    assert enclosing_sites(tree, builds_a_sampler) == [
+        ("sampler", 2), ("sampler", 2), ("event_diagnostics", 5)]
