@@ -650,6 +650,23 @@ class TestBlockedRecursion:
         assert core.COPY_BLOCK == 2**13
         assert copies < 400_000 and weighted < 900_000
 
+    def test_weighted_counts_hold_one_array_per_block(self):
+        # The weighted counts of a block are summed in place on the masked
+        # weights, whose bool mask is dropped first: at 2**13 columns and
+        # k = 4 that is one 262 kB int64 array beside the block's measure,
+        # against three arrays for a separate mask, copy and cumsum.
+        n = 10**6
+        t = random_text_ids(np.random.default_rng(7), n, 6)
+        d = Distribution.uniform(n)
+        w = Word([1, 2, 2, 3])
+        tracemalloc.start()
+        try:
+            weighted = allocated(lambda: exact_weighted_distance(t, w, d))
+        finally:
+            tracemalloc.stop()
+        assert core.COPY_BLOCK == 2**13
+        assert weighted < 650_000
+
     def test_benchmark_text_keeps_its_distance(self):
         # The value the whole-row kernel gave on the uniform-large text.
         text, word = load_workloads().uniform_inputs(1)
