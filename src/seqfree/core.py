@@ -563,13 +563,14 @@ def role_prefix_counts(
         roles = word.ids[:, None]
         carry = np.zeros((roles.size, 1), dtype=weights.dtype)
         for start in range(0, n, COPY_BLOCK):
-            hits = text.ids[start : start + COPY_BLOCK] == roles
-            hits = np.where(hits, weights[start : start + COPY_BLOCK], 0)
-            block = np.cumsum(hits, axis=1, dtype=weights.dtype)
+            # The bool mask is dropped before the sum, which runs in place.
+            block = np.where(text.ids[start : start + COPY_BLOCK] == roles,
+                             weights[start : start + COPY_BLOCK], 0)
+            np.cumsum(block, axis=1, out=block)
             block += carry
             carry = block[:, -1:].copy()
             yield block
-            del hits, block  # before the next block is allocated
+            del block  # before the next block is allocated
         return
     # The hits of four symbols share one 64-bit cumsum, one 16-bit lane
     # each: a lane counts at most one block, below 2**16, so no lane
