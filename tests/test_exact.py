@@ -735,3 +735,94 @@ class TestPackedCounts:
                           [self.TOP - 3, self.TOP, self.TOP - 3],
                           [self.TOP, 1, 2, 3, self.TOP - 3]):
                 self.assert_unit_weights_agree(text, Word(roles))
+
+
+TEXT_KINDS = ("random", "periodic", "runs", "skewed")
+
+
+def kind_text(kind: str, n: int, seed: int) -> Text:
+    """n positions over symbols 1 to 3: uniform, a random pattern of one to
+    four symbols repeated, runs of one to eleven equal symbols, or mostly
+    symbol 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        ids = rng.integers(1, 4, size=n)
+    elif kind == "periodic":
+        ids = np.resize(rng.integers(1, 4, size=int(rng.integers(1, 5))), n)
+    elif kind == "runs":
+        ids = np.repeat(rng.integers(1, 4, size=n), rng.integers(1, 12, size=n))[:n]
+    else:
+        ids = rng.choice(np.arange(1, 4), size=n, p=[0.7, 0.2, 0.1])
+    return Text(ids)
+
+
+def kind_numerators(n: int, seed: int, zero_share: float, huge: bool) -> list:
+    """Weights 0 to 3 with about `zero_share` of them zero, the first at
+    least 1; `huge` adds 2**66 to the last, so that on two positions or
+    more D > 2**63 and the counts are Python integers."""
+    rng = np.random.default_rng(seed + 1)
+    numerators = rng.integers(0, 4, size=n)
+    numerators[rng.random(n) < zero_share] = 0
+    numerators = numerators.tolist()
+    numerators[0] += 1
+    numerators[-1] += 2**66 if huge else 0
+    return numerators
+
+
+class TestWholeTextMeasure:
+    """`copy_count` and `exact_weighted_distance` against the recursion
+    run on every block, `final_measure` of `role_prefix_counts`, and
+    against greedy copies, with blocks of one to sixteen columns, so that
+    the proof that a block is settled meets many seams, on texts that
+    settle (uniform, skewed) and that keep raising a shortfall (periodic,
+    runs)."""
+
+    @given(
+        st.sampled_from(TEXT_KINDS), st.integers(1, 300), st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 3), min_size=1, max_size=5), st.booleans(),
+        st.sampled_from([1, 2, 3, 4, 8, 16]),
+    )
+    @example("skewed", 300, 0, [1, 1, 2, 3], True, 8)
+    def test_counts_match_every_block_recursion(self, kind, n, seed, word_ids, repeat, block):
+        if repeat and len(word_ids) > 1:
+            word_ids[1] = word_ids[0]
+        text, word = kind_text(kind, n, seed), Word(word_ids)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "COPY_BLOCK", block)
+            want = final_measure(role_prefix_counts(text, word), True)
+            assert copy_count(text, word) == want == greedy_copies(text, word).count
+
+    @given(
+        st.sampled_from(TEXT_KINDS), st.integers(1, 300), st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 3), min_size=1, max_size=5), st.booleans(),
+        st.sampled_from([0.0, 0.3, 0.9]), st.booleans(), st.sampled_from([1, 2, 3, 4, 8, 16]),
+    )
+    @example("random", 300, 0, [2, 2, 1], True, 0.3, True, 4)
+    def test_weighted_match_every_block_recursion(
+        self, kind, n, seed, word_ids, repeat, zero_share, huge, block
+    ):
+        if repeat and len(word_ids) > 1:
+            word_ids[1] = word_ids[0]
+        text, word = kind_text(kind, n, seed), Word(word_ids)
+        d = Distribution.from_numerators(kind_numerators(n, seed, zero_share, huge))
+        assert (d.numerators().dtype == object) == (huge and n > 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "COPY_BLOCK", block)
+            measure = final_measure(role_prefix_counts(text, word, d.numerators()), True)
+            want = Fraction(int(measure), d.common_denominator())
+            assert exact_weighted_distance(text, word, d) == want
+
+    @pytest.mark.parametrize("kind", TEXT_KINDS)
+    def test_longer_texts_with_whole_chunks(self, kind):
+        # 2**8 columns a block, so a pass tests many blocks of whole chunks.
+        for seed in range(3):
+            text = kind_text(kind, 30_000, seed)
+            for word in (Word([1, 2, 3]), Word([1, 1, 2]), Word([3, 1, 2, 1])):
+                d = Distribution.from_numerators(kind_numerators(text.n, seed, 0.3, False))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(core, "COPY_BLOCK", 2**8)
+                    counts = final_measure(role_prefix_counts(text, word), True)
+                    weighted = final_measure(role_prefix_counts(text, word, d.numerators()), True)
+                    assert copy_count(text, word) == counts == greedy_copies(text, word).count
+                    assert exact_weighted_distance(text, word, d) == Fraction(
+                        int(weighted), d.common_denominator())
