@@ -105,16 +105,18 @@ SPARSE_DRAW_RATIO = 4
 # again, with probability below 1e-20.
 POISSON_MARGIN = 10
 
-# `role_prefix_counts` walks a text in blocks of this many columns, so the
-# copy recursion carries a few values per role from block to block instead
-# of k count rows of length n + 1. The unweighted counts sum one block in
-# 16-bit lanes, so a block must stay below 2**16 columns. At n = 10**7, a
-# `copy_count` (median of three best-of-five runs, 2-vCPU VM) took 94 ms at
-# k = 3 and 148 ms at k = 6 with 2**13 columns, 120 and 190 ms with 2**12,
-# and 81-88 and 137-152 ms with 2**14 to 2**16 - 1. The larger blocks save
-# per-block overhead but hold twice the counts or more: at 2**14 a six-role
-# word on n = 10**6 peaks at 1.07 MB unweighted and 2.36 MB weighted, against
-# 0.54 and 1.18 MB at 2**13, past the bounds of the allocation test.
+# `RoleCounts` builds the counts of a text in blocks of this many columns,
+# so the copy recursion carries a few values per role from block to block
+# instead of k count rows of length n + 1. The unweighted counts sum one
+# block in 16-bit lanes, so a block must stay below 2**16 columns.
+# `exact.text_measure` proves a whole block settled or runs it exactly, so
+# a larger block is proved settled less often. At n = 10**7 a `copy_count` (three rounds of best of
+# five, 2-vCPU VM) took 27-28.5 ms on a 4-symbol uniform text at k = 3 and
+# 94-99 ms on a 6-symbol one at k = 6 with 2**13 columns; 27.5-28.6 and
+# 100-101 ms with 2**12, 32 and 106-170 ms with 2**14, 36-52 and 199-205 ms
+# with 2**15. A larger block also holds twice the counts or more: at 2**14 a
+# six-role word on n = 10**6 peaks at 1.07 MB unweighted and 1.79 MB
+# weighted, against 0.54 and 0.96 MB at 2**13.
 COPY_BLOCK = 2**13
 
 
@@ -545,62 +547,114 @@ class WeightedSampler(Sampler):
         self._dist = dist
 
 
+class RoleCounts:
+    """Per role, the total weight of its symbol within text prefixes: the
+    rows of one column block at a time, given the counts before it, and
+    per-symbol totals over short chunks of positions.
+
+    Blocks are `COPY_BLOCK` columns, as the module holds it when the
+    counts are built; column j of a block covers the prefix ending at the
+    block's j-th position. Without `weights` each position counts one, in
+    int32 when n < 2**31; otherwise position j counts weights[j - 1], and
+    the counts take the dtype of `weights`.
+    """
+
+    def __init__(self, text: Text, word: Word, weights: Optional[np.ndarray] = None) -> None:
+        self.ids = text.ids
+        self.weights = weights
+        self.k = word.k
+        self.size = COPY_BLOCK
+        # The distinct symbols of the word, and the index of each role's.
+        self.symbols, self.roles = np.unique(word.ids, return_inverse=True)
+        if weights is not None:
+            self.dtype = weights.dtype
+            self.role_ids = word.ids[:, None]
+            return
+        # The hits of four symbols share one 64-bit cumsum, one 16-bit lane
+        # each: a lane counts at most one block, below 2**16, so no lane
+        # carries into the next. A short last group leaves its spare lanes
+        # zero.
+        self.dtype = np.int32 if text.n < 2**31 else np.int64
+        width = min(text.n, COPY_BLOCK)
+        self.groups = []
+        for g in range(0, self.symbols.size, 4):
+            lanes = np.zeros((width, 4), dtype=np.uint16)
+            members = [(i, int(lane) - g) for i, lane in enumerate(self.roles) if g <= lane < g + 4]
+            self.groups.append((self.symbols[g : g + 4].tolist(), lanes, members))
+        self.hit = np.empty(width, dtype=bool)
+
+    def block(self, start: int, before: np.ndarray) -> np.ndarray:
+        """The (k, B) counts of the block of positions start + 1 to
+        start + B, B = `size` or what is left of the text, given the (k, 1)
+        counts of the prefix of length `start`."""
+        ids = self.ids[start : start + self.size]
+        if self.weights is not None:
+            # The bool mask is dropped before the sum, which runs in place.
+            block = np.multiply(self.weights[start : start + self.size], ids == self.role_ids)
+            np.cumsum(block, axis=1, out=block)
+        else:
+            block = np.empty((self.k, ids.size), dtype=self.dtype)
+            hit = self.hit[: ids.size]  # the last block may be shorter
+            for group, lanes, members in self.groups:
+                lanes = lanes[: ids.size]
+                packed = lanes.view(np.uint64)[:, 0]
+                for lane, symbol in enumerate(group):
+                    np.equal(ids, symbol, out=hit)
+                    lanes[:, lane] = hit
+                np.add.accumulate(packed, out=packed)
+                for i, lane in members:
+                    block[i] = lanes[:, lane]
+        block += before
+        return block
+
+    def chunk_totals(self, start: int, stop: int, chunk: int) -> np.ndarray:
+        """Per distinct symbol of the word (`symbols`), its total weight
+        in each run of `chunk` positions from start + 1 to stop, the last
+        run possibly shorter: a (len(symbols), ceil((stop - start) / chunk))
+        array in the counts' dtype. `chunk` is a power of two up to 128
+        that divides `size`.
+
+        Without weights each symbol takes one comparison and a
+        byte count: the hits, viewed as words of up to 8 bytes, are added
+        pairwise down to one word per chunk, each byte then counting at
+        most `chunk` positions, and the product with 0x0101...01 sums the
+        bytes into the top one. Weighted totals mask the weights one block
+        at a time and sum each chunk.
+        """
+        ids = self.ids[start:stop]
+        count = -(-ids.size // chunk)
+        totals = np.empty((self.symbols.size, count), dtype=self.dtype)
+        if self.weights is not None:
+            weights = self.weights[start:stop]
+            for lo in range(0, ids.size, self.size):
+                piece = slice(lo, lo + self.size)
+                masked = np.multiply(weights[piece], ids[piece] == self.symbols[:, None])
+                totals[:, lo // chunk : (lo + self.size) // chunk] = np.add.reduceat(
+                    masked, np.arange(0, masked.shape[1], chunk), axis=1)
+            return totals
+        lane = min(chunk, 8)
+        hit = np.zeros(count * chunk, dtype=bool)  # the tail past `stop` stays clear
+        words = hit.view(f"u{lane}")
+        ones, shift = words.dtype.type(int("01" * lane, 16)), words.dtype.type(8 * lane - 8)
+        for row, symbol in zip(totals, self.symbols):
+            np.equal(ids, symbol, out=hit[: ids.size])
+            summed = words
+            while summed.size > count:
+                summed = summed[0::2] + summed[1::2]
+            row[:] = summed * ones >> shift
+        return totals
+
+
 def role_prefix_counts(
     text: Text, word: Word, weights: Optional[np.ndarray] = None
 ) -> Iterator[np.ndarray]:
-    """Per role, the total weight of its symbol within every nonempty text
-    prefix, one block of `COPY_BLOCK` columns at a time.
-
-    Yields (k, B) arrays: column j of a block covers the prefix ending at
-    the block's j-th position, and the blocks follow each other along the
-    text. The empty prefix, before the first block, counts zero. Without
-    `weights` each position counts one, in int32 when n < 2**31;
-    otherwise position j counts weights[j - 1], and the counts take the
-    dtype of `weights`.
-    """
-    n = text.n
-    if weights is not None:
-        roles = word.ids[:, None]
-        carry = np.zeros((roles.size, 1), dtype=weights.dtype)
-        for start in range(0, n, COPY_BLOCK):
-            # The bool mask is dropped before the sum, which runs in place.
-            block = np.where(text.ids[start : start + COPY_BLOCK] == roles,
-                             weights[start : start + COPY_BLOCK], 0)
-            np.cumsum(block, axis=1, out=block)
-            block += carry
-            carry = block[:, -1:].copy()
-            yield block
-            del block  # before the next block is allocated
-        return
-    # The hits of four symbols share one 64-bit cumsum, one 16-bit lane
-    # each: a lane counts at most one block, below 2**16, so no lane
-    # carries into the next. A short last group leaves its spare lanes zero.
-    dtype = np.int32 if n < 2**31 else np.int64
-    width = min(n, COPY_BLOCK)
-    symbols, lane_of = np.unique(word.ids, return_inverse=True)
-    groups = []
-    for g in range(0, symbols.size, 4):
-        lanes = np.zeros((width, 4), dtype=np.uint16)
-        members = [(i, int(lane) - g) for i, lane in enumerate(lane_of) if g <= lane < g + 4]
-        groups.append((symbols[g : g + 4].tolist(), lanes, lanes.view(np.uint64)[:, 0], members))
-    hit = np.empty(width, dtype=bool)
-    carry = np.zeros((word.k, 1), dtype=dtype)
-    for start in range(0, n, COPY_BLOCK):
-        ids = text.ids[start : start + COPY_BLOCK]
-        if ids.size < width:  # the last block is shorter
-            hit = hit[: ids.size]
-            groups = [(group, lanes[: ids.size], packed[: ids.size], members)
-                      for group, lanes, packed, members in groups]
-        block = np.empty((word.k, ids.size), dtype=dtype)
-        for group, lanes, packed, members in groups:
-            for lane, symbol in enumerate(group):
-                np.equal(ids, symbol, out=hit)
-                lanes[:, lane] = hit
-            np.add.accumulate(packed, out=packed)
-            for i, lane in members:
-                block[i] = lanes[:, lane]
-        block += carry
-        carry = block[:, -1:].copy()
+    """The counts of `RoleCounts` block after block along the whole text:
+    (k, B) arrays, starting from the empty prefix, which counts zero."""
+    counts = RoleCounts(text, word, weights)
+    before = np.zeros((word.k, 1), dtype=counts.dtype)
+    for start in range(0, text.n, counts.size):
+        block = counts.block(start, before)
+        before = block[:, -1:].copy()
         yield block
         del block  # before the next block is allocated
 

@@ -15,6 +15,24 @@ intervals (distribution-free). The separator rewrite
 (`interleave_sentinel`) and the multiplicity expansion (`expand_text`)
 are kept as independent reference oracles only.
 
+Both oracles run the recursion through `text_measure`, which proves most
+settled blocks settled from per-chunk symbol totals, without their count
+rows. Write C_i for role i's counts, M_i for its lagged measure (M_1 =
+C_1) and W_i for its worst shortfall carried into a block (W_1 = 0).
+The counts never decrease along the text, and by induction over the
+roles nor does the measure: the running maximum rises by at most what
+the shortfall rises, and the shortfall by at most what the counts do.
+So for a chunk [a, b] of a block's positions and j in it, role i's
+shortfall is C_i[j] - M_{i-1}[j-1] <= C_i[b] - M_{i-1}[a-1]. Every
+block ends with M_i = C_i - W_i, so while role i-1 stays settled, its
+running maximum equal to W_{i-1}, M_{i-1}[a-1] = C_{i-1}[a-1] - W_{i-1}
+(at a - 1 just before the block, too). Hence if
+C_i[b] - C_{i-1}[a-1] <= W_i - W_{i-1} on every chunk of a block, role
+i's shortfalls stay at or below W_i in it once role i-1's do, and role
+1 has none. A block whose chunks pass this test for every role gives
+exactly what the skip branch of `running_maximum` gives: the counts at
+its end, last = counts - worst, and worst unchanged.
+
 Everything here is exact: the weighted distance reads integer numerators
 over the common denominator; the reference oracles use Fractions.
 """
@@ -35,6 +53,7 @@ from .core import (
     Text,
     Word,
     as_fraction,
+    RoleCounts,
     contains_word,
     role_prefix_counts,
 )
@@ -94,7 +113,11 @@ def greedy_copies(text: Text, word: Word) -> CopySet:
     return CopySet(positions, word)
 
 
-def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) -> Iterator[np.ndarray]:
+def running_maximum(
+    count_blocks: Iterable[np.ndarray],
+    lag: bool | np.ndarray,
+    carry: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> Iterator[np.ndarray]:
     """The copy recursion over per-role counts, one column block at a time.
 
     Each block holds one row of counts per role at consecutive prefix
@@ -106,16 +129,19 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
     blocks. Lagged everywhere on full prefix counts it is exact for every
     word; lagged nowhere, for words without adjacent equal symbols. From
     block to block each role carries its last measure value, which a
-    lagged first column reads, and its shortfall maximum. A block after
-    the first whose shortfalls all stay at or below the carried maximum
-    takes one reduction instead of the running maximum: the measure is
-    the counts less the carried value. Yields the measure of each block.
+    lagged first column reads, and its shortfall maximum: the arrays
+    (last, worst), which `carry` passes in from blocks measured before and
+    which are updated in place before each block is yielded. A block after
+    the first, or after a given carry, whose shortfalls all stay at or
+    below the carried maximum takes one reduction instead of the running
+    maximum: the measure is the counts less the carried value. Yields the
+    measure of each block.
     """
-    last = worst = None
+    later = carry is not None
+    last, worst = carry if later else (None, None)
     start = 0
     for counts in count_blocks:
-        first = last is None
-        if first:
+        if last is None:
             last = np.zeros(counts.shape[0], dtype=counts.dtype)
             worst = np.zeros_like(last)
         width = counts.shape[1]
@@ -133,9 +159,9 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
             else:
                 behind = np.concatenate((last[i - 1:i], measure[i - 1, :-1]))
                 np.subtract(counts[i], np.where(flags, behind, measure[i - 1]), out=shortfall)
-            # Only a later block tests for the skip: the first carries no
-            # maximum, and the estimators' recursions are one block.
-            if not first and np.maximum.reduce(shortfall) <= worst[i]:
+            # Only a later block tests for the skip: the first of the
+            # estimators' one-block recursions carries no maximum.
+            if later and np.maximum.reduce(shortfall) <= worst[i]:
                 # No new shortfall: the carried maximum holds block-wide.
                 np.subtract(counts[i], worst[i], out=shortfall)
             else:
@@ -145,7 +171,8 @@ def running_maximum(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray) 
                 np.maximum.accumulate(shortfall, out=shortfall)
                 worst[i] = shortfall[-1]
                 np.subtract(counts[i], shortfall, out=shortfall)
-        last = measure[:, -1].copy()
+        last[:] = measure[:, -1]
+        later = True
         yield measure
         # Free this block before the next one is counted and measured.
         counts = measure = shortfall = None
@@ -167,6 +194,80 @@ def final_measure(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray):
     return value
 
 
+# The settled-block proof of `text_measure` sums each symbol over chunks
+# of this many positions (a power of two up to 128), and tests the blocks
+# of about PROOF_PASS positions at a time.
+PROOF_CHUNK = 64
+PROOF_PASS = 2**16
+
+
+def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
+    """The copy measure of the whole text, lagged everywhere: the value of
+    `final_measure(role_prefix_counts(text, word, weights), lag=True)`,
+    in the counts' dtype, 0 on an empty text.
+
+    Builds count rows and runs `running_maximum` only on the blocks that
+    the settled-block proof (module docstring) leaves open. The first
+    block runs exactly, so a text of one block attempts no proof. After
+    it, the blocks of each pass are tested together from chunk totals
+    (`RoleCounts.chunk_totals`), and a failing block runs exactly before
+    the rest of the pass is tested again against the maxima it raised. A
+    pass that settles no block sends the next pass's worth of blocks
+    straight to the exact step, then twice as many after the next such
+    pass, and so on; a pass that settles any resets the count.
+    """
+    if text.n == 0:
+        return 0
+    counts = RoleCounts(text, word, weights)
+    n, size = text.n, counts.size
+    before = np.zeros(word.k, dtype=counts.dtype)  # the counts before the next block
+    carry = (np.zeros_like(before), np.zeros_like(before))  # last, worst
+
+    def run(index: int) -> None:
+        """The exact step: one block's count rows and running maximum."""
+        block = counts.block(index * size, before[:, None])
+        before[:] = block[:, -1]
+        next(running_maximum((block,), True, carry))
+
+    run(0)
+    blocks = -(-n // size)
+    per_pass = max(1, PROOF_PASS // size)
+    chunk = math.gcd(PROOF_CHUNK, size)
+    at, backoff = 1, per_pass
+    while at < blocks:
+        first, stop = at, min(at + per_pass, blocks)
+        # Counts at every chunk's end, and at the end of the chunk before.
+        totals = counts.chunk_totals(first * size, min(stop * size, n), chunk)
+        reach = np.cumsum(totals, axis=1, dtype=counts.dtype)[counts.roles] + before[:, None]
+        floor = np.concatenate((before[:, None], reach[:, :-1]), axis=1)
+        starts = np.arange(0, reach.shape[1], size // chunk)
+        ends = reach[:, np.append(starts[1:], reach.shape[1]) - 1]
+        # Each block's largest bound on the shortfalls of roles 2 to k.
+        rises = np.maximum.reduceat(reach[1:] - floor[:-1], starts, axis=1)
+        del totals, reach, floor  # before any block of the pass is counted
+        settled = False
+        while at < stop:
+            last, worst = carry
+            over = (rises[:, at - first:] > (worst[1:] - worst[:-1])[:, None]).any(axis=0)
+            failed = at + int(over.argmax()) if over.any() else stop
+            if failed > at:
+                before[:] = ends[:, failed - 1 - first]
+                np.subtract(before, worst, out=last)
+                settled = True
+            at = failed
+            if at < stop:
+                run(at)
+                at += 1
+        if settled:
+            backoff = per_pass
+            continue
+        for at in range(stop, min(stop + backoff, blocks)):
+            run(at)
+        at = min(stop + backoff, blocks)
+        backoff *= 2
+    return carry[0][-1]
+
+
 def copy_count_table(text: Text, word: Word) -> np.ndarray:
     """Maximum copies of each word prefix within each text prefix.
 
@@ -181,7 +282,7 @@ def copy_count_table(text: Text, word: Word) -> np.ndarray:
 def copy_count(text: Text, word: Word) -> int:
     """Maximum number of role-disjoint copies, O(nk) time, O(k * COPY_BLOCK)
     memory."""
-    return int(final_measure(role_prefix_counts(text, word), lag=True))
+    return int(text_measure(text, word))
 
 
 def uniform_distance(text: Text, word: Word) -> Fraction:
@@ -399,5 +500,5 @@ def exact_weighted_distance(text: Text, word: Word, dist: Distribution) -> Fract
         raise ValueError("distance is undefined for an empty text")
     if dist.n != text.n:
         raise ValueError("weights and text disagree on length")
-    counts = role_prefix_counts(text, word, dist.numerators())
-    return Fraction(int(final_measure(counts, lag=True)), dist.common_denominator())
+    measure = text_measure(text, word, dist.numerators())
+    return Fraction(int(measure), dist.common_denominator())

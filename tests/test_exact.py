@@ -22,8 +22,8 @@ from seqfree import (
     quantize_weights,
     uniform_distance,
 )
-from seqfree import core
-from seqfree.core import SENTINEL, drop_zero_weight, role_prefix_counts
+from seqfree import core, exact
+from seqfree.core import SENTINEL, RoleCounts, drop_zero_weight, role_prefix_counts
 from seqfree.exact import (
     BRUTEFORCE_LIMIT,
     EXPANSION_LIMIT,
@@ -769,26 +769,38 @@ def kind_numerators(n: int, seed: int, zero_share: float, huge: bool) -> list:
     return numerators
 
 
+def small_proof_layout(patch, block: int, chunk: int, span: int) -> None:
+    """Blocks of `block` columns, proof chunks of `chunk` positions (the
+    gcd with the block is taken) and passes of about `span` positions."""
+    patch.setattr(core, "COPY_BLOCK", block)
+    patch.setattr(exact, "PROOF_CHUNK", chunk)
+    patch.setattr(exact, "PROOF_PASS", span)
+
+
 class TestWholeTextMeasure:
     """`copy_count` and `exact_weighted_distance` against the recursion
     run on every block, `final_measure` of `role_prefix_counts`, and
-    against greedy copies, with blocks of one to sixteen columns, so that
-    the proof that a block is settled meets many seams, on texts that
-    settle (uniform, skewed) and that keep raising a shortfall (periodic,
-    runs)."""
+    against greedy copies, with blocks of one to sixteen columns, chunks
+    of one to eight positions and passes of one block to many, so that the
+    proof that a block is settled meets many seams, on texts that settle
+    (uniform, skewed) and that keep raising a shortfall (periodic, runs)."""
 
     @given(
         st.sampled_from(TEXT_KINDS), st.integers(1, 300), st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 3), min_size=1, max_size=5), st.booleans(),
-        st.sampled_from([1, 2, 3, 4, 8, 16]),
+        st.sampled_from([1, 2, 3, 4, 8, 16]), st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 16, 48]),
     )
-    @example("skewed", 300, 0, [1, 1, 2, 3], True, 8)
-    def test_counts_match_every_block_recursion(self, kind, n, seed, word_ids, repeat, block):
+    @example("skewed", 300, 0, [1, 2, 3], False, 8, 4, 48)
+    @example("skewed", 300, 0, [1, 1, 2, 3], True, 8, 8, 16)
+    def test_counts_match_every_block_recursion(
+        self, kind, n, seed, word_ids, repeat, block, chunk, span
+    ):
         if repeat and len(word_ids) > 1:
             word_ids[1] = word_ids[0]
         text, word = kind_text(kind, n, seed), Word(word_ids)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "COPY_BLOCK", block)
+            small_proof_layout(patch, block, chunk, span)
             want = final_measure(role_prefix_counts(text, word), True)
             assert copy_count(text, word) == want == greedy_copies(text, word).count
 
@@ -796,10 +808,12 @@ class TestWholeTextMeasure:
         st.sampled_from(TEXT_KINDS), st.integers(1, 300), st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 3), min_size=1, max_size=5), st.booleans(),
         st.sampled_from([0.0, 0.3, 0.9]), st.booleans(), st.sampled_from([1, 2, 3, 4, 8, 16]),
+        st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 16, 48]),
     )
-    @example("random", 300, 0, [2, 2, 1], True, 0.3, True, 4)
+    @example("random", 300, 0, [2, 2, 1], True, 0.3, True, 4, 2, 16)
+    @example("skewed", 300, 0, [1, 2, 3], False, 0.3, True, 8, 4, 48)
     def test_weighted_match_every_block_recursion(
-        self, kind, n, seed, word_ids, repeat, zero_share, huge, block
+        self, kind, n, seed, word_ids, repeat, zero_share, huge, block, chunk, span
     ):
         if repeat and len(word_ids) > 1:
             word_ids[1] = word_ids[0]
@@ -807,7 +821,7 @@ class TestWholeTextMeasure:
         d = Distribution.from_numerators(kind_numerators(n, seed, zero_share, huge))
         assert (d.numerators().dtype == object) == (huge and n > 1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "COPY_BLOCK", block)
+            small_proof_layout(patch, block, chunk, span)
             measure = final_measure(role_prefix_counts(text, word, d.numerators()), True)
             want = Fraction(int(measure), d.common_denominator())
             assert exact_weighted_distance(text, word, d) == want
@@ -826,3 +840,43 @@ class TestWholeTextMeasure:
                     assert copy_count(text, word) == counts == greedy_copies(text, word).count
                     assert exact_weighted_distance(text, word, d) == Fraction(
                         int(weighted), d.common_denominator())
+
+    @staticmethod
+    def counted_blocks(patch) -> list:
+        """Records the start of every block whose count rows are built."""
+        starts = []
+        rows = RoleCounts.block
+        patch.setattr(RoleCounts, "block",
+                      lambda counts, start, before: starts.append(start) or rows(counts, start, before))
+        return starts
+
+    def test_skewed_text_skips_the_rows_of_most_blocks(self):
+        # Every symbol of the word is rarer than the one before it, so the
+        # shortfalls settle early and the proof holds block after block.
+        n = 10**6
+        ids = np.random.default_rng(5).choice(np.arange(1, 4, dtype=np.int32), n, p=[0.5, 0.3, 0.2])
+        text, word = Text(ids), Word([1, 2, 3])
+        d = Distribution.from_numerators(kind_numerators(n, 5, 0.3, False))
+        blocks = -(-n // core.COPY_BLOCK)
+        with pytest.MonkeyPatch.context() as patch:
+            counted = self.counted_blocks(patch)
+            copies = copy_count(text, word)
+            assert 1 <= len(counted) < blocks // 10 and counted[0] == 0
+            counted.clear()
+            weighted = exact_weighted_distance(text, word, d)
+            assert 1 <= len(counted) < blocks // 10 and counted[0] == 0
+        assert copies == final_measure(role_prefix_counts(text, word), True)
+        measure = final_measure(role_prefix_counts(text, word, d.numerators()), True)
+        assert weighted == Fraction(int(measure), d.common_denominator())
+
+    @pytest.mark.parametrize("n", [1, 2000, 2**13])
+    def test_one_block_attempts_no_proof(self, n):
+        # The oracle-sized inputs of one block pay for no chunk totals.
+        text = kind_text("skewed", n, 3)
+        d = Distribution.from_numerators(kind_numerators(n, 3, 0.3, False))
+        with pytest.MonkeyPatch.context() as patch:
+            counted = self.counted_blocks(patch)
+            patch.setattr(RoleCounts, "chunk_totals", None)  # any call fails
+            copy_count(text, Word([1, 2, 3]))
+            exact_weighted_distance(text, Word([1, 1, 2]), d)
+        assert counted == [0, 0]

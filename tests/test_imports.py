@@ -6,7 +6,8 @@ of it goes through the separator rewrite, which only the tests and the
 benchmark keep as the reference for the recursion's lag. The estimators
 take their tallies from the sampler, and only the second-event diagnostic
 tallies a sample. `draw` and `draw_tallies` are written once, on
-`Sampler`, over the one draw hook. Each report label has one writer, and
+`Sampler`, over the one draw hook. The whole-text copy measure and its
+chunk totals are written once, and both exact oracles take it. Each report label has one writer, and
 one function writes the record of an estimator run. In the harness, one
 function maps an estimator kind to its estimator, and one builds the
 sampler every run draws from."""
@@ -153,10 +154,14 @@ is_draw_tallies_call = calls_of("draw_tallies")
 is_tally_positions_call = calls_of("tally_positions")
 
 
-def defines_a_draw(node: ast.AST) -> bool:
-    """Whether the node defines a function named `draw` or `draw_tallies`."""
-    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-        node.name in ("draw", "draw_tallies"))
+def defines(*names: str):
+    """A predicate: whether a node defines a function named one of `names`."""
+    def matches(node: ast.AST) -> bool:
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    return matches
+
+
+defines_a_draw = defines("draw", "draw_tallies")
 
 
 def separator_calls(tree: ast.Module) -> list:
@@ -290,6 +295,50 @@ def test_detects_draw_definitions_and_tally_positions_calls():
         ("Sampler", 2), ("UniformSampler", 6), (None, 12)]
     assert enclosing_sites(tree, is_tally_positions_call) == [
         ("Sampler.draw_tallies", 3), ("UniformSampler.draw", 7), ("inner", 10)]
+
+
+# `exact.text_measure` is the one whole-text measure, over the one
+# chunk-total helper `RoleCounts.chunk_totals`, which nothing else reads;
+# `copy_count` and `exact_weighted_distance` both take the measure from it.
+WHOLE_TEXT_DEFINITIONS = {
+    defines("text_measure"): [("exact.py", None)],
+    defines("chunk_totals"): [("core.py", "RoleCounts")],
+}
+WHOLE_TEXT_CALLERS = {
+    calls_of("text_measure"): {("exact.py", "copy_count"), ("exact.py", "exact_weighted_distance")},
+    calls_of("chunk_totals"): {("exact.py", "text_measure")},
+}
+
+
+def test_one_whole_text_measure():
+    trees = package_trees()
+    for matches, allowed in WHOLE_TEXT_DEFINITIONS.items():
+        sites = sorted((module, scope) for module, tree in trees.items()
+                       for scope, _ in enclosing_sites(tree, matches))
+        assert sites == allowed, sites
+    for matches, allowed in WHOLE_TEXT_CALLERS.items():
+        callers = {(module, scope) for module, tree in trees.items()
+                   for scope, _ in enclosing_sites(tree, matches)}
+        assert callers == allowed, sorted(callers)
+
+
+def test_detects_measure_definitions_and_callers():
+    tree = ast.parse(
+        "def text_measure(text, word):\n"
+        "    return counts.chunk_totals(0, 1, 64)\n"
+        "class RoleCounts:\n"
+        "    def chunk_totals(self, start, stop, chunk):\n"
+        "        def text_measure():\n"
+        "            return chunk_totals(1)\n"
+        "        return text_measure()\n"
+        "def copy_count(text, word):\n"
+        "    return int(exact.text_measure(text, word))\n"
+    )
+    assert enclosing_sites(tree, defines("text_measure")) == [(None, 1), ("RoleCounts.chunk_totals", 5)]
+    assert enclosing_sites(tree, defines("chunk_totals")) == [("RoleCounts", 4)]
+    assert enclosing_sites(tree, calls_of("text_measure")) == [
+        ("RoleCounts.chunk_totals", 7), ("copy_count", 9)]
+    assert enclosing_sites(tree, calls_of("chunk_totals")) == [("text_measure", 2), ("text_measure", 6)]
 
 
 def is_off_spec_label(node: ast.AST) -> bool:
