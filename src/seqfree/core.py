@@ -564,8 +564,10 @@ class RoleCounts:
         self.weights = weights
         self.k = word.k
         self.size = COPY_BLOCK
-        # The distinct symbols of the word, and the index of each role's.
-        self.symbols, self.roles = np.unique(word.ids, return_inverse=True)
+        # The distinct symbols of the word, and the index of each role's
+        # (not `np.unique`, whose first call grows a process by about 2 MB).
+        self.symbols = np.array(sorted(set(word.ids.tolist())), dtype=word.ids.dtype)
+        self.roles = np.searchsorted(self.symbols, word.ids)
         if weights is not None:
             self.dtype = weights.dtype
             self.role_ids = word.ids[:, None]
