@@ -109,14 +109,14 @@ POISSON_MARGIN = 10
 # so the copy recursion carries a few values per role from block to block
 # instead of k count rows of length n + 1. The unweighted counts sum one
 # block in 16-bit lanes, so a block must stay below 2**16 columns.
-# `exact.text_measure` proves a whole block settled or runs it exactly, so
-# a larger block is proved settled less often. At n = 10**7 a `copy_count` (three rounds of best of
-# five, 2-vCPU VM) took 27-28.5 ms on a 4-symbol uniform text at k = 3 and
-# 94-99 ms on a 6-symbol one at k = 6 with 2**13 columns; 27.5-28.6 and
-# 100-101 ms with 2**12, 32 and 106-170 ms with 2**14, 36-52 and 199-205 ms
-# with 2**15. A larger block also holds twice the counts or more: at 2**14 a
-# six-role word on n = 10**6 peaks at 1.07 MB unweighted and 1.79 MB
-# weighted, against 0.54 and 0.96 MB at 2**13.
+# `exact.text_measure` proves a whole block settled or runs it exactly, so a
+# larger block is proved settled less often. At n = 10**7 a `copy_count`
+# (three rounds of best of five, 2-vCPU VM) took 27-28.5 ms on a 4-symbol
+# uniform text at k = 3 and 94-99 ms on a 6-symbol one at k = 6 with 2**13
+# columns; 27.5-28.6 and 100-101 ms with 2**12, 32 and 106-170 ms with
+# 2**14, 36-52 and 199-205 ms with 2**15. A larger block also holds twice
+# the counts or more: at 2**14 a six-role word on n = 10**6 peaks at 1.07 MB
+# unweighted and 1.79 MB weighted, against 0.54 and 0.96 MB at 2**13.
 COPY_BLOCK = 2**13
 
 
@@ -582,7 +582,7 @@ class RoleCounts:
         for g in range(0, self.symbols.size, 4):
             lanes = np.zeros((width, 4), dtype=np.uint16)
             members = [(i, int(lane) - g) for i, lane in enumerate(self.roles) if g <= lane < g + 4]
-            self.groups.append((self.symbols[g : g + 4].tolist(), lanes, members))
+            self.groups.append((self.symbols[g : g + 4].tolist(), lanes, lanes.view(np.uint64)[:, 0], members))
         self.hit = np.empty(width, dtype=bool)
 
     def block(self, start: int, before: np.ndarray) -> np.ndarray:
@@ -596,10 +596,12 @@ class RoleCounts:
             np.cumsum(block, axis=1, out=block)
         else:
             block = np.empty((self.k, ids.size), dtype=self.dtype)
-            hit = self.hit[: ids.size]  # the last block may be shorter
-            for group, lanes, members in self.groups:
-                lanes = lanes[: ids.size]
-                packed = lanes.view(np.uint64)[:, 0]
+            hit, groups = self.hit, self.groups
+            if ids.size < hit.size:  # the last block is shorter
+                hit = hit[: ids.size]
+                groups = [(group, lanes[: ids.size], packed[: ids.size], members)
+                          for group, lanes, packed, members in groups]
+            for group, lanes, packed, members in groups:
                 for lane, symbol in enumerate(group):
                     np.equal(ids, symbol, out=hit)
                     lanes[:, lane] = hit

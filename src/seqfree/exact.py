@@ -214,7 +214,9 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
     the rest of the pass is tested again against the maxima it raised. A
     pass that settles no block sends the next pass's worth of blocks
     straight to the exact step, then twice as many after the next such
-    pass, and so on; a pass that settles any resets the count.
+    pass, and so on, and halves the blocks the next pass tests; a pass
+    that settles any resets the count and doubles them back, up to
+    PROOF_PASS positions.
     """
     if text.n == 0:
         return 0
@@ -233,9 +235,9 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
     blocks = -(-n // size)
     per_pass = max(1, PROOF_PASS // size)
     chunk = math.gcd(PROOF_CHUNK, size)
-    at, backoff = 1, per_pass
+    at, width, backoff = 1, per_pass, per_pass
     while at < blocks:
-        first, stop = at, min(at + per_pass, blocks)
+        first, stop = at, min(at + width, blocks)
         # Counts at every chunk's end, and at the end of the chunk before.
         totals = counts.chunk_totals(first * size, min(stop * size, n), chunk)
         reach = np.cumsum(totals, axis=1, dtype=counts.dtype)[counts.roles] + before[:, None]
@@ -259,12 +261,12 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
                 run(at)
                 at += 1
         if settled:
-            backoff = per_pass
+            width, backoff = min(2 * width, per_pass), per_pass
             continue
         for at in range(stop, min(stop + backoff, blocks)):
             run(at)
         at = min(stop + backoff, blocks)
-        backoff *= 2
+        width, backoff = max(1, width // 2), 2 * backoff
     return carry[0][-1]
 
 
