@@ -50,10 +50,10 @@ import numpy as np
 from .core import (
     SENTINEL,
     Distribution,
+    RoleCounts,
     Text,
     Word,
     as_fraction,
-    RoleCounts,
     contains_word,
     role_prefix_counts,
 )
@@ -223,7 +223,7 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
     counts = RoleCounts(text, word, weights)
     n, size = text.n, counts.size
     before = np.zeros(word.k, dtype=counts.dtype)  # the counts before the next block
-    carry = (np.zeros_like(before), np.zeros_like(before))  # last, worst
+    last, worst = carry = (np.zeros_like(before), np.zeros_like(before))
 
     def run(index: int) -> None:
         """The exact step: one block's count rows and running maximum."""
@@ -249,7 +249,6 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
         del totals, reach, floor  # before any block of the pass is counted
         settled = False
         while at < stop:
-            last, worst = carry
             over = (rises[:, at - first:] > (worst[1:] - worst[:-1])[:, None]).any(axis=0)
             failed = at + int(over.argmax()) if over.any() else stop
             if failed > at:
@@ -267,7 +266,7 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
             run(at)
         at = min(stop + backoff, blocks)
         width, backoff = max(1, width // 2), 2 * backoff
-    return carry[0][-1]
+    return last[-1]
 
 
 def copy_count_table(text: Text, word: Word) -> np.ndarray:
