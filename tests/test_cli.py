@@ -144,6 +144,9 @@ class TestDeterminism:
                                  "--relaxed-constants", "10"]),
         ("estimate-df-wc", ["estimate-df-wc", "--delta", "0.5", "--seed", "3",
                             "--weights", "weights.txt"]),
+        # The ensembles are generated, so this command takes no instance.
+        ("lowerbound", ["lowerbound", "--kd", "2", "--delta", "0.01", "--n", "4000",
+                        "--trials", "2", "--seed", "5"]),
     ])
     def test_outputs_match_pinned_bytes(self, pin, argv, tmp_path, capsys, monkeypatch):
         # Pinned reports of an eight-position instance, so that a change
@@ -155,7 +158,8 @@ class TestDeterminism:
         word.write_text("a b\n")
         (tmp_path / "weights.txt").write_text("1/16\n1/16\n1/8\n1/8\n1/4\n1/8\n1/8\n1/8\n")
         jsonl = tmp_path / "trials.jsonl"
-        argv = argv + ["--text", str(text), "--word", str(word)]
+        if pin != "lowerbound":
+            argv = argv + ["--text", str(text), "--word", str(word)]
         if pin == "sweep-df":
             argv += ["--jsonl", str(jsonl)]
         code, out, err = run_cli(argv, capsys)
