@@ -12,10 +12,10 @@ estimates, per word role, the cumulative weight of matching positions up
 to every interval boundary: `sample_phases` hands out only those tallies,
 a `DensityEstimate` over the phase-two size, drawn by
 `Sampler.draw_tallies` without ever materialising the phase-two draw.
-The copy recursion (`exact.running_maximum`) runs on those tallies,
-lagged at heavy intervals: there each role reads the previous role's
-measure one column back, as the separator rewrite of the paper would
-have it. Its measure over the phase-two size estimates the distance
+The copy recursion (`exact.running_maximum`) measures those tallies as
+one block from the empty prefix, lagged at heavy intervals: there each
+role reads the previous role's measure one column back, as the
+separator rewrite of the paper would have it. Its measure over the phase-two size estimates the distance
 within the requested accuracy with probability at least 2/3.
 
 Diagnostics down to the two good-sample events and exact reference
@@ -535,7 +535,7 @@ def separator_violations(
 class DistFreeEstimate:
     """Result of one distribution-free estimation run. `raw` lies in
     [0, 1] unclamped: role tallies that count each phase-two draw at most
-    once per role have a measure in [0, draws] (`exact.final_measure`)."""
+    once per role have a measure in [0, draws] (`exact.running_maximum`)."""
 
     estimate: float  # float(raw)
     raw: Fraction  # exact value given the samples
@@ -568,7 +568,7 @@ def estimate_distance(
     """
     resolution = interval_resolution(word.k, accuracy, constants)
     sample1, partition, density = sample_phases(oracle, word, resolution, seed)
-    measure = final_measure([density.role_tallies], lag=partition.heavy)
+    measure = final_measure(density.role_tallies, lag=partition.heavy)
     raw = Fraction(int(measure), density.denominator)
     return DistFreeEstimate(
         estimate=float(raw),

@@ -3,17 +3,18 @@ brute-force minimum-modification search, and the exact weighted distance
 (the same recursion on weighted prefix counts, in O(nk) time whatever the
 common denominator).
 
-The copy recursion, `running_maximum`, walks the text in column blocks of
-`core.COPY_BLOCK` and carries a few values per role from one block to the
-next, so `copy_count` and `exact_weighted_distance` hold O(k * COPY_BLOCK)
-counts at a time, never a count row over the whole text. A block that
-raises no role's worst shortfall, as most do once it has settled, costs
-one reduction per role instead of a running maximum. Both lag the
-recursion one column everywhere, exact for every word; the estimators
-lag it at the grid columns that cover one position (uniform) or at heavy
-intervals (distribution-free). The separator rewrite
-(`interleave_sentinel`) and the multiplicity expansion (`expand_text`)
-are kept as independent reference oracles only.
+The copy recursion, `running_maximum`, measures one column block of
+counts from a carry of two values per role. `copy_count` and
+`exact_weighted_distance` walk the text in blocks of `core.COPY_BLOCK`
+through one carry, so they hold O(k * COPY_BLOCK) counts at a time,
+never a count row over the whole text. A carried block that raises no
+role's worst shortfall, as most do once it has settled, costs one
+reduction per role instead of a running maximum. Both lag the recursion
+one column everywhere, exact for every word; the estimators measure
+their tallies as one block, lagged at the grid columns that cover one
+position (uniform) or at heavy intervals (distribution-free). The
+separator rewrite (`interleave_sentinel`) and the multiplicity expansion
+(`expand_text`) are kept as independent reference oracles only.
 
 Both oracles run the recursion through `text_measure`, which proves most
 settled blocks settled from per-chunk symbol totals, without their count
@@ -29,9 +30,12 @@ running maximum equal to W_{i-1}, M_{i-1}[a-1] = C_{i-1}[a-1] - W_{i-1}
 (at a - 1 just before the block, too). Hence if
 C_i[b] - C_{i-1}[a-1] <= W_i - W_{i-1} on every chunk of a block, role
 i's shortfalls stay at or below W_i in it once role i-1's do, and role
-1 has none. A block whose chunks pass this test for every role gives
-exactly what the skip branch of `running_maximum` gives: the counts at
-its end, last = counts - worst, and worst unchanged.
+1 has none. When role i has role i-1's symbol, C_i = C_{i-1}, so its
+shortfall at j is W_{i-1} plus at most the weight at j, and the chunk's
+heaviest position (1 without weights) may stand in for
+C_i[b] - C_{i-1}[a-1]. A block whose chunks pass this test for every
+role gives exactly what the skip branch of `running_maximum` gives: the
+counts at its end, last = counts - worst, and worst unchanged.
 
 Everything here is exact: the weighted distance reads integer numerators
 over the common denominator; the reference oracles use Fractions.
@@ -43,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -114,84 +118,65 @@ def greedy_copies(text: Text, word: Word) -> CopySet:
 
 
 def running_maximum(
-    count_blocks: Iterable[np.ndarray],
+    counts: np.ndarray,
     lag: bool | np.ndarray,
     carry: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> Iterator[np.ndarray]:
-    """The copy recursion over per-role counts, one column block at a time.
+) -> np.ndarray:
+    """The copy recursion over per-role counts on one (k, B) column block;
+    returns the block's measure, in the counts' dtype.
 
-    Each block holds one row of counts per role at consecutive prefix
-    lengths; the empty prefix before the first block counts zero. Row one
-    is taken as-is. Every later row subtracts from its counts the worst
-    running shortfall against the previous measure:
+    Row one is taken as-is. Every later row subtracts from its counts the
+    worst running shortfall against the previous measure:
     counts[j] - max(0, max of counts[t] - measure[t - lag[t]], t <= j).
-    `lag` is `True`, `False` or one bool flag per column across all
-    blocks. Lagged everywhere on full prefix counts it is exact for every
-    word; lagged nowhere, for words without adjacent equal symbols. From
-    block to block each role carries its last measure value, which a
-    lagged first column reads, and its shortfall maximum: the arrays
-    (last, worst), which `carry` passes in from blocks measured before and
-    which are updated in place before each block is yielded. A block after
-    the first, or after a given carry, whose shortfalls all stay at or
-    below the carried maximum takes one reduction instead of the running
-    maximum: the measure is the counts less the carried value. Yields the
-    measure of each block.
+    `lag` is `True`, `False` or one bool flag per column. Lagged
+    everywhere on full prefix counts it is exact for every word; lagged
+    nowhere, for words without adjacent equal symbols. `carry` is (last,
+    worst): per role the measure just before the block, which a lagged
+    first column reads, and the shortfall maximum so far, updated in
+    place, so that blocks run in turn through one carry measure a whole
+    text. A carried block whose shortfalls all stay at or below the
+    carried maximum takes one reduction instead of the running maximum.
+    `None` starts at the empty prefix: zeros, and no such test.
+
+    From a fresh start on non-negative counts that never decrease, each
+    entry lies between 0 and the role's count: it is the count less a
+    non-negative shortfall, and by induction over the roles either that
+    count or at least an earlier entry of the previous role's measure.
+    So tallies that count each draw at most once per role measure in
+    [0, draws].
     """
     later = carry is not None
-    last, worst = carry if later else (None, None)
-    start = 0
-    for counts in count_blocks:
-        if last is None:
-            last = np.zeros(counts.shape[0], dtype=counts.dtype)
-            worst = np.zeros_like(last)
-        width = counts.shape[1]
-        flags = lag if isinstance(lag, bool) else lag[start:start + width]
-        start += width
-        measure = np.empty_like(counts)
-        measure[0] = counts[0]
-        for i in range(1, counts.shape[0]):
-            shortfall = measure[i]
-            if flags is True:
-                np.subtract(counts[i, 1:], measure[i - 1, :-1], out=shortfall[1:])
-                shortfall[0] = counts[i, 0] - last[i - 1]
-            elif flags is False:
-                np.subtract(counts[i], measure[i - 1], out=shortfall)
-            else:
-                behind = np.concatenate((last[i - 1:i], measure[i - 1, :-1]))
-                np.subtract(counts[i], np.where(flags, behind, measure[i - 1]), out=shortfall)
-            # Only a later block tests for the skip: the first of the
-            # estimators' one-block recursions carries no maximum.
-            if later and np.maximum.reduce(shortfall) <= worst[i]:
-                # No new shortfall: the carried maximum holds block-wide.
-                np.subtract(counts[i], worst[i], out=shortfall)
-            else:
-                # The carried maximum is at least 0, which clamps the whole
-                # running maximum.
-                shortfall[0] = max(shortfall[0], worst[i])
-                np.maximum.accumulate(shortfall, out=shortfall)
-                worst[i] = shortfall[-1]
-                np.subtract(counts[i], shortfall, out=shortfall)
-        last[:] = measure[:, -1]
-        later = True
-        yield measure
-        # Free this block before the next one is counted and measured.
-        counts = measure = shortfall = None
+    last, worst = carry if later else np.zeros((2, counts.shape[0]), dtype=counts.dtype)
+    measure = np.empty_like(counts)
+    measure[0] = counts[0]
+    for i in range(1, counts.shape[0]):
+        shortfall = measure[i]
+        if lag is True:
+            np.subtract(counts[i, 1:], measure[i - 1, :-1], out=shortfall[1:])
+            shortfall[0] = counts[i, 0] - last[i - 1]
+        elif lag is False:
+            np.subtract(counts[i], measure[i - 1], out=shortfall)
+        else:
+            behind = np.concatenate((last[i - 1:i], measure[i - 1, :-1]))
+            np.subtract(counts[i], np.where(lag, behind, measure[i - 1]), out=shortfall)
+        if later and np.maximum.reduce(shortfall) <= worst[i]:
+            # No new shortfall: the carried maximum holds block-wide.
+            np.subtract(counts[i], worst[i], out=shortfall)
+        else:
+            # The carried maximum is at least 0, which clamps the whole
+            # running maximum.
+            shortfall[0] = max(shortfall[0], worst[i])
+            np.maximum.accumulate(shortfall, out=shortfall)
+            worst[i] = shortfall[-1]
+            np.subtract(counts[i], shortfall, out=shortfall)
+    last[:] = measure[:, -1]
+    return measure
 
 
-def final_measure(count_blocks: Iterable[np.ndarray], lag: bool | np.ndarray):
-    """The last entry of the last role's measure, in the counts' dtype:
-    the copy measure of the whole text, 0 when there are no blocks.
-
-    On non-negative counts that never decrease it lies between 0 and the
-    last role's final count: each entry is the role's count less a
-    non-negative shortfall, and by induction over the roles it is either
-    that count or at least an earlier entry of the previous role's measure.
-    """
-    value = 0
-    for measure in running_maximum(count_blocks, lag):
-        value = measure[-1, -1]
-        del measure  # before the next block is measured
-    return value
+def final_measure(counts: np.ndarray, lag: bool | np.ndarray):
+    """The last entry of the last role's measure of one block, from a
+    fresh start, in the counts' dtype (bounds in `running_maximum`)."""
+    return running_maximum(counts, lag)[-1, -1]
 
 
 # The settled-block proof of `text_measure` sums each symbol over chunks
@@ -202,9 +187,10 @@ PROOF_PASS = 2**16
 
 
 def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
-    """The copy measure of the whole text, lagged everywhere: the value of
-    `final_measure(role_prefix_counts(text, word, weights), lag=True)`,
-    in the counts' dtype, 0 on an empty text.
+    """The copy measure of the whole text, lagged everywhere, in the
+    counts' dtype, 0 on an empty text: the last entry of the last block
+    of `role_prefix_counts(text, word, weights)` after every block has
+    run through `running_maximum` with one carry.
 
     Builds count rows and runs `running_maximum` only on the blocks that
     the settled-block proof (module docstring) leaves open. The first
@@ -229,24 +215,31 @@ def text_measure(text: Text, word: Word, weights: Optional[np.ndarray] = None):
         """The exact step: one block's count rows and running maximum."""
         block = counts.block(index * size, before[:, None])
         before[:] = block[:, -1]
-        next(running_maximum((block,), True, carry))
+        running_maximum(block, True, carry)
 
     run(0)
     blocks = -(-n // size)
     per_pass = max(1, PROOF_PASS // size)
     chunk = math.gcd(PROOF_CHUNK, size)
+    repeats = word.ids[1:] == word.ids[:-1]  # roles 2 to k that repeat the role before
     at, width, backoff = 1, per_pass, per_pass
     while at < blocks:
         first, stop = at, min(at + width, blocks)
         # Counts at every chunk's end, and at the end of the chunk before.
-        totals = counts.chunk_totals(first * size, min(stop * size, n), chunk)
+        lo, hi = first * size, min(stop * size, n)
+        totals = counts.chunk_totals(lo, hi, chunk)
         reach = np.cumsum(totals, axis=1, dtype=counts.dtype)[counts.roles] + before[:, None]
         floor = np.concatenate((before[:, None], reach[:, :-1]), axis=1)
         starts = np.arange(0, reach.shape[1], size // chunk)
         ends = reach[:, np.append(starts[1:], reach.shape[1]) - 1]
+        bounds = reach[1:] - floor[:-1]
+        if repeats.any():  # these roles fall short by a chunk's heaviest position at most
+            heaviest = 1 if weights is None else np.maximum.reduceat(
+                weights[lo:hi], np.arange(0, hi - lo, chunk))
+            bounds[repeats] = np.minimum(bounds[repeats], heaviest)
         # Each block's largest bound on the shortfalls of roles 2 to k.
-        rises = np.maximum.reduceat(reach[1:] - floor[:-1], starts, axis=1)
-        del totals, reach, floor  # before any block of the pass is counted
+        rises = np.maximum.reduceat(bounds, starts, axis=1)
+        del totals, reach, floor, bounds  # before any block of the pass is counted
         settled = False
         while at < stop:
             over = (rises[:, at - first:] > (worst[1:] - worst[:-1])[:, None]).any(axis=0)
@@ -275,7 +268,8 @@ def copy_count_table(text: Text, word: Word) -> np.ndarray:
     Entry [i-1, j] is the copy count of the first i roles within the
     first j positions.
     """
-    blocks = running_maximum(role_prefix_counts(text, word), lag=True)
+    carry = (np.zeros(word.k, dtype=np.int64), np.zeros(word.k, dtype=np.int64))
+    blocks = [running_maximum(block, True, carry) for block in role_prefix_counts(text, word)]
     empty = np.zeros((word.k, 1), dtype=np.int64)
     return np.concatenate([empty, *blocks], axis=1, dtype=np.int64)
 

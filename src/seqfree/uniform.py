@@ -154,7 +154,7 @@ def copies_from_counts(matrix) -> Number:
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("count matrix must be two-dimensional and non-empty")
-    value = final_measure([arr], lag=False)
+    value = final_measure(arr, lag=False)
     if np.issubdtype(arr.dtype, np.integer):
         return int(value)
     if arr.dtype == object:
@@ -166,7 +166,7 @@ def copies_from_counts(matrix) -> Number:
 class UniformEstimate:
     """Result of one uniform-weights estimation run. `raw` lies in [0, 1]
     unclamped: tallies that count each draw at most once per role have a
-    measure in [0, sample size] (`exact.final_measure`)."""
+    measure in [0, sample size] (`exact.running_maximum`)."""
 
     estimate: float  # float(raw)
     raw: Fraction  # exact value, tallies measure over sample size
@@ -210,7 +210,7 @@ def estimate_distance_uniform(
     plan = uniform_plan(word.k, accuracy)
     grid = prefix_grid(oracle.n, plan.spacing)
     tallies, _ = oracle.draw_tallies(plan.sample_size, seed, grid.columns, word.ids)
-    raw = Fraction(int(final_measure([tallies], lag=grid.lag)), plan.sample_size)
+    raw = Fraction(int(final_measure(tallies, lag=grid.lag)), plan.sample_size)
     return UniformEstimate(
         estimate=float(raw),
         raw=raw,

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 
 from seqfree import CopySet, IntervalPartition, ReferencePartition, SampleSet, Text, Word
 from seqfree.core import gather_columns, role_prefix_counts
+from seqfree.exact import running_maximum
 from seqfree.uniform import PrefixGrid
 
 settings.register_profile(
@@ -203,6 +204,29 @@ def exact_count_matrix(text: Text, word: Word, grid: PrefixGrid) -> np.ndarray:
     if grid.n != text.n:
         raise ValueError("grid and text disagree on length")
     return gather_columns(role_prefix_counts(text, word), grid.columns).astype(np.int64)
+
+
+def carried_measures(count_blocks, lag=True):
+    """The measure of each of consecutive count blocks, every block run
+    through `running_maximum` with one carry that starts at zero; a
+    per-column `lag` is cut block by block."""
+    carry, start = None, 0
+    for block in count_blocks:
+        if carry is None:
+            carry = np.zeros((2, block.shape[0]), dtype=block.dtype)
+        flags = lag if isinstance(lag, bool) else lag[start:start + block.shape[1]]
+        start += block.shape[1]
+        yield running_maximum(block, flags, carry)
+
+
+def every_block_measure(count_blocks):
+    """The copy measure of consecutive count blocks such as
+    `role_prefix_counts` yields, lagged everywhere, with no block skipped:
+    the reference for the whole-text driver `exact.text_measure`."""
+    value = 0
+    for measure in carried_measures(count_blocks):
+        value = measure[-1, -1]
+    return value
 
 
 def max_gap(grid: PrefixGrid) -> int:

@@ -1151,7 +1151,7 @@ class TestLaggedRecursion:
             r = estimate_distance(WeightedSampler(t, d), w, Fraction(1, 5), seed, consts)
             want = separator_measure(density, part)
             assert r.raw == Fraction(want, density.denominator)
-            unlagged = final_measure([density.role_tallies], lag=False)
+            unlagged = final_measure(density.role_tallies, lag=False)
             heavy += bool(part.heavy.any())
             changed += unlagged != want
             if not w.has_adjacent_repeat:
@@ -1181,9 +1181,9 @@ class TestLaggedRecursion:
             bounds = np.concatenate(([0], np.cumsum(widths)))
             part = IntervalPartition(int(bounds[-1]), bounds, heavy)
             want = separator_measure(density, part)
-            assert final_measure([density.role_tallies], lag=heavy) == want
+            assert final_measure(density.role_tallies, lag=heavy) == want
             heavy_seen += bool(heavy.any())
-            changed += final_measure([density.role_tallies], lag=False) != want
+            changed += final_measure(density.role_tallies, lag=False) != want
         assert heavy_seen >= 1000 and changed >= 100
 
 
@@ -1254,7 +1254,7 @@ class TestEstimateDistance:
             for got, tallies in ((density.role_tallies, want.role_tallies),
                                  (density.prefix_tallies, want.prefix_tallies)):
                 assert got.dtype == tallies.dtype and np.array_equal(got, tallies)
-            measure = final_measure([density.role_tallies], lag=part.heavy)
+            measure = final_measure(density.role_tallies, lag=part.heavy)
             r = estimate_distance(o, w, Fraction(1, 2), seed)
             assert r.raw == Fraction(int(measure), density.denominator)
 

@@ -36,6 +36,8 @@ from seqfree.harness.generators import random_text
 
 from conftest import (
     branching_distance,
+    carried_measures,
+    every_block_measure,
     positive_rational_weights,
     prefix_count,
     random_text_ids,
@@ -468,8 +470,9 @@ def split_columns(matrix: np.ndarray, rng) -> list:
 
 
 class TestRunningMaximumLag:
-    """A flag per column, read across block seams, against the two bool
-    forms and against itself on one block."""
+    """Blocks run one after another through one carry, a flag per column
+    cut block by block, against the two bool forms and against one fresh
+    step on the whole matrix."""
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_uniform_flags_equal_bool_forms(self, rng, dtype):
@@ -479,23 +482,27 @@ class TestRunningMaximumLag:
             blocks = split_columns(counts, rng)
             for lag in (True, False):
                 flags = np.full(width, lag)
-                got = np.concatenate(list(running_maximum(blocks, flags)), axis=1)
-                want = np.concatenate(list(running_maximum(blocks, lag)), axis=1)
+                got = np.concatenate(list(carried_measures(blocks, flags)), axis=1)
+                want = np.concatenate(list(carried_measures(blocks, lag)), axis=1)
                 assert got.dtype == want.dtype == counts.dtype
                 assert np.array_equal(got, want)
+                assert np.array_equal(running_maximum(counts, lag), want)
 
     def test_mixed_flags_do_not_depend_on_blocks(self, rng):
-        changed = 0
+        changed = seams = 0
         for _ in range(300):
             k, width = int(rng.integers(2, 6)), int(rng.integers(1, 15))
             counts = np.cumsum(rng.integers(0, 3, size=(k, width)), axis=1)
             flags = rng.integers(0, 2, size=width).astype(bool)
-            whole = next(running_maximum([counts], flags))
-            blocked = np.concatenate(
-                list(running_maximum(split_columns(counts, rng), flags)), axis=1)
+            whole = running_maximum(counts, flags)
+            blocks = split_columns(counts, rng)
+            blocked = np.concatenate(list(carried_measures(blocks, flags)), axis=1)
             assert np.array_equal(blocked, whole)
-            changed += not np.array_equal(whole, next(running_maximum([counts], False)))
-        assert changed > 0
+            changed += not np.array_equal(whole, running_maximum(counts, False))
+            # A lagged first column of a later block reads the carried last.
+            firsts = np.cumsum([block.shape[1] for block in blocks])[:-1]
+            seams += bool(flags[firsts].any())
+        assert changed > 0 and seams > 0
 
     # Role 1 carries a worst shortfall of 3 out of columns 0-2 under any
     # lag: its shortfalls there are [3, 3, 2] lagged and [3, 2, 1] not.
@@ -503,9 +510,9 @@ class TestRunningMaximumLag:
     # count less 2 under any lag, and its measure is the same for every lag.
     CARRIED = ([0, 1, 2], [3, 3, 3])
     LATER = {
-        "equal": ([2, 2, 2, 2], [4, 5, 5, 5], [1, 2, 2, 2]),  # max shortfall 3
-        "below": ([2, 2, 2, 2], [3, 4, 4, 4], [0, 1, 1, 1]),  # max shortfall 2
-        "above": ([2, 2, 2, 2], [4, 5, 6, 6], [1, 2, 2, 2]),  # max shortfall 4
+        "equal": ([2, 2, 2, 2], [4, 5, 5, 5], [1, 2, 2, 2], 3),  # max shortfall 3
+        "below": ([2, 2, 2, 2], [3, 4, 4, 4], [0, 1, 1, 1], 3),  # max shortfall 2
+        "above": ([2, 2, 2, 2], [4, 5, 6, 6], [1, 2, 2, 2], 4),  # max shortfall 4
     }
 
     @pytest.mark.parametrize("case", sorted(LATER))
@@ -513,23 +520,28 @@ class TestRunningMaximumLag:
     def test_later_block_shortfall_against_carried_maximum(self, rng, case, dtype):
         # A later block whose shortfalls stay at or below the carried
         # maximum keeps it; one that passes it raises it.
-        later0, later1, measure1 = self.LATER[case]
+        later0, later1, measure1, worst = self.LATER[case]
         counts = np.array(
             [self.CARRIED[0] + later0, self.CARRIED[1] + later1], dtype=dtype)
         want = np.array([counts[0], [0, 0, 0] + measure1], dtype=dtype)
         for lag in (True, False, np.array([True, False, False, True, False, True, True])):
-            whole = next(running_maximum([counts], lag))
+            whole = running_maximum(counts, lag)
             assert whole.dtype == counts.dtype and np.array_equal(whole, want)
-            splits = [np.split(counts, [3], axis=1)]
-            splits += [split_columns(counts, rng) for _ in range(10)]
-            for blocks in splits:
-                got = np.concatenate(list(running_maximum(blocks, lag)), axis=1)
+            carry = np.zeros((2, 2), dtype=dtype)
+            flags = [lag, lag] if isinstance(lag, bool) else np.split(lag, [3])
+            for block, cut in zip(np.split(counts, [3], axis=1), flags):
+                running_maximum(block, cut, carry)
+            assert list(carry[0]) == list(want[:, -1]) and list(carry[1]) == [0, worst]
+            for _ in range(10):
+                blocks = split_columns(counts, rng)
+                got = np.concatenate(list(carried_measures(blocks, lag)), axis=1)
                 assert got.dtype == counts.dtype and np.array_equal(got, whole)
 
-    def test_final_measure_within_total(self, rng):
+    def test_measure_within_total(self, rng):
         # The estimators' raw values need no clamp: on nondecreasing,
         # non-negative role tallies, each at most a total tally column by
-        # column, the measure lies in [0, total], lagged or not.
+        # column, the measure lies in [0, total], lagged or not, in one
+        # block from a fresh start or in blocks through one carry.
         for _ in range(300):
             k, width = int(rng.integers(1, 6)), int(rng.integers(1, 15))
             steps = rng.integers(0, 4, size=width)
@@ -537,7 +549,9 @@ class TestRunningMaximumLag:
             counts = np.cumsum(rng.integers(0, steps + 1, size=(k, width)), axis=1)
             flags = rng.integers(0, 2, size=width).astype(bool)
             for lag in (True, False, flags):
-                assert 0 <= final_measure(split_columns(counts, rng), lag) <= total
+                assert 0 <= final_measure(counts, lag) <= total
+                blocks = split_columns(counts, rng)
+                assert 0 <= list(carried_measures(blocks, lag))[-1][-1, -1] <= total
 
 
 def allocated(call) -> int:
@@ -779,7 +793,7 @@ def small_proof_layout(patch, block: int, chunk: int, span: int) -> None:
 
 class TestWholeTextMeasure:
     """`copy_count` and `exact_weighted_distance` against the recursion
-    run on every block, `final_measure` of `role_prefix_counts`, and
+    run on every block, `every_block_measure` of `role_prefix_counts`, and
     against greedy copies, with blocks of one to sixteen columns, chunks
     of one to eight positions and passes of one block to many, so that the
     proof that a block is settled meets many seams, on texts that settle
@@ -801,7 +815,7 @@ class TestWholeTextMeasure:
         text, word = kind_text(kind, n, seed), Word(word_ids)
         with pytest.MonkeyPatch.context() as patch:
             small_proof_layout(patch, block, chunk, span)
-            want = final_measure(role_prefix_counts(text, word), True)
+            want = every_block_measure(role_prefix_counts(text, word))
             assert copy_count(text, word) == want == greedy_copies(text, word).count
 
     @given(
@@ -822,7 +836,7 @@ class TestWholeTextMeasure:
         assert (d.numerators().dtype == object) == (huge and n > 1)
         with pytest.MonkeyPatch.context() as patch:
             small_proof_layout(patch, block, chunk, span)
-            measure = final_measure(role_prefix_counts(text, word, d.numerators()), True)
+            measure = every_block_measure(role_prefix_counts(text, word, d.numerators()))
             want = Fraction(int(measure), d.common_denominator())
             assert exact_weighted_distance(text, word, d) == want
 
@@ -835,8 +849,8 @@ class TestWholeTextMeasure:
                 d = Distribution.from_numerators(kind_numerators(text.n, seed, 0.3, False))
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(core, "COPY_BLOCK", 2**8)
-                    counts = final_measure(role_prefix_counts(text, word), True)
-                    weighted = final_measure(role_prefix_counts(text, word, d.numerators()), True)
+                    counts = every_block_measure(role_prefix_counts(text, word))
+                    weighted = every_block_measure(role_prefix_counts(text, word, d.numerators()))
                     assert copy_count(text, word) == counts == greedy_copies(text, word).count
                     assert exact_weighted_distance(text, word, d) == Fraction(
                         int(weighted), d.common_denominator())
@@ -865,8 +879,24 @@ class TestWholeTextMeasure:
             counted.clear()
             weighted = exact_weighted_distance(text, word, d)
             assert 1 <= len(counted) < blocks // 10 and counted[0] == 0
-        assert copies == final_measure(role_prefix_counts(text, word), True)
-        measure = final_measure(role_prefix_counts(text, word, d.numerators()), True)
+        assert copies == every_block_measure(role_prefix_counts(text, word))
+        measure = every_block_measure(role_prefix_counts(text, word, d.numerators()))
+        assert weighted == Fraction(int(measure), d.common_denominator())
+
+    def test_repeated_role_passes_the_proof(self):
+        # Role 2 repeats role 1's symbol, so while role 1 stays settled role
+        # 2 falls short by one position's weight more than role 1: on
+        # periodic `aab` every block after the first is proved settled.
+        n = 10**6
+        text, word = Text(np.resize(np.array([1, 1, 2]), n)), Word([1, 1, 2])
+        d = Distribution.from_numerators(kind_numerators(n, 5, 0.3, False))
+        with pytest.MonkeyPatch.context() as patch:
+            counted = self.counted_blocks(patch)
+            copies = copy_count(text, word)
+            weighted = exact_weighted_distance(text, word, d)
+        assert counted == [0, 0]
+        assert copies == n // 3 == every_block_measure(role_prefix_counts(text, word))
+        measure = every_block_measure(role_prefix_counts(text, word, d.numerators()))
         assert weighted == Fraction(int(measure), d.common_denominator())
 
     @pytest.mark.parametrize("n", [1, 2000, 2**13])

@@ -474,7 +474,7 @@ class TestSinglePositionLag:
         word_ids[j + 1] = word_ids[j]
         t, w = Text(ids), Word(word_ids)
         g = prefix_grid(t.n, Fraction(1, t.n))
-        assert final_measure([exact_count_matrix(t, w, g)], lag=g.lag) == copy_count(t, w)
+        assert final_measure(exact_count_matrix(t, w, g), lag=g.lag) == copy_count(t, w)
 
     @given(
         st.lists(st.integers(1, 3), min_size=1, max_size=60),
