@@ -188,23 +188,16 @@ def concentration_experiment(
     center = Fraction(n, 2 * distinct)
     base_floor = center - Fraction(2, 8) * g * n
     shifted_cap = center - Fraction(23, 8) * g * n
-    base_hits = 0
-    shifted_hits = 0
-    base_copies = []
-    shifted_copies = []
-    for tseed in trial_seeds(seed, trials):
-        text_base = block_ensemble_text(n, distinct, base_rate, subseed(tseed, 0))
-        copies = copy_count(text_base, word)
-        base_copies.append(copies)
-        if copies >= base_floor:
-            base_hits += 1
-        text_shifted = block_ensemble_text(
-            n, distinct, shifted_rate, subseed(tseed, 1)
-        )
-        copies = copy_count(text_shifted, word)
-        shifted_copies.append(copies)
-        if copies <= shifted_cap:
-            shifted_hits += 1
+    seeds = trial_seeds(seed, trials)
+
+    def ensemble_copies(rate: Fraction, stream: int) -> list:
+        return [copy_count(block_ensemble_text(n, distinct, rate, subseed(tseed, stream)), word)
+                for tseed in seeds]
+
+    base_copies = ensemble_copies(base_rate, 0)
+    shifted_copies = ensemble_copies(shifted_rate, 1)
+    base_hits = sum(copies >= base_floor for copies in base_copies)
+    shifted_hits = sum(copies <= shifted_cap for copies in shifted_copies)
     report = {
         "experiment": "lowerbound-concentration",
         "distinct": distinct,
