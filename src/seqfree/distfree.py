@@ -15,8 +15,9 @@ a `DensityEstimate` over the phase-two size, drawn by
 The copy recursion (`exact.running_maximum`) measures those tallies as
 one block from the empty prefix, lagged at heavy intervals: there each
 role reads the previous role's measure one column back, as the
-separator rewrite of the paper would have it. Its measure over the phase-two size estimates the distance
-within the requested accuracy with probability at least 2/3.
+separator rewrite of the paper would have it. Its measure over the
+phase-two size estimates the distance within the requested accuracy
+with probability at least 2/3.
 
 Diagnostics down to the two good-sample events and exact reference
 quantities live here too; they require full knowledge of the weights and

@@ -528,16 +528,17 @@ class TestRunningMaximumLag:
             whole = running_maximum(counts, lag)
             assert whole.dtype == counts.dtype and np.array_equal(whole, want)
             carry = np.zeros((2, 2), dtype=dtype)
-            flags = [lag, lag] if isinstance(lag, bool) else np.split(lag, [3])
-            for block, cut in zip(np.split(counts, [3], axis=1), flags):
-                running_maximum(block, cut, carry)
+            cuts = [lag, lag] if isinstance(lag, bool) else np.split(lag, [3])
+            got = [running_maximum(block, cut, carry)
+                   for block, cut in zip(np.split(counts, [3], axis=1), cuts)]
+            assert np.array_equal(np.concatenate(got, axis=1), whole)
             assert list(carry[0]) == list(want[:, -1]) and list(carry[1]) == [0, worst]
             for _ in range(10):
                 blocks = split_columns(counts, rng)
                 got = np.concatenate(list(carried_measures(blocks, lag)), axis=1)
                 assert got.dtype == counts.dtype and np.array_equal(got, whole)
 
-    def test_measure_within_total(self, rng):
+    def test_final_measure_within_total(self, rng):
         # The estimators' raw values need no clamp: on nondecreasing,
         # non-negative role tallies, each at most a total tally column by
         # column, the measure lies in [0, total], lagged or not, in one
