@@ -20,11 +20,13 @@ of three regimes, all with the law of s independent draws:
   estimator on a short text, Poisson bulk counts at all n positions plus
   the shortfall as categorical draws;
 - multinomial: every other draw, one multinomial over all n positions.
-Each sampler draws through one hook, `Sampler._drawn`, which returns the
-sorted drawn positions with their symbols and multiplicities; the sparse
-uniform draw is the one override. On it `Sampler.draw` builds a
-`SampleSet`, and `Sampler.draw_tallies` hands out the sample's tallies at
-a few prefix lengths, the only way the estimators read a sample, without
+Each sampler draws through one hook, `Sampler._drawn`. The dense hook
+hands out its n counts in place, with positions None standing for every
+position 1..n and the text's ids as their symbols; the sparse uniform draw,
+the one override, returns its sorted drawn positions with their symbols.
+Only `Sampler.draw` compacts dense counts to the drawn positions, into a
+`SampleSet`; `Sampler.draw_tallies` hands out the sample's tallies at a
+few prefix lengths, the only way the estimators read a sample, without
 building it (`tally_positions` counts both).
 """
 
@@ -356,34 +358,61 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
     return Text(text.ids[keep], text.alphabet), Distribution.from_numerators(weights[keep])
 
 
-def tally_positions(positions: np.ndarray, symbols: np.ndarray,
+def tally_positions(positions: Optional[np.ndarray], symbols: np.ndarray,
                     multiplicities: Optional[np.ndarray], ends,
                     word_symbols) -> tuple[np.ndarray, np.ndarray]:
-    """Draws within each prefix of length `ends[j]`, from sorted 1-based
-    drawn positions, the symbol at each, and their multiplicities; None
-    counts each position once, so that repeated positions are repeat draws.
+    """Draws within each prefix of length `ends[j]`, for nondecreasing
+    ends, from sorted 1-based drawn positions, the symbol at each, and
+    their multiplicities. None positions are every position 1..n, n =
+    len(symbols), so that the multiplicities are the draw counts of the
+    whole text, zeros included; None multiplicities count each position
+    once, so that repeated positions are repeat draws.
 
     Returns, per entry of `word_symbols`, the draws at positions carrying
     it, as a (len(word_symbols), len(ends)) array, and all draws, as a
     (len(ends),) array; both int64. Locates the ends once and counts each
-    distinct symbol once, over the drawn positions only: with
-    multiplicities, in one cumulative buffer; without, the totals are the
-    cut indices, and a symbol's row the cut indices among its own draws.
+    distinct symbol once. With multiplicities, one `np.add.reduceat` per
+    distinct symbol sums its masked multiplicities over the intervals
+    between consecutive ends, and the interval sums accumulate to the
+    tallies; without, the totals are the cut indices, and a symbol's row
+    the cut indices among its own draws.
     """
     word_symbols = [int(symbol) for symbol in word_symbols]
-    cut = positions.searchsorted(ends, side="right").astype(np.int64, copy=False)
+    ends = np.asarray(ends)
+    if np.any(ends[1:] < ends[:-1]):
+        raise ValueError("tally ends must be nondecreasing")
+    if positions is None:
+        cut = np.clip(ends, 0, symbols.size).astype(np.int64, copy=False)
+    else:
+        cut = positions.searchsorted(ends, side="right").astype(np.int64, copy=False)
     if multiplicities is None:
         totals = cut
         by_symbol = {symbol: np.flatnonzero(symbols == symbol).searchsorted(cut)
                      for symbol in set(word_symbols)}
     else:
-        cumulative = np.zeros(positions.size + 1, dtype=np.int64)
-        by_symbol = {}
-        for symbol in dict.fromkeys(word_symbols):
-            np.cumsum(np.where(symbols == symbol, multiplicities, 0), out=cumulative[1:])
-            by_symbol[symbol] = cumulative[cut]
-        np.cumsum(multiplicities, out=cumulative[1:])
-        totals = cumulative[cut]
+        # Row i sums the draws of the i-th distinct symbol in each interval,
+        # the last row all draws. `reduceat` runs a segment from its start to
+        # the next start, the last one to the end of the array, and reads an
+        # empty segment as the value at its start: so it takes the starts of
+        # the non-empty intervals only, over the values up to the last cut.
+        distinct = list(dict.fromkeys(word_symbols))
+        sums = np.zeros((len(distinct) + 1, cut.size), dtype=np.int64)
+        before = np.zeros_like(cut)
+        before[1:] = cut[:-1]
+        filled = cut > before
+        if filled.any():
+            starts, last = before[filled], int(cut[-1])
+            values, labels = multiplicities[:last], symbols[:last]
+            sums[-1, filled] = np.add.reduceat(values, starts)
+            hit = np.empty(last, dtype=bool)
+            masked = np.empty(last, dtype=np.int64)
+            for row, symbol in zip(sums, distinct):
+                np.equal(labels, symbol, out=hit)
+                np.multiply(values, hit, out=masked)
+                row[filled] = np.add.reduceat(masked, starts)
+        np.cumsum(sums, axis=1, out=sums)
+        by_symbol = dict(zip(distinct, sums))
+        totals = sums[-1]
     rows = np.array([by_symbol[symbol] for symbol in word_symbols], dtype=np.int64)
     return rows.reshape(len(word_symbols), cut.size), totals
 
@@ -431,10 +460,11 @@ class Sampler:
     """Draws positions i.i.d. from fixed position weights over a text.
 
     Deterministic given (size, seed). Every draw goes through one hook,
-    `_drawn`, which returns the sorted 1-based drawn positions, the symbol
-    at each, and their multiplicities, or None when each listed position
-    counts once (repeats being repeat draws). `draw` builds a SampleSet
-    from them, with repeats collapsed, and `draw_tallies` tallies them
+    `_drawn`, which returns the sorted 1-based drawn positions, or None
+    for every position 1..n, the symbol at each, and their multiplicities,
+    or None when each listed position counts once (repeats being repeat
+    draws). `draw` builds a SampleSet from them, with zero counts dropped
+    and repeats collapsed, and `draw_tallies` tallies them as they are
     (`tally_positions`); neither is overridden, so `draw_tallies` is
     `draw(...).tally(...)` from the same generator calls.
 
@@ -464,7 +494,10 @@ class Sampler:
 
     def draw(self, size: int, seed) -> SampleSet:
         positions, symbols, multiplicities = self._drawn(size, seed)
-        if multiplicities is None:
+        if positions is None:
+            hit = np.flatnonzero(multiplicities)
+            positions, symbols, multiplicities = hit + 1, symbols[hit], multiplicities[hit]
+        elif multiplicities is None:
             positions, first, multiplicities = np.unique(
                 positions, return_index=True, return_counts=True)
             symbols = symbols[first]
@@ -475,9 +508,10 @@ class Sampler:
         same generator calls, without building the SampleSet."""
         return tally_positions(*self._drawn(size, seed), ends, symbols)
 
-    def _drawn(self, size: int, seed) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def _drawn(self, size: int, seed) -> tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
         """Draw counts at all n positions, Poissonized or one multinomial,
-        as the drawn positions, their symbols and their counts."""
+        handed out in place: positions None (every position), the text's
+        symbols and the n counts."""
         if size < 0:
             raise ValueError("sample size must be non-negative")
         if size > MAX_DRAWS:
@@ -488,8 +522,7 @@ class Sampler:
             counts = self._poissonized(rng, size, margin)
         else:
             counts = rng.multinomial(size, self._pvals)
-        hit = np.flatnonzero(counts)
-        return hit + 1, self._text.ids[hit], counts[hit]
+        return None, self._text.ids, counts
 
     def _poissonized(self, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
         while True:
@@ -529,7 +562,7 @@ class UniformSampler(Sampler):
     positions, sorts them and reads only those of the text, which has the
     law of the multinomial. A larger draw is dense (`Sampler`)."""
 
-    def _drawn(self, size: int, seed) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def _drawn(self, size: int, seed) -> tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
         if not 0 <= size <= self.n // SPARSE_DRAW_RATIO:
             return super()._drawn(size, seed)
         positions = np.random.default_rng(seed).integers(0, self.n, size)

@@ -146,6 +146,23 @@ def sample_from_counts(counts, text: Text) -> SampleSet:
     return SampleSet(text.n, hit + 1, text.ids[hit], counts[hit])
 
 
+def reference_tally(positions, symbols, multiplicities, ends, word_symbols) -> tuple:
+    """The tallies of `core.tally_positions` by its first algorithm, for
+    multiplicities: one full-length cumulative sum per word symbol, read at
+    the cut of each end. None positions are every position 1..n."""
+    if positions is None:
+        positions = np.arange(1, symbols.size + 1)
+    cut = positions.searchsorted(ends, side="right")
+    cumulative = np.zeros(positions.size + 1, dtype=np.int64)
+    rows = []
+    for symbol in word_symbols:
+        np.cumsum(np.where(symbols == symbol, multiplicities, 0), out=cumulative[1:])
+        rows.append(cumulative[cut])
+    np.cumsum(multiplicities, out=cumulative[1:])
+    return (np.array(rows, dtype=np.int64).reshape(len(word_symbols), cut.size),
+            cumulative[cut])
+
+
 def prefix_count(text: Text, word: Word, role: int, length: int) -> int:
     """Occurrences of the role's symbol among the first `length` positions."""
     if not 1 <= role <= word.k:

@@ -22,10 +22,10 @@ from seqfree import (
     subseed,
 )
 from seqfree import core
-from seqfree.core import POISSON_MARGIN, SPARSE_DRAW_RATIO, drop_zero_weight
+from seqfree.core import POISSON_MARGIN, SPARSE_DRAW_RATIO, drop_zero_weight, tally_positions
 from seqfree.exact import interleave_sentinel
 
-from conftest import prefix_count, sample_from_counts, sample_from_pairs
+from conftest import prefix_count, reference_tally, sample_from_counts, sample_from_pairs
 
 
 @st.composite
@@ -650,6 +650,25 @@ class TestSamplers:
         assert tallies < limit
         assert dense > 8 * n  # the n multinomial weights: the guard sees numpy
 
+    def test_dense_tallies_read_the_counts_in_place(self):
+        # A Poissonized draw at n = 10**6 with an 8-symbol word: compacting
+        # the n counts and then taking one full-length cumsum per symbol
+        # peaked at 32.2 MB, four n-length int64 arrays; the counts tallied
+        # in place must stay below three.
+        n, size, limit = 10**6, 2 * 10**6, 3 * 8 * 10**6
+        text = Text(np.random.default_rng(1).integers(1, 9, size=n, dtype=np.int32))
+        ends = np.arange(1, 601, dtype=np.int64) * n // 600
+        word = list(range(1, 9))
+        sampler = UniformSampler(text)
+        sampler.draw_tallies(size, 0, ends, word)  # builds the float weights and their cdf
+        tracemalloc.start()
+        try:
+            peaks = [allocated(lambda: sampler.draw_tallies(size, seed, ends, word))[0]
+                     for seed in range(1, 5)]
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < limit
+
     def test_float_weights_built_once_on_the_first_dense_draw(self):
         # Exact weights keep no float copy; the sampler builds its n float
         # weights on its first dense draw and keeps them.
@@ -710,6 +729,56 @@ class TestDrawTallies:
         for size in (-1, core.MAX_DRAWS + 1):
             with pytest.raises(ValueError):
                 sampler.draw_tallies(size, 0, [4], [1])
+
+
+@st.composite
+def tally_inputs(draw) -> tuple:
+    """Draw counts over a text of 1 to 12 positions with symbols 1 to 4,
+    zeros included; which positions a compacted form keeps; nondecreasing
+    ends in [0, n + 2]; and a word that may repeat a symbol and hold 5 and
+    6, which no text holds."""
+    n = draw(st.integers(1, 12))
+    symbols = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ends = sorted(draw(st.lists(st.integers(0, n + 2), max_size=8)))
+    word = draw(st.lists(st.integers(1, 6), max_size=5))
+    return symbols, counts, keep, ends, word
+
+
+class TestTallyPositions:
+    """`tally_positions` with multiplicities, on the counts of every
+    position (positions None) and on a compacted form of them, against the
+    cumulative-sum reference of `conftest`."""
+
+    @given(tally_inputs())
+    @example(([3], [2], [True], [0, 1, 1, 4], [3, 3, 5]))  # n = 1
+    # a leading 0 end, repeated ends, trailing empty intervals, ends past
+    # the last draw and past n
+    @example(([1, 2, 3, 1, 2, 4], [2, 0, 1, 3, 0, 0], [True, True, False, True, True, True],
+              [0, 0, 2, 2, 4, 5, 6, 6, 8], [1, 2, 1, 6]))
+    @example(([1, 2, 1], [1, 1, 1], [True, True, True], [1, 1], [1]))  # draws past the last end
+    @example(([1, 2], [0, 0], [True, False], [0, 1, 2, 3], [2]))  # no draws
+    @example(([1, 2], [1, 1], [True, True], [], [1]))  # no ends
+    def test_matches_the_cumulative_reference(self, case):
+        symbols, counts, keep, ends, word = case
+        symbols = np.array(symbols, dtype=np.int32)
+        counts = np.array(counts, dtype=np.int64)
+        keep = np.array(keep, dtype=bool)
+        ends = np.array(ends, dtype=np.int64)
+        assert_same_tallies(tally_positions(None, symbols, counts, ends, word),
+                            reference_tally(None, symbols, counts, ends, word))
+        positions = np.flatnonzero(keep) + 1
+        compacted = (positions, symbols[keep], counts[keep], ends, word)
+        assert_same_tallies(tally_positions(*compacted), reference_tally(*compacted))
+
+    def test_decreasing_ends_rejected(self):
+        counts = np.array([1, 2, 3], dtype=np.int64)
+        sample = sample_from_pairs(3, [(1, 1), (3, 2)])
+        for tally in (lambda ends: tally_positions(None, np.ones(3, np.int32), counts, ends, [1]),
+                      lambda ends: sample.tally(ends, [1])):
+            with pytest.raises(ValueError, match="nondecreasing"):
+                tally([2, 1])
 
 
 class TestPrefixCounts:
