@@ -15,10 +15,10 @@ sampling oracle returning (position, symbol) pairs. A draw falls in one
 of three regimes, all with the law of s independent draws:
 - sparse: a uniform draw of s <= n / SPARSE_DRAW_RATIO positions
   allocates O(s) memory and reads only the drawn positions of the text;
-- Poissonized: when s exceeds n and the margin m = POISSON_MARGIN *
-  sqrt(s) has m * SPARSE_DRAW_RATIO <= n, as for the distribution-free
-  estimator on a short text, Poisson bulk counts at all n positions plus
-  the shortfall as categorical draws;
+- Poissonized: when s exceeds n and POISSON_MARGIN * sqrt(s) *
+  SPARSE_DRAW_RATIO <= n, as for the distribution-free estimator on a
+  short text, Poisson bulk counts at all n positions, their total made
+  exactly s by categorical draws added or bulk draws removed at random;
 - multinomial: every other draw, one multinomial over all n positions.
 Each sampler draws through one hook, `Sampler._drawn`. The dense hook
 hands out its n counts in place, with positions None standing for every
@@ -94,17 +94,19 @@ MAX_DRAWS = INT64_MAX
 # n/4 so that the larger draws keep a dense stream, and the runs on short
 # texts (the README example, the distribution-free tests) their outputs.
 # A dense draw, and every weighted draw, is Poissonized when size > n and
-# the margin m = POISSON_MARGIN * sqrt(size) has m * ratio <= n; every other
-# dense draw is one multinomial. At n = 10**5 the Poissonized draw measured
-# 25-29% faster than the multinomial for 855k <= size <= 6.25M (m = n/4),
-# 14% slower at m = n/2; at n = 10**6 it was even at m = n/4. At size <= n
-# it was within about 10% either way but holds three n-length arrays during
-# the draw where the multinomial holds one, so those draws stay multinomial.
+# m = POISSON_MARGIN * sqrt(size) has m * ratio <= n; every other dense
+# draw is one multinomial. The switch was placed by a Poissonized draw that
+# took its bulk at size - m and corrected only a shortfall: at n = 10**5 it
+# measured 25-29% faster than the multinomial for 855k <= size <= 6.25M
+# (m = n/4), 14% slower at m = n/2; at n = 10**6 it was even at m = n/4.
+# At size <= n it was within about 10% either way but holds two n-length
+# arrays during the draw where the multinomial holds one, so those draws
+# stay multinomial.
 SPARSE_DRAW_RATIO = 4
 
-# Standard deviations of the Poisson bulk total that a Poissonized draw
-# leaves as margin below `size`: the bulk exceeds `size`, and is drawn
-# again, with probability below 1e-20.
+# Standard deviations of the Poisson bulk total that place the switch to
+# the Poissonized draw (above); the draw itself keeps no margin, since it
+# corrects its bulk total exactly either way.
 POISSON_MARGIN = 10
 
 # `RoleCounts` builds the counts of a text in blocks of this many columns,
@@ -471,14 +473,15 @@ class Sampler:
     Here `_drawn` counts draws at all n positions, distributed as the
     multinomial of `size` independent draws from the float weights
     `_pvals`, built on the first dense draw from the exact weights `_dist`
-    (uniform when None). With the margin m = POISSON_MARGIN *
-    sqrt(size), a draw with size > n and m * SPARSE_DRAW_RATIO <= n is
-    Poissonized: bulk counts Poisson((size - m) * p) at every position,
-    drawn again in the rare case that they total more than `size`, plus
-    the shortfall as that many categorical draws (sorted uniforms located
-    in the cumulative weights). Given their total N, Poisson counts are
-    Multinomial(N, p), so the sum is Multinomial(size, p). Every other
-    draw is one multinomial, which keeps its random stream.
+    (uniform when None). A draw with size > n and POISSON_MARGIN *
+    sqrt(size) * SPARSE_DRAW_RATIO <= n is Poissonized: bulk counts
+    Poisson(size * p) at every position, whose total N is then made
+    exactly `size`. A shortfall adds size - N categorical draws; an excess
+    deletes a uniformly random N - size of the N bulk draws. Given N, the
+    bulk is Multinomial(N, p), and adding independent draws to it, or
+    deleting a random subset of its exchangeable draws, leaves
+    Multinomial(size, p). Every other draw is one multinomial, which
+    keeps its random stream.
     """
 
     _dist: Optional[Distribution] = None
@@ -517,21 +520,25 @@ class Sampler:
         if size > MAX_DRAWS:
             raise ValueError(f"sample size must be at most {MAX_DRAWS}")
         rng = np.random.default_rng(seed)
-        margin = POISSON_MARGIN * math.sqrt(size)
-        if size > self.n and margin * SPARSE_DRAW_RATIO <= self.n:
-            counts = self._poissonized(rng, size, margin)
+        if size > self.n and POISSON_MARGIN * math.sqrt(size) * SPARSE_DRAW_RATIO <= self.n:
+            counts = self._poissonized(rng, size)
         else:
             counts = rng.multinomial(size, self._pvals)
         return None, self._text.ids, counts
 
-    def _poissonized(self, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
-        while True:
-            counts = rng.poisson((size - margin) * self._pvals)
-            shortfall = size - int(counts.sum())
-            if shortfall >= 0:
-                break
-        counts += np.bincount(self._cdf.searchsorted(np.sort(rng.random(shortfall)), side="right"),
-                              minlength=self.n)
+    def _poissonized(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Counts Poisson(size * p) at every position, their total N then
+        corrected to `size`: a shortfall taken as categorical draws (sorted
+        uniforms located in `_cdf`), an excess removed as a uniformly random
+        N - size of the N bulk draws (their sorted ranks located in the
+        cumulative counts)."""
+        counts = rng.poisson(size * self._pvals)
+        excess = int(counts.sum()) - size
+        if excess < 0:
+            np.add.at(counts, self._cdf.searchsorted(np.sort(rng.random(-excess)), side="right"), 1)
+        elif excess > 0:
+            ranks = np.sort(rng.choice(size + excess, excess, replace=False, shuffle=False))
+            np.subtract.at(counts, np.cumsum(counts).searchsorted(ranks, side="right"), 1)
         return counts
 
     @functools.cached_property
@@ -550,8 +557,8 @@ class Sampler:
     @functools.cached_property
     def _cdf(self) -> np.ndarray:
         """Cumulative weights of the shortfall draws, built on the first
-        Poissonized draw. Scaled to end at exactly one, so a uniform in
-        [0, 1) never lands past the end or on a zero weight."""
+        Poissonized draw that falls short. Scaled to end at exactly one, so
+        a uniform in [0, 1) never lands past the end or on a zero weight."""
         cdf = np.cumsum(self._pvals)
         cdf /= cdf[-1]
         return cdf

@@ -22,7 +22,7 @@ from seqfree import (
     subseed,
 )
 from seqfree import core
-from seqfree.core import POISSON_MARGIN, SPARSE_DRAW_RATIO, drop_zero_weight, tally_positions
+from seqfree.core import SPARSE_DRAW_RATIO, drop_zero_weight, tally_positions
 from seqfree.exact import interleave_sentinel
 
 from conftest import prefix_count, reference_tally, sample_from_counts, sample_from_pairs
@@ -401,21 +401,23 @@ N_SPARSE = 1000
 N_POISSON = 4000
 
 
-def poissonized_stream(size: int, pvals: np.ndarray, seed, margin_factor=POISSON_MARGIN):
+def poissonized_stream(size: int, pvals: np.ndarray, seed) -> tuple:
     """The generator calls of a Poissonized draw, written out: (counts,
-    number of bulk draws taken)."""
+    bulk total minus size). An excess is removed at uniformly random ranks
+    of the bulk draws, listed position by position."""
     rng = np.random.default_rng(seed)
-    margin = margin_factor * math.sqrt(size)
-    attempts = 0
-    while True:
-        attempts += 1
-        bulk = rng.poisson((size - margin) * pvals)
-        if bulk.sum() <= size:
-            break
-    shortfall = size - int(bulk.sum())
-    cdf = np.cumsum(pvals)
-    picks = np.searchsorted(cdf / cdf[-1], np.sort(rng.random(shortfall)), side="right")
-    return bulk + np.bincount(picks, minlength=pvals.size), attempts
+    bulk = rng.poisson(size * pvals)
+    excess = int(bulk.sum()) - size
+    counts = bulk.copy()
+    if excess < 0:
+        cdf = np.cumsum(pvals)
+        picks = np.searchsorted(cdf / cdf[-1], np.sort(rng.random(-excess)), side="right")
+        counts += np.bincount(picks, minlength=pvals.size)
+    elif excess > 0:
+        ranks = np.sort(rng.choice(size + excess, excess, replace=False, shuffle=False))
+        drawn = np.repeat(np.arange(pvals.size), bulk)
+        counts -= np.bincount(drawn[ranks], minlength=pvals.size)
+    return counts, excess
 
 
 def allocated(call) -> tuple:
@@ -616,22 +618,25 @@ class TestSamplers:
                 assert sample.size == size
                 assert np.all(pvals[sample.positions - 1] > 0)
 
-    def test_poissonized_bulk_redrawn_when_over_size(self, monkeypatch):
-        # A margin of minus one deviation puts the bulk over the size in
-        # about five draws of six, so most draws redraw it.
-        monkeypatch.setattr(core, "POISSON_MARGIN", -1)
-        text, cases = sampler_cases(N_SPARSE)
-        sampler, pvals = cases["weighted"]
-        redrawn = 0
-        ends = tally_ends(N_SPARSE)
-        for seed in range(10):
-            counts, attempts = poissonized_stream(1500, pvals, seed, margin_factor=-1)
-            redrawn += attempts > 1
-            want = sample_from_counts(counts, text)
-            assert_same_sample(sampler.draw(1500, seed), want)
-            assert_same_tallies(sampler.draw_tallies(1500, seed, ends, TALLY_WORD),
-                                want.tally(ends, TALLY_WORD))
-        assert redrawn >= 5
+    def test_poissonized_bulk_corrected_both_ways(self):
+        # Over seeds 0-9 the bulk of a draw of 10,000 falls short of it on
+        # some seeds, which add categorical draws, and exceeds it on others,
+        # which remove bulk draws.
+        text, cases = sampler_cases(N_POISSON)
+        size, ends = 10_000, tally_ends(N_POISSON)
+        excesses = []
+        for sampler, pvals in cases.values():
+            for seed in range(10):
+                counts, excess = poissonized_stream(size, pvals, seed)
+                excesses.append(excess)
+                want = sample_from_counts(counts, text)
+                got = sampler.draw(size, seed)
+                assert_same_sample(got, want)
+                assert got.size == size
+                assert np.all(pvals[got.positions - 1] > 0)
+                assert_same_tallies(sampler.draw_tallies(size, seed, ends, TALLY_WORD),
+                                    want.tally(ends, TALLY_WORD))
+        assert min(excesses) < 0 < max(excesses)
 
     def test_sparse_draws_allocate_independently_of_n(self):
         n, size, limit = 10**6, 2_832, 10**6
@@ -660,7 +665,8 @@ class TestSamplers:
         ends = np.arange(1, 601, dtype=np.int64) * n // 600
         word = list(range(1, 9))
         sampler = UniformSampler(text)
-        sampler.draw_tallies(size, 0, ends, word)  # builds the float weights and their cdf
+        assert sampler._cdf.size == n  # the float weights and their cdf, which the sampler keeps
+        sampler.draw_tallies(size, 0, ends, word)
         tracemalloc.start()
         try:
             peaks = [allocated(lambda: sampler.draw_tallies(size, seed, ends, word))[0]
@@ -691,8 +697,8 @@ class TestSamplers:
 
 class TestDrawTallies:
     """`draw_tallies` is `draw(...).tally(...)` without the SampleSet, in
-    every regime (and, in `test_poissonized_bulk_redrawn_when_over_size`,
-    after a redrawn Poisson bulk)."""
+    every regime (and, in `test_poissonized_bulk_corrected_both_ways`,
+    after a Poisson bulk corrected either way)."""
 
     @pytest.mark.parametrize("n, kind, size", [
         pytest.param(n, kind, size, id=f"{kind}-{n}-{size}")

@@ -6,7 +6,8 @@ of it goes through the separator rewrite, which only the tests and the
 benchmark keep as the reference for the recursion's lag. The estimators
 take their tallies from the sampler, and only the second-event diagnostic
 tallies a sample. `draw` and `draw_tallies` are written once, on
-`Sampler`, over the one draw hook. The whole-text copy measure and its
+`Sampler`, over the one draw hook; only `draw` compacts the dense
+counts, and the Poissonized draw has no loop. The whole-text copy measure and its
 chunk totals are written once, and both exact oracles take it. Each report label has one writer, and
 one function writes the record of an estimator run. In the harness, one
 function maps an estimator kind to its estimator, and one builds the
@@ -295,6 +296,50 @@ def test_detects_draw_definitions_and_tally_positions_calls():
         ("Sampler", 2), ("UniformSampler", 6), (None, 12)]
     assert enclosing_sites(tree, is_tally_positions_call) == [
         ("Sampler.draw_tallies", 3), ("UniformSampler.draw", 7), ("inner", 10)]
+
+
+def is_loop(node: ast.AST) -> bool:
+    """Whether the node is a `for` or `while` loop or a comprehension."""
+    return isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                             ast.DictComp, ast.GeneratorExp))
+
+
+# The dense hook hands out its counts in place, so that only `draw`
+# compacts them to the drawn positions, and the Poissonized draw corrects
+# its bulk total exactly, with no loop that draws the bulk again.
+DENSE_DRAW_FREE_OF = {
+    calls_of("flatnonzero"): "Sampler._drawn",
+    is_loop: "Sampler._poissonized",
+}
+
+
+def test_dense_draw_neither_compacts_nor_redraws():
+    tree = package_trees()["core.py"]
+    methods = {qualified for qualified, _ in defined_functions(tree)}
+    for matches, scope in DENSE_DRAW_FREE_OF.items():
+        assert scope in methods
+        sites = [line for site, line in enclosing_sites(tree, matches) if site == scope]
+        assert not sites, (scope, sites)
+
+
+def test_detects_compaction_and_loops():
+    tree = ast.parse(
+        "class Sampler:\n"
+        "    def _drawn(self, size, seed):\n"
+        "        return np.flatnonzero(self._poissonized(size))\n"
+        "    def _poissonized(self, size):\n"
+        "        while True:\n"
+        "            counts = [c for c in range(size)]\n"
+        "        for c in counts:\n"
+        "            total = sum(d for d in c)\n"
+        "    def draw(self, size, seed):\n"
+        "        return flatnonzero(self._drawn(size, seed))\n"
+    )
+    assert enclosing_sites(tree, calls_of("flatnonzero")) == [
+        ("Sampler._drawn", 3), ("Sampler.draw", 10)]
+    assert enclosing_sites(tree, is_loop) == [
+        ("Sampler._poissonized", 5), ("Sampler._poissonized", 6),
+        ("Sampler._poissonized", 7), ("Sampler._poissonized", 8)]
 
 
 # `exact.text_measure` is the one whole-text measure, over the one
