@@ -381,10 +381,10 @@ def tally_positions(positions: Optional[np.ndarray], symbols: np.ndarray,
     """
     word_symbols = [int(symbol) for symbol in word_symbols]
     ends = np.asarray(ends)
-    if np.any(ends[1:] < ends[:-1]):
+    if (ends[1:] < ends[:-1]).any():
         raise ValueError("tally ends must be nondecreasing")
     if positions is None:
-        cut = np.clip(ends, 0, symbols.size).astype(np.int64, copy=False)
+        cut = np.minimum(np.maximum(ends, 0), symbols.size).astype(np.int64, copy=False)
     else:
         cut = positions.searchsorted(ends, side="right").astype(np.int64, copy=False)
     if multiplicities is None:
@@ -399,13 +399,15 @@ def tally_positions(positions: Optional[np.ndarray], symbols: np.ndarray,
         # the non-empty intervals only, over the values up to the last cut.
         distinct = list(dict.fromkeys(word_symbols))
         sums = np.zeros((len(distinct) + 1, cut.size), dtype=np.int64)
-        before = np.zeros_like(cut)
+        before = np.empty_like(cut)
+        before[:1] = 0
         before[1:] = cut[:-1]
         filled = cut > before
-        if filled.any():
-            starts, last = before[filled], int(cut[-1])
+        starts = before[filled]
+        if starts.size:
+            last = int(cut[-1])
             values, labels = multiplicities[:last], symbols[:last]
-            sums[-1, filled] = np.add.reduceat(values, starts)
+            sums[-1][filled] = np.add.reduceat(values, starts)
             hit = np.empty(last, dtype=bool)
             masked = np.empty(last, dtype=np.int64)
             for row, symbol in zip(sums, distinct):
