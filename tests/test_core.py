@@ -739,11 +739,12 @@ class TestDrawTallies:
 
 @st.composite
 def tally_inputs(draw) -> tuple:
-    """Draw counts over a text of 1 to 12 positions with symbols 1 to 4,
+    """Draw counts over a text of 1 to 80 positions with symbols 1 to 4,
     zeros included; which positions a compacted form keeps; nondecreasing
     ends in [0, n + 2]; and a word that may repeat a symbol and hold 5 and
-    6, which no text holds."""
-    n = draw(st.integers(1, 12))
+    6, which no text holds. A few ends on a long text cut intervals longer
+    than `REDUCEAT_SPAN` on average, many ends shorter ones."""
+    n = draw(st.integers(1, 80))
     symbols = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -752,10 +753,20 @@ def tally_inputs(draw) -> tuple:
     return symbols, counts, keep, ends, word
 
 
+def periodic_tally_case(n: int, ends: list) -> tuple:
+    """A `tally_inputs` case of n positions with periodic symbols and
+    counts, a compacted form that drops every fifth position, and a word
+    with a repeated and an absent symbol."""
+    return ([1 + i % 4 for i in range(n)], [i % 3 for i in range(n)],
+            [i % 5 != 4 for i in range(n)], ends, [2, 1, 2, 6])
+
+
 class TestTallyPositions:
     """`tally_positions` with multiplicities, on the counts of every
     position (positions None) and on a compacted form of them, against the
-    cumulative-sum reference of `conftest`."""
+    cumulative-sum reference of `conftest`: over intervals longer than
+    `REDUCEAT_SPAN` on average, which are summed by `reduceat`, and over
+    shorter ones."""
 
     @given(tally_inputs())
     @example(([3], [2], [True], [0, 1, 1, 4], [3, 3, 5]))  # n = 1
@@ -766,6 +777,10 @@ class TestTallyPositions:
     @example(([1, 2, 1], [1, 1, 1], [True, True, True], [1, 1], [1]))  # draws past the last end
     @example(([1, 2], [0, 0], [True, False], [0, 1, 2, 3], [2]))  # no draws
     @example(([1, 2], [1, 1], [True, True], [], [1]))  # no ends
+    # long intervals: a leading 0 end, a repeated end and one past n; and
+    # draws past the last end
+    @example(periodic_tally_case(45, [0, 20, 20, 50]))
+    @example(periodic_tally_case(45, [10, 30]))
     def test_matches_the_cumulative_reference(self, case):
         symbols, counts, keep, ends, word = case
         symbols = np.array(symbols, dtype=np.int32)
