@@ -373,12 +373,13 @@ def drop_zero_weight(text: Text, dist: Distribution) -> tuple[Text, Distribution
 def tally_positions(positions: Optional[np.ndarray], symbols: np.ndarray,
                     multiplicities: Optional[np.ndarray], ends,
                     word_symbols) -> tuple[np.ndarray, np.ndarray]:
-    """Draws within each prefix of length `ends[j]`, for nondecreasing
-    ends, from sorted 1-based drawn positions, the symbol at each, and
-    their multiplicities. None positions are every position 1..n, n =
-    len(symbols), so that the multiplicities are the draw counts of the
-    whole text, zeros included; None multiplicities count each position
-    once, so that repeated positions are repeat draws.
+    """Draws within each prefix of length `ends[j]`, from sorted 1-based
+    drawn positions, the symbol at each, and their multiplicities. None
+    positions are every position 1..n, n = len(symbols), so that the
+    multiplicities are the draw counts of the whole text, zeros included;
+    None multiplicities count each position once, so that repeated
+    positions are repeat draws. With multiplicities the ends must be
+    nondecreasing: ends that cut the draws out of order raise ValueError.
 
     Returns, per entry of `word_symbols`, the draws at positions carrying
     it, as a (len(word_symbols), len(ends)) array, and all draws, as a
@@ -391,9 +392,6 @@ def tally_positions(positions: Optional[np.ndarray], symbols: np.ndarray,
     indices, and a symbol's row the cut indices among its own draws.
     """
     word_symbols = [int(symbol) for symbol in word_symbols]
-    ends = np.asarray(ends)
-    if (ends[1:] < ends[:-1]).any():
-        raise ValueError("tally ends must be nondecreasing")
     if positions is None:
         cut = np.minimum(np.maximum(ends, 0), symbols.size).astype(np.int64, copy=False)
     else:
@@ -403,6 +401,8 @@ def tally_positions(positions: Optional[np.ndarray], symbols: np.ndarray,
         by_symbol = {symbol: np.flatnonzero(symbols == symbol).searchsorted(cut)
                      for symbol in set(word_symbols)}
     else:
+        if (cut[1:] < cut[:-1]).any():
+            raise ValueError("tally ends must be nondecreasing")
         # Row i counts the draws of the i-th distinct symbol, the last row
         # all draws, each from the multiplicities masked to its symbol.
         # Long intervals are summed by `reduceat` and the sums accumulated.

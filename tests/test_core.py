@@ -799,7 +799,7 @@ class TestTallyPositions:
         for tally in (lambda ends: tally_positions(None, np.ones(3, np.int32), counts, ends, [1]),
                       lambda ends: sample.tally(ends, [1])):
             with pytest.raises(ValueError, match="nondecreasing"):
-                tally([2, 1])
+                tally([3, 1])
 
 
 class TestPrefixCounts:
