@@ -1,6 +1,9 @@
 """Texts, weights, samples, and the sampling oracles."""
 
 import math
+import os
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ from seqfree import (
     subseed,
 )
 from seqfree import core
-from seqfree.core import SPARSE_DRAW_RATIO, drop_zero_weight, tally_positions
+from seqfree.core import POISSON_BLOCK, SPARSE_DRAW_RATIO, drop_zero_weight, tally_positions
 from seqfree.exact import interleave_sentinel
 
 from conftest import prefix_count, reference_tally, sample_from_counts, sample_from_pairs
@@ -400,13 +403,26 @@ N_SPARSE = 1000
 # at most N_POISSON / SPARSE_DRAW_RATIO), and keeps the multinomial otherwise.
 N_POISSON = 4000
 
+# Text length of the multi-block Poissonized pins: its bulk is drawn in four
+# uneven blocks, and a draw of s positions is Poissonized for n < s <=
+# (n / 40)**2, about 1.5M.
+N_BLOCKS = 3 * POISSON_BLOCK + 7
+
 
 def poissonized_stream(size: int, pvals: np.ndarray, seed) -> tuple:
     """The generator calls of a Poissonized draw, written out: (counts,
-    bulk total minus size). An excess is removed at uniformly random ranks
-    of the bulk draws, listed position by position."""
+    bulk total minus size). The bulk is drawn in B = ceil(n /
+    POISSON_BLOCK) blocks cut at n * j // B, block j from the seed's
+    generator jumped j + 1 times; the correction draws from the seed's
+    generator itself. An excess is removed at uniformly random ranks of
+    the bulk draws, listed position by position."""
     rng = np.random.default_rng(seed)
-    bulk = rng.poisson(size * pvals)
+    n = pvals.size
+    blocks = math.ceil(n / POISSON_BLOCK)
+    bulk = np.concatenate([
+        np.random.Generator(rng.bit_generator.jumped(j + 1)).poisson(
+            size * pvals[n * j // blocks:n * (j + 1) // blocks])
+        for j in range(blocks)])
     excess = int(bulk.sum()) - size
     counts = bulk.copy()
     if excess < 0:
@@ -460,12 +476,20 @@ class TestSamplers:
         assert sampler._pvals.tobytes() == (floats / float(floats.sum())).tobytes()
 
     def test_shortfall_cdf_built_once_on_first_poissonized_draw(self):
-        sampler = WeightedSampler(*weighted_instance(N_POISSON))
+        # Seeds whose Poisson bulk overshoots a draw of 6,000 and falls
+        # short of it, picked from the written-out stream.
+        _, cases = sampler_cases(N_POISSON)
+        sampler, pvals = cases["weighted"]
+        excesses = {seed: poissonized_stream(6000, pvals, seed)[1] for seed in range(20)}
+        over = [seed for seed, excess in excesses.items() if excess > 0]
+        short = [seed for seed, excess in excesses.items() if excess < 0]
+        assert over and len(short) >= 2
         sampler.draw(N_POISSON, 1)  # not above n: one multinomial
+        sampler.draw(6000, over[0])  # removes bulk draws
         assert "_cdf" not in vars(sampler)
-        sampler.draw(6000, 9)
+        sampler.draw(6000, short[0])
         cdf = vars(sampler)["_cdf"]
-        sampler.draw(6000, 10)
+        sampler.draw(6000, short[1])
         assert vars(sampler)["_cdf"] is cdf
 
     def test_zero_draws(self):
@@ -553,6 +577,10 @@ class TestSamplers:
                 (10_000, True),  # margin 1,000 = N_POISSON / SPARSE_DRAW_RATIO
                 (10_001, False),
             ]
+        ] + [
+            (N_BLOCKS, kind, size, True)
+            for kind in ("uniform", "weighted")
+            for size in (N_BLOCKS + 1, 2 * N_BLOCKS)
         ]
     ])
     def test_dense_draw_keeps_the_multinomial_stream(self, n, kind, size, poissonized):
@@ -638,6 +666,109 @@ class TestSamplers:
                                     want.tally(ends, TALLY_WORD))
         assert min(excesses) < 0 < max(excesses)
 
+    @pytest.mark.parametrize("n, kind, size", [
+        (N_SPARSE, "uniform", N_SPARSE // SPARSE_DRAW_RATIO),  # sparse
+        (N_SPARSE, "weighted", 5000),  # one multinomial
+        (N_POISSON, "weighted", 10_000),  # Poissonized in one block
+        (N_BLOCKS, "uniform", 2 * N_BLOCKS),  # Poissonized in four
+    ])
+    def test_a_reused_seed_sequence_draws_alike(self, n, kind, size):
+        _, cases = sampler_cases(n)
+        sampler, _ = cases[kind]
+        seed = subseed(3, 2)
+        first = sampler.draw(size, seed)
+        assert_same_sample(sampler.draw(size, seed), first)
+        assert_same_sample(sampler.draw(size, subseed(3, 2)), first)
+        assert seed.n_children_spawned == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_blocks_draw_alike_inline_and_on_a_pool(self, monkeypatch, cpus):
+        # One CPU draws the blocks inline and builds no pool; more draw
+        # them on a fresh pool of that many threads. The reference draw
+        # runs as this machine does.
+        _, cases = sampler_cases(N_BLOCKS)
+        sampler, _ = cases["weighted"]
+        want = sampler.draw(2 * N_BLOCKS, 11)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_pool", None)
+        try:
+            got = sampler.draw(2 * N_BLOCKS, 11)
+            assert (core._pool is None) == (cpus == 1)
+        finally:
+            if core._pool is not None:
+                core._pool[1].shutdown()
+        assert_same_sample(got, want)
+
+    def test_multi_block_draws_pass_chisquare(self):
+        stats = pytest.importorskip("scipy.stats")
+        alpha = 0.001  # fixed before the first run
+        n, size, draws = N_BLOCKS, 2 * N_BLOCKS, 100
+        assert math.ceil(n / POISSON_BLOCK) == 4
+        rng = np.random.default_rng(6)
+        nums = rng.integers(0, 6, size=n, dtype=np.int64)
+        nums[:50] = 0
+        dist = Distribution.from_numerators(nums)
+        sampler = WeightedSampler(Text(np.ones(n, dtype=np.int32)), dist)
+        p = dist.numerators() / float(dist.common_denominator())
+        p /= p.sum()
+        # 16 cells of about 3,072 positions, four to a block of the bulk.
+        groups = np.arange(n) * 16 // n
+        expected_group = size * np.bincount(groups, weights=p)
+        pooled = np.zeros(n, dtype=np.int64)
+        statistic = 0.0
+        for seed in range(draws):
+            counts = np.zeros(n, dtype=np.int64)
+            sample = sampler.draw(size, seed)
+            counts[sample.positions - 1] = sample.multiplicities
+            pooled += counts
+            observed = np.bincount(groups, weights=counts)
+            statistic += float(((observed - expected_group) ** 2 / expected_group).sum())
+        assert not pooled[nums == 0].any()
+        positive = nums > 0
+        assert stats.chisquare(pooled[positive], draws * size * p[positive]).pvalue > alpha
+        # Chi-square with 15 degrees of freedom per draw only when each
+        # draw's counts are jointly multinomial across the blocks.
+        assert alpha < stats.chi2.sf(statistic, draws * 15) < 1 - alpha
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings(
+        r"ignore:This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to "
+        r"deadlocks in the child\.:DeprecationWarning")
+    def test_a_forked_child_draws_like_its_parent(self, monkeypatch):
+        # The parent draws on a pool of two threads, which the child does
+        # not inherit: the child must build its own and draw alike.
+        _, cases = sampler_cases(N_BLOCKS)
+        sampler, _ = cases["weighted"]
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_pool", None)
+        try:
+            want = sampler.draw(2 * N_BLOCKS, 5)
+            assert core._pool is not None
+            parent_pool = core._pool[1]
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    got = sampler.draw(2 * N_BLOCKS, 5)
+                    status = 0 if (
+                        core._pool is not None and core._pool[1] is not parent_pool
+                        and got.positions.tolist() == want.positions.tolist()
+                        and got.multiplicities.tolist() == want.multiplicities.tolist()
+                    ) else 1
+                finally:
+                    os._exit(status)
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its draw within 60 s")
+            assert os.waitstatus_to_exitcode(done[1]) == 0
+        finally:
+            if core._pool is not None:
+                core._pool[1].shutdown()
+
     def test_sparse_draws_allocate_independently_of_n(self):
         n, size, limit = 10**6, 2_832, 10**6
         text = Text(np.ones(n, dtype=np.int32))
@@ -721,6 +852,9 @@ class TestDrawTallies:
             (N_POISSON, "uniform", 10_000),
             (N_POISSON, "weighted", N_POISSON + 1),
             (N_POISSON, "weighted", 10_000),
+            # Poissonized in several blocks
+            (N_BLOCKS, "uniform", 2 * N_BLOCKS),
+            (N_BLOCKS, "weighted", 2 * N_BLOCKS),
         ]
     ])
     def test_equals_the_tally_of_the_draw(self, n, kind, size):
